@@ -205,12 +205,9 @@ def run_sweep(args, tol: float) -> str:
         for m in pairs:
             rows.extend(rindler.sweep_to_dicts(rindler.sweep(grid, m), m))
         return json.dumps(rows, indent=2) + "\n"
-    lines = [",".join(rindler.CSV_COLUMNS)]
-    for m in pairs:
-        for rec in rindler.sweep(grid, m):
-            row = rindler.record_row(rec, m)
-            lines.append(",".join(v if isinstance(v, str) else f"{v:.12g}" for v in row))
-    return "\n".join(lines) + "\n"
+    tables = [rindler.sweep_to_csv(rindler.sweep(grid, m), m) for m in pairs]
+    # One header: later tables contribute their rows only.
+    return tables[0] + "".join(t.split("\n", 1)[1] for t in tables[1:])
 
 
 def run_sample(args, tol: float) -> str:

@@ -32,14 +32,13 @@ def _check_target(n: int, p: int) -> None:
         raise ShapeError(f"perspective target {p} outside register of {n} qubits")
 
 
-def _bit(index: int, pos: int, n: int) -> int:
-    return (index >> (n - 1 - pos)) & 1
-
-
-def _drop_bit(index: int, pos: int, n: int) -> int:
-    shift = n - 1 - pos
-    high = index >> (shift + 1)
-    return (high << shift) | (index & ((1 << shift) - 1))
+def _controlled_flip(n: int, control: int, mask: int) -> np.ndarray:
+    """0/1 matrix sending |b> to |b ^ mask> when b's control bit is set, else to |b>."""
+    cols = np.arange(1 << n)
+    rows = np.where((cols >> (n - 1 - control)) & 1, cols ^ mask, cols)
+    m = np.zeros((cols.size, cols.size), dtype=np.complex128)
+    m[rows, cols] = 1.0
+    return m
 
 
 def assign_perspective(psi: PureState, p: int) -> PureState:
@@ -55,13 +54,13 @@ def assign_perspective(psi: PureState, p: int) -> PureState:
     _check_target(n, p)
     if n < 2:
         raise TooFewQubitsError("perspective assignment needs at least 2 qubits")
-    full = (1 << n) - 1
-    out = np.zeros(1 << (n - 1), dtype=np.complex128)
-    amps = psi.amplitudes
-    for b in range(1 << n):
-        if _bit(b, p, n) == 0:
-            w = abs(amps[b]) ** 2 + abs(amps[b ^ full]) ** 2
-            out[_drop_bit(b, p, n)] = np.sqrt(w)
+    a = psi.amplitudes
+    # float_power(hypot) matches scalar abs(c) ** 2 bit for bit, which keeps the
+    # JSON output stable; np.abs(a) ** 2 can differ in the last ulp.  Index
+    # 2^n - 1 - b of the reversed vector is b's all-qubit complement.
+    probs = np.float_power(np.hypot(a.real, a.imag), 2.0)
+    merged = (probs + probs[::-1]).reshape((2,) * n)
+    out = np.sqrt(merged.take(0, axis=p)).ravel().astype(np.complex128)
     norm = float(np.linalg.norm(out))
     if abs(norm - 1.0) > 1e-12:
         out /= norm
@@ -75,13 +74,7 @@ def perspective_operator(p: int, n: int) -> np.ndarray:
     of |b> when it is 1, i.e. |0><0|_p x identity + |0><1|_p x flip-rest.
     """
     _check_target(n, p)
-    dim = 1 << n
-    full = dim - 1
-    m = np.zeros((dim, dim), dtype=np.complex128)
-    for b in range(dim):
-        row = b if _bit(b, p, n) == 0 else b ^ full
-        m[row, b] = 1.0
-    return m
+    return _controlled_flip(n, p, (1 << n) - 1)
 
 
 def assign_perspective_channel(psi: PureState, p: int) -> PureState:
@@ -110,12 +103,8 @@ def embed(psi: PureState, p: int) -> PureState:
     """
     n = psi.n_qubits + 1
     _check_target(n, p)
-    out = np.zeros(1 << n, dtype=np.complex128)
-    for b, a in enumerate(psi.amplitudes):
-        shift = n - 1 - p
-        high = b >> shift
-        idx = (high << (shift + 1)) | (b & ((1 << shift) - 1))
-        out[idx] = a
+    a = psi.amplitudes.reshape((2,) * psi.n_qubits)
+    out = np.stack([a, np.zeros_like(a)], axis=p).ravel()
     return PureState(n_qubits=n, amplitudes=_freeze(out))
 
 
@@ -153,12 +142,8 @@ def z2_operator(n_parties: int, from_label: int, to_label: int) -> QrfOperator:
     n = n_parties - 1
     others = [i for i in range(n_parties) if i != from_label]
     control = others.index(to_label)
-    dim = 1 << n
-    spectators = (dim - 1) ^ (1 << (n - 1 - control))
-    m = np.zeros((dim, dim), dtype=np.complex128)
-    for b in range(dim):
-        row = b if _bit(b, control, n) == 0 else b ^ spectators
-        m[row, b] = 1.0
+    spectators = ((1 << n) - 1) ^ (1 << (n - 1 - control))
+    m = _controlled_flip(n, control, spectators)
     return QrfOperator(n_qubits=n, from_label=from_label, to_label=to_label, matrix=_freeze(m))
 
 

@@ -69,7 +69,7 @@ def state_from_amplitudes(amps, tol: float = NORM_TOL) -> PureState:
     if dim < 2 or dim & (dim - 1):
         raise NotPowerOfTwoError(f"amplitude count {dim} is not a power of two >= 2")
     norm = float(np.linalg.norm(vec))
-    if abs(norm - 1.0) > tol:
+    if not abs(norm - 1.0) <= tol:  # also rejects NaN norms
         raise NormToleranceError(f"state norm {norm!r} deviates from 1 by more than {tol}")
     if abs(norm - 1.0) > 1e-12:
         # Skipping the division for norms this close to 1 keeps already

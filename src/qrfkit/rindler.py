@@ -235,41 +235,29 @@ def oracle_coherence(psi_persp: PureState, slot: int, m: MeasurePair) -> float:
 def _point_record(r: float, m: MeasurePair) -> SweepRecord:
     g = global_state(r)
     rho_g = density_matrix(g)
-    persp = {obs: assign_perspective(g, obs.value) for obs in ObserverLabel}
-
-    closed: dict[str, float] = {}
-    oracle: dict[str, float] = {}
-
-    for obs in ObserverLabel:
-        key = "e_persp_" + ("a", "r", "rbar")[obs.value]
-        closed[key] = closed_form_entanglement(r, PERSP_QUANTITY[obs], m)
-        oracle[key] = entanglement(persp[obs], [0], m)
-    for obs, key in ((ObserverLabel.ANTIROB, "e_rbar_ar"), (ObserverLabel.ROB, "e_r_arbar"), (ObserverLabel.ALICE, "e_a_rrbar")):
-        closed[key] = closed_form_entanglement(r, GLOBAL_QUANTITY[obs], m)
-        oracle[key] = entanglement(g, [obs.value], m)
-
-    names = {ObserverLabel.ALICE: "a", ObserverLabel.ROB: "r", ObserverLabel.ANTIROB: "rbar"}
-    for alpha in ObserverLabel:
-        others = [o for o in ObserverLabel if o is not alpha]
-        for beta in others:
-            key = f"c_{names[alpha]}_of_{names[beta]}"
-            closed[key] = closed_form_coherence(r, alpha, beta, m)
-            oracle[key] = oracle_coherence(persp[alpha], others.index(beta), m)
-
+    observers = list(ObserverLabel)
+    persp = [assign_perspective(g, obs.value) for obs in observers]
+    ordered_pairs = [(alpha, beta) for alpha in observers for beta in observers if beta is not alpha]
     mi = mutual_information_curves(r)
-    closed["mi_r_rbar"] = mi.mi_r_rbar
-    closed["mi_a_rbar"] = mi.mi_a_rbar
-    closed["mi_a_r"] = mi.mi_a_r
-    oracle["mi_r_rbar"] = mutual_information(rho_g, [1], [2])
-    oracle["mi_a_rbar"] = mutual_information(rho_g, [0], [2])
-    oracle["mi_a_r"] = mutual_information(rho_g, [0], [1])
-    for obs in ObserverLabel:
-        key = "mi_persp_" + names[obs]
-        closed[key] = getattr(mi, key)
-        oracle[key] = mutual_information(density_matrix(persp[obs]), [0], [1])
 
-    max_residual = max(abs(closed[k] - oracle[k]) for k in closed)
-    return SweepRecord(r=r, max_residual=max_residual, **closed)
+    # Both sequences follow the SweepRecord field order, r and max_residual aside.
+    closed = [
+        *(closed_form_entanglement(r, PERSP_QUANTITY[obs], m) for obs in observers),
+        *(closed_form_coherence(r, alpha, beta, m) for alpha, beta in ordered_pairs),
+        *(closed_form_entanglement(r, GLOBAL_QUANTITY[obs], m) for obs in reversed(observers)),
+        mi.mi_r_rbar, mi.mi_a_rbar, mi.mi_a_r, mi.mi_persp_a, mi.mi_persp_r, mi.mi_persp_rbar,
+    ]
+    oracle = [
+        *(entanglement(psi, [0], m) for psi in persp),
+        # beta's slot in alpha's register: parties after alpha move down by one
+        *(oracle_coherence(persp[alpha.value], beta.value - (beta.value > alpha.value), m)
+          for alpha, beta in ordered_pairs),
+        *(entanglement(g, [obs.value], m) for obs in reversed(observers)),
+        *(mutual_information(rho_g, [i], [j]) for i, j in ((1, 2), (0, 2), (0, 1))),
+        *(mutual_information(density_matrix(psi), [0], [1]) for psi in persp),
+    ]
+    max_residual = max(abs(c - o) for c, o in zip(closed, oracle))
+    return SweepRecord(r, *closed, max_residual)
 
 
 def sweep(r_grid, m: MeasurePair) -> list[SweepRecord]:

@@ -138,13 +138,9 @@ def check_corollary(psi: PureState, m: MeasurePair, tol: float = SAT_TOL) -> lis
     states where transference fails.
     """
     _require_three(psi)
-    pairs = {
-        ConstraintId.C1: (0, 1),
-        ConstraintId.C2: (1, 2),
-        ConstraintId.C3: (2, 0),
-    }
     out = []
-    for c, (alpha, beta) in pairs.items():
+    for c in ConstraintId:
+        alpha, beta, _ = c.permutation
         lhs = perspectival_side(psi, alpha, beta, m)
         rhs = perspectival_side(psi, beta, alpha, m)
         out.append(_report(c, lhs, rhs, tol))

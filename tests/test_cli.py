@@ -261,6 +261,23 @@ def test_exit_code_numeric(capsys, tmp_path):
     assert json.loads(err)["error"] == "numeric"
 
 
+def test_exit_code_numeric_non_finite_amplitudes(capsys, tmp_path):
+    # json.dumps writes the bare NaN token that Python's parser reads back
+    path = write_state(tmp_path / "nan.json", [math.nan, 0.0, 0.0, 1.0])
+    cases = [
+        ["perspective", "--state", path, "--perspective", "0"],
+        ["check", "--state", "w-even:nan,1,1"],
+        ["check", "--state", "appc-q:nan"],
+    ]
+    for argv in cases:
+        code, out, err = run(capsys, argv)
+        assert code == 5, argv
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "numeric"
+
+
 def test_tol_env_and_flag_precedence(capsys, monkeypatch):
     monkeypatch.setenv("QRF_TOL", "10")
     code, out, _ = run(capsys, ["check", "--state", "ghz:0.6"])

@@ -1,4 +1,5 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -65,6 +66,31 @@ def test_assignment_output_is_real_nonnegative():
         assert abs(np.linalg.norm(out.amplitudes) - 1.0) <= 1e-12
 
 
+def reference_assignment(amps, p, n):
+    """Scalar flip-merge rule, one basis string at a time."""
+    full = (1 << n) - 1
+    shift = n - 1 - p
+    out = np.zeros(1 << (n - 1), dtype=np.complex128)
+    for b in range(1 << n):
+        if (b >> shift) & 1 == 0:
+            w = abs(amps[b]) ** 2 + abs(amps[b ^ full]) ** 2
+            out[((b >> (shift + 1)) << shift) | (b & ((1 << shift) - 1))] = np.sqrt(w)
+    norm = float(np.linalg.norm(out))
+    if abs(norm - 1.0) > 1e-12:
+        out /= norm
+    return out
+
+
+def test_assignment_matches_scalar_reference_bit_for_bit():
+    rng = np.random.default_rng(36)
+    for n in range(2, 9):
+        for trial in range(3):
+            s = rand_state(n, rng)
+            for p in range(n):
+                expect = reference_assignment(s.amplitudes, p, n)
+                assert np.array_equal(assign_perspective(s, p).amplitudes, expect), (n, p)
+
+
 def test_assignment_rejects_small_registers():
     one = state_from_amplitudes([1.0, 0.0])
     with pytest.raises(TooFewQubitsError):
@@ -95,12 +121,16 @@ def test_perspective_operator_action():
 
 
 def test_perspective_operator_middle_target():
+    """Kron assembly |0><0|_p x I + |0><1|_p x X-rest for every target p."""
     x = np.array([[0, 1], [1, 0]])
     p0 = np.diag([1.0, 0.0])
     p01 = np.zeros((2, 2)); p01[0, 1] = 1.0
-    # target qubit 1 of 3: control block sits between the spectators
-    direct = np.kron(x, np.kron(p01, x)) + np.kron(np.eye(2), np.kron(p0, np.eye(2)))
-    np.testing.assert_allclose(perspective_operator(1, 3), direct, atol=0)
+    for n in range(2, 6):
+        for p in range(n):
+            keep = [p0 if q == p else np.eye(2) for q in range(n)]
+            flip = [p01 if q == p else x for q in range(n)]
+            direct = reduce(np.kron, keep) + reduce(np.kron, flip)
+            np.testing.assert_allclose(perspective_operator(p, n), direct, atol=0)
 
 
 def test_channel_matches_direct_assignment_on_examples():
@@ -114,7 +144,7 @@ def test_channel_matches_direct_assignment_on_examples():
 def test_channel_matches_direct_assignment_randomized():
     rng = np.random.default_rng(32)
     for i in range(600):
-        n = int(rng.integers(2, 5))
+        n = int(rng.integers(2, 9))
         s = rand_state(n, rng)
         for p in range(n):
             a = assign_perspective(s, p)

@@ -59,6 +59,16 @@ def test_norm_tolerance_enforced():
     assert abs(np.linalg.norm(s.amplitudes) - 1.0) <= 1e-12
 
 
+def test_non_finite_amplitudes_rejected():
+    # a NaN norm compares False against any tolerance, so it must not pass
+    for bad in ([math.nan, 1.0], [complex(0.0, math.nan), 1.0],
+                [math.nan] * 8, [math.inf, 0.0]):
+        with pytest.raises(NormToleranceError):
+            state_from_amplitudes(bad)
+    with pytest.raises(NormToleranceError):
+        state_from_amplitudes([math.nan, 1.0], tol=1e6)
+
+
 def test_near_unit_norm_is_not_rescaled():
     # norm deviations below the rescale guard must leave bytes untouched
     amps = np.array([RT2, 0.5, 0.0, 0.5])
