@@ -53,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("perspective", help="rewrite a state as seen by one of its qubits")
     p.add_argument("--state", required=True, help="state file path or builtin name")
-    p.add_argument("--perspective", required=True, help="target qubit: 0|1|2|A|R|Rbar")
+    p.add_argument("--perspective", required=True, help="target qubit: index 0..n-1, or A|R|Rbar for 0|1|2")
     p.add_argument("--tol", type=float, default=None)
     p.add_argument("--out", default=None)
 
@@ -149,10 +149,13 @@ def load_state(spec: str, tol: float) -> PureState:
 
 
 def parse_perspective(text: str) -> int:
-    aliases = {"0": 0, "1": 1, "2": 2, "a": 0, "r": 1, "rbar": 2}
+    """A nonnegative decimal index or A|R|Rbar; assign_perspective checks the range."""
+    aliases = {"a": 0, "r": 1, "rbar": 2}
     key = text.strip().lower()
+    if key.isascii() and key.isdecimal():
+        return int(key)
     if key not in aliases:
-        raise DomainError(f"perspective must be one of 0|1|2|A|R|Rbar, got {text!r}")
+        raise DomainError(f"perspective must be a nonnegative qubit index or A|R|Rbar, got {text!r}")
     return aliases[key]
 
 

@@ -18,7 +18,7 @@ import enum
 
 import numpy as np
 
-from .errors import InvalidBipartitionError, UnknownQuantityError
+from .errors import InvalidBipartitionError, NumericError, UnknownQuantityError
 from .qstate import DensityMatrix, PureState, clamped_eigenvalues, density_matrix, dephase, partial_trace
 
 
@@ -42,7 +42,13 @@ def binary_entropy(p: float) -> float:
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """S(rho) = -sum_i lambda_i log2 lambda_i over the clamped spectrum."""
+    """S(rho) = -sum_i lambda_i log2 lambda_i over the clamped spectrum.
+
+    A NaN or infinite entry raises NumericError.  The entries are checked,
+    not the spectrum: LAPACK can return a finite spectrum for a NaN diagonal.
+    """
+    if not np.isfinite(rho.entries).all():
+        raise NumericError("density matrix has non-finite entries, so its spectrum is not finite")
     vals = clamped_eigenvalues(rho)
     pos = vals[vals > 0.0]
     return float(-np.sum(pos * np.log2(pos)))

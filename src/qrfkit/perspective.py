@@ -20,6 +20,7 @@ from .qstate import (
     DensityMatrix,
     PureState,
     _freeze,
+    _renormalised,
     density_matrix,
     dephase,
     partial_trace,
@@ -30,6 +31,11 @@ from .qstate import (
 def _check_target(n: int, p: int) -> None:
     if not 0 <= p < n:
         raise ShapeError(f"perspective target {p} outside register of {n} qubits")
+
+
+def _register_slot(party: int, observer: int) -> int:
+    """Position of party inside observer's register: later parties move down by one."""
+    return party - (party > observer)
 
 
 def _controlled_flip(n: int, control: int, mask: int) -> np.ndarray:
@@ -61,10 +67,7 @@ def assign_perspective(psi: PureState, p: int) -> PureState:
     probs = np.float_power(np.hypot(a.real, a.imag), 2.0)
     merged = (probs + probs[::-1]).reshape((2,) * n)
     out = np.sqrt(merged.take(0, axis=p)).ravel().astype(np.complex128)
-    norm = float(np.linalg.norm(out))
-    if abs(norm - 1.0) > 1e-12:
-        out /= norm
-    return PureState(n_qubits=n - 1, amplitudes=_freeze(out))
+    return PureState(n_qubits=n - 1, amplitudes=_renormalised(out))
 
 
 def perspective_operator(p: int, n: int) -> np.ndarray:
@@ -140,8 +143,7 @@ def z2_operator(n_parties: int, from_label: int, to_label: int) -> QrfOperator:
     if from_label == to_label:
         raise ShapeError("frame change requires two distinct party labels")
     n = n_parties - 1
-    others = [i for i in range(n_parties) if i != from_label]
-    control = others.index(to_label)
+    control = _register_slot(to_label, from_label)
     spectators = ((1 << n) - 1) ^ (1 << (n - 1 - control))
     m = _controlled_flip(n, control, spectators)
     return QrfOperator(n_qubits=n, from_label=from_label, to_label=to_label, matrix=_freeze(m))
@@ -153,8 +155,4 @@ def qrf_transform(op: QrfOperator, psi: PureState) -> PureState:
         raise DimensionMismatchError(
             f"operator on {op.n_qubits} qubits cannot act on {psi.n_qubits}-qubit state"
         )
-    out = op.matrix @ psi.amplitudes
-    norm = float(np.linalg.norm(out))
-    if abs(norm - 1.0) > 1e-12:
-        out /= norm
-    return PureState(n_qubits=psi.n_qubits, amplitudes=_freeze(out.copy()))
+    return PureState(n_qubits=psi.n_qubits, amplitudes=_renormalised(op.matrix @ psi.amplitudes))

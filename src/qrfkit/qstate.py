@@ -57,6 +57,19 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _renormalised(vec: np.ndarray) -> np.ndarray:
+    """Divide vec by its norm in place, then freeze it as complex128.
+
+    The cast comes last: real and complex division can differ in the last bit.
+    """
+    norm = float(np.linalg.norm(vec))
+    if abs(norm - 1.0) > 1e-12:
+        # Skipping the division for norms this close to 1 keeps already
+        # normalized vectors bit-stable across save/load round trips.
+        vec /= norm
+    return _freeze(vec.astype(np.complex128, copy=False))
+
+
 def state_from_amplitudes(amps, tol: float = NORM_TOL) -> PureState:
     """Build a PureState from a sequence of complex amplitudes.
 
@@ -71,11 +84,7 @@ def state_from_amplitudes(amps, tol: float = NORM_TOL) -> PureState:
     norm = float(np.linalg.norm(vec))
     if not abs(norm - 1.0) <= tol:  # also rejects NaN norms
         raise NormToleranceError(f"state norm {norm!r} deviates from 1 by more than {tol}")
-    if abs(norm - 1.0) > 1e-12:
-        # Skipping the division for norms this close to 1 keeps already
-        # normalized vectors bit-stable across save/load round trips.
-        vec /= norm
-    return PureState(n_qubits=dim.bit_length() - 1, amplitudes=_freeze(vec))
+    return PureState(n_qubits=dim.bit_length() - 1, amplitudes=_renormalised(vec))
 
 
 def density_matrix(psi: PureState) -> DensityMatrix:
@@ -142,11 +151,7 @@ def purify_diagonal(rho: DensityMatrix, tol: float = ATOL) -> PureState:
     if np.max(np.abs(off)) > tol:
         raise NotDiagonalError("matrix has off-diagonal weight above tolerance")
     probs = np.clip(np.diag(m).real, 0.0, None)
-    amps = np.sqrt(probs)
-    norm = float(np.linalg.norm(amps))
-    if abs(norm - 1.0) > 1e-12:
-        amps /= norm
-    return PureState(n_qubits=rho.n_qubits, amplitudes=_freeze(amps.astype(np.complex128)))
+    return PureState(n_qubits=rho.n_qubits, amplitudes=_renormalised(np.sqrt(probs)))
 
 
 def clamped_eigenvalues(rho: DensityMatrix) -> np.ndarray:

@@ -22,9 +22,10 @@ import math
 from dataclasses import dataclass, fields
 
 from .errors import DomainError, GridError, NonPositiveInputError
-from .measures import MeasurePair, binary_entropy, coherence, entanglement, mutual_information
-from .perspective import assign_perspective
-from .qstate import PureState, density_matrix, partial_trace, state_from_amplitudes
+from .measures import MeasurePair, binary_entropy, entanglement, mutual_information
+from .perspective import _register_slot, assign_perspective
+from .qstate import PureState, density_matrix, state_from_amplitudes
+from .transference import oracle_coherence
 
 R_MAX = math.pi / 4.0
 
@@ -69,7 +70,7 @@ def _check_r(r: float) -> float:
 
 def r_from_acceleration(a: float, omega: float) -> float:
     """Squeezing angle for proper acceleration a and mode frequency omega."""
-    if a <= 0.0 or omega <= 0.0:
+    if not (a > 0.0 and omega > 0.0):  # also rejects NaN
         raise NonPositiveInputError("acceleration and frequency must be positive")
     return math.atan(math.exp(-math.pi * omega / a))
 
@@ -227,11 +228,6 @@ CSV_COLUMNS = (
 )
 
 
-def oracle_coherence(psi_persp: PureState, slot: int, m: MeasurePair) -> float:
-    """Coherence of one qubit's reduced state inside a perspectival state."""
-    return coherence(partial_trace(density_matrix(psi_persp), [slot]), m)
-
-
 def _point_record(r: float, m: MeasurePair) -> SweepRecord:
     g = global_state(r)
     rho_g = density_matrix(g)
@@ -249,8 +245,7 @@ def _point_record(r: float, m: MeasurePair) -> SweepRecord:
     ]
     oracle = [
         *(entanglement(psi, [0], m) for psi in persp),
-        # beta's slot in alpha's register: parties after alpha move down by one
-        *(oracle_coherence(persp[alpha.value], beta.value - (beta.value > alpha.value), m)
+        *(oracle_coherence(persp[alpha.value], _register_slot(beta.value, alpha.value), m)
           for alpha, beta in ordered_pairs),
         *(entanglement(g, [obs.value], m) for obs in reversed(observers)),
         *(mutual_information(rho_g, [i], [j]) for i, j in ((1, 2), (0, 2), (0, 1))),

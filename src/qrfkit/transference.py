@@ -24,8 +24,8 @@ from .measures import (
     coherence,
     entanglement,
 )
-from .perspective import assign_perspective
-from .qstate import PureState, density_matrix, partial_trace, state_from_amplitudes
+from .perspective import _register_slot, assign_perspective
+from .qstate import PureState, density_matrix, partial_trace, permute_qubits, state_from_amplitudes
 
 SAT_TOL = 1e-9          # default satisfaction tolerance for residuals
 SUPPORT_TOL = 1e-12     # amplitude modulus below this counts as absent
@@ -96,14 +96,15 @@ def parity_class(psi: PureState) -> ParityClass:
     return ParityClass.NEITHER
 
 
+def oracle_coherence(psi_persp: PureState, slot: int, m: MeasurePair) -> float:
+    """Coherence of one qubit's reduced state inside a perspectival state."""
+    return coherence(partial_trace(density_matrix(psi_persp), [slot]), m)
+
+
 def perspectival_side(psi: PureState, alpha: int, beta: int, m: MeasurePair) -> float:
     """Entanglement within alpha's perspectival state plus beta's coherence."""
     persp = assign_perspective(psi, alpha)
-    others = [i for i in range(3) if i != alpha]
-    slot = others.index(beta)
-    ent = entanglement(persp, [0], m)
-    rho_beta = partial_trace(density_matrix(persp), [slot])
-    return ent + coherence(rho_beta, m)
+    return entanglement(persp, [0], m) + oracle_coherence(persp, _register_slot(beta, alpha), m)
 
 
 def transference_sides(psi: PureState, c: ConstraintId, m: MeasurePair) -> tuple[float, float]:
@@ -153,44 +154,29 @@ def xyl_closed_form(psi: PureState, c: ConstraintId, m: MeasurePair) -> XylTripl
     X determines the global-cut entanglement, Y the perspectival
     entanglement, L the dephased diagonal of beta's share.  All three are
     polynomial in the global amplitudes; see reconstruct_from_xyl for how
-    they rebuild the measured quantities.
+    they rebuild the measured quantities.  Every constraint is C1's forms
+    on the register reordered so that alpha, beta and gamma sit at
+    positions 0, 1 and 2.
     """
     _require_three(psi)
-    a = psi.amplitudes
+    ordered = permute_qubits(psi, c.permutation)
+    a = ordered.amplitudes
     p2 = np.abs(a) ** 2
-    # Merged pair weights: complement-related basis pairs (b, 7-b).
-    u2 = p2[0] + p2[7]
-    v2 = p2[1] + p2[6]
-    w2 = p2[2] + p2[5]
-    x2 = p2[3] + p2[4]
-    u, v, w, x = np.sqrt([u2, v2, w2, x2])
-    pi_p = u * v * w * x
-    if c is ConstraintId.C1:
-        p0 = p2[0] + p2[2] + p2[4] + p2[6]
-        s = a[0] * a[1].conjugate() + a[2] * a[3].conjugate() + a[4] * a[5].conjugate() + a[6] * a[7].conjugate()
-        det_terms = u2 * x2 + v2 * w2
-        y_lin = (u * w + v * x) ** 2
-        l_ent = u2 + v2
-    elif c is ConstraintId.C2:
-        p0 = p2[0] + p2[1] + p2[2] + p2[3]
-        s = a[0] * a[4].conjugate() + a[1] * a[5].conjugate() + a[2] * a[6].conjugate() + a[3] * a[7].conjugate()
-        det_terms = u2 * w2 + v2 * x2
-        y_lin = (u * v + w * x) ** 2
-        l_ent = u2 + x2
-    else:
-        p0 = p2[0] + p2[1] + p2[4] + p2[5]
-        s = a[0] * a[2].conjugate() + a[1] * a[3].conjugate() + a[4] * a[6].conjugate() + a[5] * a[7].conjugate()
-        det_terms = u2 * v2 + w2 * x2
-        y_lin = (u * x + v * w) ** 2
-        l_ent = u2 + w2
+    # Merged pair amplitudes of the basis pairs (000, 111), (001, 110), (010, 101), (011, 100).
+    u, v, w, x = assign_perspective(ordered, 0).amplitudes.real
+    u2, v2, w2, x2 = u * u, v * v, w * w, x * x
+    # gamma is the last qubit: even indices b have gamma = 0, and b + 1 is b with gamma flipped.
+    p0 = p2[::2].sum()
+    s = np.vdot(a[1::2], a[::2])
     p1 = 1.0 - p0
+    l_ent = u2 + v2
     if m is MeasurePair.ENTROPY:
         xv = float(np.sqrt((p0 - p1) ** 2 + 4.0 * abs(s) ** 2))
-        yv = float(np.sqrt(max(1.0 - 4.0 * det_terms + 8.0 * pi_p, 0.0)))
+        yv = float(np.sqrt(max(1.0 - 4.0 * (u2 * x2 + v2 * w2) + 8.0 * u * v * w * x, 0.0)))
         lv = float(l_ent)
     else:
         xv = float(p0 * p0 + p1 * p1 + 2.0 * abs(s) ** 2)
-        yv = float(y_lin)
+        yv = float((u * w + v * x) ** 2)
         lv = float(l_ent * l_ent + (1.0 - l_ent) ** 2)
     return XylTriple(x=xv, y=yv, l=lv)
 

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from qrfkit import embed, state_from_json, state_to_json
+from qrfkit import assign_perspective, embed, state_from_json, state_to_json
 from qrfkit.cli import main
 from qrfkit.rindler import CSV_COLUMNS
 
@@ -50,6 +50,21 @@ def test_perspective_alias_labels(capsys):
         outs.append(out)
     assert outs[0] == outs[1] == outs[2]
     assert json.loads(outs[0])["perspective_of"] == 2
+
+
+def test_perspective_reaches_every_qubit(capsys, tmp_path):
+    rng = np.random.default_rng(41)
+    amps = rng.standard_normal(32)
+    five = tmp_path / "five.json"
+    path = write_state(five, amps / np.linalg.norm(amps))
+    psi = state_from_json(five.read_text(encoding="utf-8"))
+    code, out, _ = run(capsys, ["perspective", "--state", path, "--perspective", "4"])
+    assert code == 0
+    assert out == state_to_json(assign_perspective(psi, 4), perspective_of=4) + "\n"
+    code, out, err = run(capsys, ["perspective", "--state", path, "--perspective", "5"])
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"] == "shape"
 
 
 def test_perspective_of_ghz_collapses(capsys):
@@ -240,6 +255,8 @@ def test_exit_code_domain(capsys):
         ["sweep", "--grid", "nonsense"],
         ["perspective", "--state", "ghz:1.5", "--perspective", "0"],
         ["perspective", "--state", "rindler:0.3", "--perspective", "B"],
+        ["perspective", "--state", "rindler:0.3", "--perspective", "-1"],
+        ["perspective", "--state", "rindler:0.3", "--perspective", "1.0"],
         ["sample", "--count", "0", "--seed", "1"],
         ["sample", "--count", "3", "--seed", "-1"],
         ["check", "--state", "rindler:0.3", "--tol", "-1"],

@@ -17,7 +17,7 @@ from qrfkit import (
     state_from_amplitudes,
     von_neumann_entropy,
 )
-from qrfkit.errors import InvalidBipartitionError, UnknownQuantityError
+from qrfkit.errors import InvalidBipartitionError, NumericError, UnknownQuantityError
 
 RT2 = 1.0 / math.sqrt(2.0)
 
@@ -63,6 +63,23 @@ def test_entropy_handles_spectrum_noise():
     # tiny negative eigenvalue noise must clamp to zero, not produce NaN
     m = np.diag([1.0, -1e-13]).astype(complex)
     assert von_neumann_entropy(DensityMatrix(2, m)) == 0.0
+
+
+def test_entropy_rejects_non_finite_matrices():
+    # an all-NaN matrix once gave S = -0.0 and entropic coherence 0.0; a NaN
+    # diagonal entry still gets a finite spectrum [0, -0] from LAPACK
+    bad = [
+        np.full((2, 2), np.nan, dtype=complex),
+        np.full((2, 2), np.inf, dtype=complex),
+        np.diag([np.nan, 1.0]).astype(complex),
+        np.array([[0.5, 1j * np.nan], [0.0, 0.5]]),
+    ]
+    for m in bad:
+        rho = DensityMatrix(2, m)
+        with pytest.raises(NumericError):
+            von_neumann_entropy(rho)
+        with pytest.raises(NumericError):
+            coherence(rho, MeasurePair.ENTROPY)
 
 
 def test_linear_entropy_examples():

@@ -244,12 +244,12 @@ def test_z2_operator_validation():
 
 
 def test_frame_change_report():
-    """Exploratory check: compare frame changes against direct assignment.
+    """Frame changes agree with direct assignment to within 1e-12.
 
     The operator is applied to one observer's assigned state and compared to
     the state assigned directly to the other observer, after relabeling the
-    shared parties.  Deviations are reported, not asserted, since the mapping
-    between the two routes is not part of the module contract.
+    shared parties.  A wrong control slot in z2_operator shows up here as an
+    O(1) deviation.
     """
     rng = np.random.default_rng(35)
     worst = 0.0
@@ -272,3 +272,4 @@ def test_frame_change_report():
                     dev = float(np.max(np.abs(lined_up.amplitudes - dst.amplitudes)))
                     worst = max(worst, dev)
     print(f"frame-change vs direct assignment, max deviation: {worst:.3e}")
+    assert worst <= 1e-12

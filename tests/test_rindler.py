@@ -54,9 +54,11 @@ def test_r_from_acceleration():
     assert abs(r_from_acceleration(1e9, 1.0) - R_MAX) <= 1e-8
     vals = [r_from_acceleration(a, 1.0) for a in (0.5, 1.0, 2.0, 5.0, 50.0)]
     assert all(b > a for a, b in zip(vals, vals[1:]))
-    for bad in ((0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0)):
+    for bad in ((0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0), (math.nan, 1.0), (1.0, math.nan)):
         with pytest.raises(NonPositiveInputError):
             r_from_acceleration(*bad)
+    # the infinite-acceleration limit is the admitted endpoint r = pi/4
+    assert r_from_acceleration(math.inf, 1.0) == R_MAX
 
 
 def test_global_state_endpoints():
