@@ -28,14 +28,8 @@ from . import rindler
 from .errors import DomainError, GridError, IoError, QrfError
 from .measures import MeasurePair
 from .perspective import assign_perspective
-from .qstate import PureState, state_from_amplitudes, state_from_json, state_to_json
-from .transference import (
-    ParityClass,
-    check_corollary,
-    check_transference,
-    parity_class,
-    random_parity_state,
-)
+from .qstate import PureState, _dumps, state_from_amplitudes, state_from_json, state_to_json
+from .transference import ParityClass, _analyse, parity_class, random_parity_state
 
 DEFAULT_TOL = 1e-9
 
@@ -187,30 +181,30 @@ def run_perspective(args, tol: float) -> str:
 
 def run_check(args, tol: float) -> str:
     psi = load_state(args.state, tol)
+    analysis = _analyse(psi)
     results = []
     for m in parse_measures(args.measures):
         results.append(
             {
                 "measure_pair": m.value,
-                "transference": [r.to_dict() for r in check_transference(psi, m, tol)],
-                "corollary": [r.to_dict() for r in check_corollary(psi, m, tol)],
+                "transference": [r.to_dict() for r in analysis.transference(m, tol)],
+                "corollary": [r.to_dict() for r in analysis.corollary(m, tol)],
             }
         )
     doc = {"parity": parity_class(psi).value, "tol": tol, "results": results}
-    return json.dumps(doc, indent=2) + "\n"
+    return _dumps(doc, indent=2) + "\n"
 
 
 def run_sweep(args, tol: float) -> str:
     grid = parse_grid(args.grid)
     pairs = parse_measures(args.measures)
+    tables = rindler._sweep_pairs(grid, pairs)
     if args.format == "json":
-        rows = []
-        for m in pairs:
-            rows.extend(rindler.sweep_to_dicts(rindler.sweep(grid, m), m))
-        return json.dumps(rows, indent=2) + "\n"
-    tables = [rindler.sweep_to_csv(rindler.sweep(grid, m), m) for m in pairs]
+        rows = [row for m, records in zip(pairs, tables) for row in rindler.sweep_to_dicts(records, m)]
+        return _dumps(rows, indent=2) + "\n"
+    csvs = [rindler.sweep_to_csv(records, m) for m, records in zip(pairs, tables)]
     # One header: later tables contribute their rows only.
-    return tables[0] + "".join(t.split("\n", 1)[1] for t in tables[1:])
+    return csvs[0] + "".join(t.split("\n", 1)[1] for t in csvs[1:])
 
 
 def run_sample(args, tol: float) -> str:
@@ -224,13 +218,13 @@ def run_sample(args, tol: float) -> str:
     lines = []
     for i in range(args.count):
         rng = np.random.default_rng([args.seed, i])
-        psi = random_parity_state(cls, rng)
+        analysis = _analyse(random_parity_state(cls, rng))
         for m in pairs:
-            reports = check_transference(psi, m, tol)
+            reports = analysis.transference(m, tol)
             ok = all(r.satisfied for r in reports)
             pass_counts[m.value] += ok
             lines.append(
-                json.dumps(
+                _dumps(
                     {
                         "index": i,
                         "parity": args.parity,
@@ -241,9 +235,7 @@ def run_sample(args, tol: float) -> str:
                 )
             )
     lines.append(
-        json.dumps(
-            {"summary": {"count": args.count, "parity": args.parity, "seed": args.seed, "pass": pass_counts}}
-        )
+        _dumps({"summary": {"count": args.count, "parity": args.parity, "seed": args.seed, "pass": pass_counts}})
     )
     return "\n".join(lines) + "\n"
 
@@ -257,7 +249,7 @@ _RUNNERS = {
 
 
 def _emit_error(kind: str, message: str) -> None:
-    sys.stderr.write(json.dumps({"error": kind, "message": message}) + "\n")
+    sys.stderr.write(json.dumps({"error": kind, "message": message}, allow_nan=False) + "\n")
 
 
 def main(argv=None) -> int:

@@ -41,21 +41,30 @@ def binary_entropy(p: float) -> float:
     return float(-p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p))
 
 
+def _require_finite(rho: DensityMatrix) -> None:
+    """Raise NumericError unless every entry of rho is finite.
+
+    The entries are checked, not a result: LAPACK can return a finite
+    spectrum for a NaN diagonal.
+    """
+    if not np.isfinite(rho.entries).all():
+        raise NumericError("density matrix has non-finite entries, so its measures are not finite")
+
+
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """S(rho) = -sum_i lambda_i log2 lambda_i over the clamped spectrum.
 
-    A NaN or infinite entry raises NumericError.  The entries are checked,
-    not the spectrum: LAPACK can return a finite spectrum for a NaN diagonal.
+    A NaN or infinite entry raises NumericError.
     """
-    if not np.isfinite(rho.entries).all():
-        raise NumericError("density matrix has non-finite entries, so its spectrum is not finite")
+    _require_finite(rho)
     vals = clamped_eigenvalues(rho)
     pos = vals[vals > 0.0]
     return float(-np.sum(pos * np.log2(pos)))
 
 
 def linear_entropy(rho: DensityMatrix) -> float:
-    """1 - Tr(rho^2); zero exactly on pure states."""
+    """1 - Tr(rho^2); zero exactly on pure states.  A NaN or infinite entry raises NumericError."""
+    _require_finite(rho)
     return float(1.0 - np.trace(rho.entries @ rho.entries).real)
 
 
@@ -69,6 +78,13 @@ def _partition(n: int, left) -> tuple[list[int], list[int]]:
     return left, right
 
 
+def _reduced_entanglement(reduced: DensityMatrix, pair: MeasurePair) -> float:
+    """Entanglement of a pure state from the reduced state of one side of the cut."""
+    if pair is MeasurePair.ENTROPY:
+        return von_neumann_entropy(reduced)
+    return linear_entropy(reduced)
+
+
 def entanglement(psi: PureState, left, pair: MeasurePair = MeasurePair.ENTROPY) -> float:
     """Bipartite entanglement of a pure state across (left | rest).
 
@@ -76,16 +92,17 @@ def entanglement(psi: PureState, left, pair: MeasurePair = MeasurePair.ENTROPY) 
     smaller block costs nothing in generality; we always reduce to ``left``.
     """
     left, _ = _partition(psi.n_qubits, left)
-    reduced = partial_trace(density_matrix(psi), left)
-    if pair is MeasurePair.ENTROPY:
-        return von_neumann_entropy(reduced)
-    return linear_entropy(reduced)
+    return _reduced_entanglement(partial_trace(density_matrix(psi), left), pair)
 
 
 def coherence(rho: DensityMatrix, pair: MeasurePair = MeasurePair.ENTROPY) -> float:
-    """Basis coherence of a (possibly reduced) state in the computational basis."""
+    """Basis coherence of a (possibly reduced) state in the computational basis.
+
+    A NaN or infinite entry raises NumericError under either measure pair.
+    """
     if pair is MeasurePair.ENTROPY:
         return von_neumann_entropy(dephase(rho)) - von_neumann_entropy(rho)
+    _require_finite(rho)
     off = rho.entries - np.diag(np.diag(rho.entries))
     return float(np.sum(np.abs(off) ** 2))
 

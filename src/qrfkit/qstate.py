@@ -20,6 +20,7 @@ from .errors import (
     NormToleranceError,
     NotDiagonalError,
     NotPowerOfTwoError,
+    NumericError,
     ShapeError,
 )
 
@@ -172,6 +173,14 @@ def clamped_eigenvalues(rho: DensityMatrix) -> np.ndarray:
 # an extra "perspective_of" index.  Density matrices are never serialized.
 # ---------------------------------------------------------------------------
 
+def _dumps(doc, **kwargs) -> str:
+    """json.dumps that refuses NaN and infinities, raising NumericError, so output is always valid JSON."""
+    try:
+        return json.dumps(doc, allow_nan=False, **kwargs)
+    except ValueError as e:
+        raise NumericError(f"output holds a non-finite number: {e}") from None
+
+
 def state_to_json(psi: PureState, perspective_of: int | None = None) -> str:
     doc = {
         "n_qubits": psi.n_qubits,
@@ -179,7 +188,7 @@ def state_to_json(psi: PureState, perspective_of: int | None = None) -> str:
     }
     if perspective_of is not None:
         doc["perspective_of"] = int(perspective_of)
-    return json.dumps(doc)
+    return _dumps(doc)
 
 
 def state_from_json(text: str, tol: float = NORM_TOL) -> PureState:

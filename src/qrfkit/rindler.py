@@ -22,10 +22,10 @@ import math
 from dataclasses import dataclass, fields
 
 from .errors import DomainError, GridError, NonPositiveInputError
-from .measures import MeasurePair, binary_entropy, entanglement, mutual_information
-from .perspective import _register_slot, assign_perspective
-from .qstate import PureState, density_matrix, state_from_amplitudes
-from .transference import oracle_coherence
+from .measures import MeasurePair, binary_entropy, mutual_information
+from .qstate import PureState, state_from_amplitudes
+# oracle_coherence is imported for callers only: qrfkit.rindler.oracle_coherence stays importable.
+from .transference import _analyse, oracle_coherence  # noqa: F401
 
 R_MAX = math.pi / 4.0
 
@@ -72,7 +72,10 @@ def r_from_acceleration(a: float, omega: float) -> float:
     """Squeezing angle for proper acceleration a and mode frequency omega."""
     if not (a > 0.0 and omega > 0.0):  # also rejects NaN
         raise NonPositiveInputError("acceleration and frequency must be positive")
-    return math.atan(math.exp(-math.pi * omega / a))
+    ratio = omega / a
+    if math.isnan(ratio):  # inf / inf
+        raise DomainError(f"omega / a is undefined for omega = {omega}, a = {a}")
+    return math.atan(math.exp(-math.pi * ratio))
 
 
 def global_state(r: float) -> PureState:
@@ -228,35 +231,40 @@ CSV_COLUMNS = (
 )
 
 
-def _point_record(r: float, m: MeasurePair) -> SweepRecord:
-    g = global_state(r)
-    rho_g = density_matrix(g)
+def _point_records(r: float, pairs) -> list[SweepRecord]:
+    """One record per measure pair at r, all drawn from one analysis of the global state."""
+    a = _analyse(global_state(r))
     observers = list(ObserverLabel)
-    persp = [assign_perspective(g, obs.value) for obs in observers]
     ordered_pairs = [(alpha, beta) for alpha in observers for beta in observers if beta is not alpha]
     mi = mutual_information_curves(r)
-
-    # Both sequences follow the SweepRecord field order, r and max_residual aside.
-    closed = [
-        *(closed_form_entanglement(r, PERSP_QUANTITY[obs], m) for obs in observers),
-        *(closed_form_coherence(r, alpha, beta, m) for alpha, beta in ordered_pairs),
-        *(closed_form_entanglement(r, GLOBAL_QUANTITY[obs], m) for obs in reversed(observers)),
-        mi.mi_r_rbar, mi.mi_a_rbar, mi.mi_a_r, mi.mi_persp_a, mi.mi_persp_r, mi.mi_persp_rbar,
+    # Mutual information is entropic under either measure pair, so both sides are computed once.
+    mi_closed = [mi.mi_r_rbar, mi.mi_a_rbar, mi.mi_a_r, mi.mi_persp_a, mi.mi_persp_r, mi.mi_persp_rbar]
+    mi_oracle = [
+        *(mutual_information(a.global_rho(), [i], [j]) for i, j in ((1, 2), (0, 2), (0, 1))),
+        *(mutual_information(a.perspective_rho(obs.value), [0], [1]) for obs in observers),
     ]
-    oracle = [
-        *(entanglement(psi, [0], m) for psi in persp),
-        *(oracle_coherence(persp[alpha.value], _register_slot(beta.value, alpha.value), m)
-          for alpha, beta in ordered_pairs),
-        *(entanglement(g, [obs.value], m) for obs in reversed(observers)),
-        *(mutual_information(rho_g, [i], [j]) for i, j in ((1, 2), (0, 2), (0, 1))),
-        *(mutual_information(density_matrix(psi), [0], [1]) for psi in persp),
-    ]
-    max_residual = max(abs(c - o) for c, o in zip(closed, oracle))
-    return SweepRecord(r, *closed, max_residual)
+    records = []
+    for m in pairs:
+        # Both sequences follow the SweepRecord field order, r and max_residual aside.
+        closed = [
+            *(closed_form_entanglement(r, PERSP_QUANTITY[obs], m) for obs in observers),
+            *(closed_form_coherence(r, alpha, beta, m) for alpha, beta in ordered_pairs),
+            *(closed_form_entanglement(r, GLOBAL_QUANTITY[obs], m) for obs in reversed(observers)),
+            *mi_closed,
+        ]
+        oracle = [
+            *(a.perspectival_entanglement(obs.value, m) for obs in observers),
+            *(a.perspectival_coherence(alpha.value, beta.value, m) for alpha, beta in ordered_pairs),
+            *(a.global_entanglement(obs.value, m) for obs in reversed(observers)),
+            *mi_oracle,
+        ]
+        max_residual = max(abs(c - o) for c, o in zip(closed, oracle))
+        records.append(SweepRecord(r, *closed, max_residual))
+    return records
 
 
-def sweep(r_grid, m: MeasurePair) -> list[SweepRecord]:
-    """Evaluate the full record at every grid point, ordered by r."""
+def _sweep_pairs(r_grid, pairs) -> list[list[SweepRecord]]:
+    """sweep for every measure pair in pairs, analysing each grid point once."""
     grid = [float(r) for r in r_grid]
     if not grid:
         raise GridError("sweep grid is empty")
@@ -265,7 +273,13 @@ def sweep(r_grid, m: MeasurePair) -> list[SweepRecord]:
             raise GridError(f"grid point {r} outside [0, pi/4]")
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise GridError("sweep grid must be ascending")
-    return [_point_record(min(r, R_MAX), m) for r in grid]
+    points = [_point_records(min(r, R_MAX), pairs) for r in grid]
+    return [[records[k] for records in points] for k in range(len(pairs))]
+
+
+def sweep(r_grid, m: MeasurePair) -> list[SweepRecord]:
+    """Evaluate the full record at every grid point, ordered by r."""
+    return _sweep_pairs(r_grid, [m])[0]
 
 
 def record_row(rec: SweepRecord, m: MeasurePair) -> list:

@@ -13,19 +13,15 @@ families used in the property checks.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import WrongQubitCountError
-from .measures import (
-    MeasurePair,
-    binary_entropy,
-    coherence,
-    entanglement,
-)
+from .measures import MeasurePair, _partition, _reduced_entanglement, binary_entropy, coherence
 from .perspective import _register_slot, assign_perspective
-from .qstate import PureState, density_matrix, partial_trace, permute_qubits, state_from_amplitudes
+from .qstate import DensityMatrix, PureState, density_matrix, partial_trace, permute_qubits, state_from_amplitudes
 
 SAT_TOL = 1e-9          # default satisfaction tolerance for residuals
 SUPPORT_TOL = 1e-12     # amplitude modulus below this counts as absent
@@ -101,18 +97,100 @@ def oracle_coherence(psi_persp: PureState, slot: int, m: MeasurePair) -> float:
     return coherence(partial_trace(density_matrix(psi_persp), [slot]), m)
 
 
+def _once(method):
+    """Compute a _StateAnalysis quantity at most once per argument tuple."""
+    name = method.__name__
+
+    @functools.wraps(method)
+    def cached(self, *args):
+        key = (name, *args)
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = method(self, *args)
+            return value
+
+    return cached
+
+
+class _StateAnalysis:
+    """Every ingredient of the constraints on one state, each computed on first use.
+
+    Values are those of the per-call functions (assign_perspective,
+    entanglement, oracle_coherence) bit for bit: the same primitives run on
+    the same inputs, only once.  An analysis lives for one call, so nothing
+    is cached across calls.
+    """
+
+    def __init__(self, psi: PureState):
+        self.psi = psi
+        self._memo: dict = {}
+
+    @_once
+    def perspective_rho(self, alpha: int) -> DensityMatrix:
+        return density_matrix(assign_perspective(self.psi, alpha))
+
+    @_once
+    def perspective_reduction(self, alpha: int, slot: int) -> DensityMatrix:
+        return partial_trace(self.perspective_rho(alpha), [slot])
+
+    @_once
+    def global_rho(self) -> DensityMatrix:
+        return density_matrix(self.psi)
+
+    @_once
+    def global_reduction(self, q: int) -> DensityMatrix:
+        return partial_trace(self.global_rho(), [q])
+
+    @_once
+    def perspectival_entanglement(self, alpha: int, m: MeasurePair) -> float:
+        _partition(self.perspective_rho(alpha).n_qubits, [0])  # a 1-qubit perspective has no cut
+        return _reduced_entanglement(self.perspective_reduction(alpha, 0), m)
+
+    @_once
+    def perspectival_coherence(self, alpha: int, beta: int, m: MeasurePair) -> float:
+        return coherence(self.perspective_reduction(alpha, _register_slot(beta, alpha)), m)
+
+    @_once
+    def global_entanglement(self, gamma: int, m: MeasurePair) -> float:
+        return _reduced_entanglement(self.global_reduction(gamma), m)
+
+    def side(self, alpha: int, beta: int, m: MeasurePair) -> float:
+        """perspectival_side on the analysed state."""
+        return self.perspectival_entanglement(alpha, m) + self.perspectival_coherence(alpha, beta, m)
+
+    def transference(self, m: MeasurePair, tol: float) -> list[ConstraintReport]:
+        """check_transference on the analysed state."""
+        out = []
+        for c in ConstraintId:
+            alpha, beta, gamma = c.permutation
+            out.append(_report(c, self.side(alpha, beta, m), self.global_entanglement(gamma, m), tol))
+        return out
+
+    def corollary(self, m: MeasurePair, tol: float) -> list[ConstraintReport]:
+        """check_corollary on the analysed state."""
+        out = []
+        for c in ConstraintId:
+            alpha, beta, _ = c.permutation
+            out.append(_report(c, self.side(alpha, beta, m), self.side(beta, alpha, m), tol))
+        return out
+
+
+def _analyse(psi: PureState) -> _StateAnalysis:
+    """The analysis of a 3-qubit state, which the constraint checks share."""
+    _require_three(psi)
+    return _StateAnalysis(psi)
+
+
 def perspectival_side(psi: PureState, alpha: int, beta: int, m: MeasurePair) -> float:
     """Entanglement within alpha's perspectival state plus beta's coherence."""
-    persp = assign_perspective(psi, alpha)
-    return entanglement(persp, [0], m) + oracle_coherence(persp, _register_slot(beta, alpha), m)
+    return _StateAnalysis(psi).side(alpha, beta, m)
 
 
 def transference_sides(psi: PureState, c: ConstraintId, m: MeasurePair) -> tuple[float, float]:
-    _require_three(psi)
     alpha, beta, gamma = c.permutation
-    lhs = perspectival_side(psi, alpha, beta, m)
-    rhs = entanglement(psi, [gamma], m)
-    return lhs, rhs
+    a = _analyse(psi)
+    return a.side(alpha, beta, m), a.global_entanglement(gamma, m)
 
 
 def _report(c: ConstraintId, lhs: float, rhs: float, tol: float) -> ConstraintReport:
@@ -122,12 +200,7 @@ def _report(c: ConstraintId, lhs: float, rhs: float, tol: float) -> ConstraintRe
 
 def check_transference(psi: PureState, m: MeasurePair, tol: float = SAT_TOL) -> list[ConstraintReport]:
     """All three constraint permutations for one measure pair."""
-    _require_three(psi)
-    out = []
-    for c in ConstraintId:
-        lhs, rhs = transference_sides(psi, c, m)
-        out.append(_report(c, lhs, rhs, tol))
-    return out
+    return _analyse(psi).transference(m, tol)
 
 
 def check_corollary(psi: PureState, m: MeasurePair, tol: float = SAT_TOL) -> list[ConstraintReport]:
@@ -138,14 +211,7 @@ def check_corollary(psi: PureState, m: MeasurePair, tol: float = SAT_TOL) -> lis
     constraints, so transference implies all of them, but they can hold on
     states where transference fails.
     """
-    _require_three(psi)
-    out = []
-    for c in ConstraintId:
-        alpha, beta, _ = c.permutation
-        lhs = perspectival_side(psi, alpha, beta, m)
-        rhs = perspectival_side(psi, beta, alpha, m)
-        out.append(_report(c, lhs, rhs, tol))
-    return out
+    return _analyse(psi).corollary(m, tol)
 
 
 def xyl_closed_form(psi: PureState, c: ConstraintId, m: MeasurePair) -> XylTriple:

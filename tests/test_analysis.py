@@ -1,0 +1,166 @@
+"""The shared per-state analysis gives the per-call functions' values bit for bit.
+
+check_transference, check_corollary, the sweep oracle and the CLI all read
+one analysis per 3-qubit state or grid point.  Each test here compares that
+path with a reference built on the same machine from the public per-call
+primitives, so the equalities are exact (==) on any CPU.
+"""
+
+import json
+import math
+import sys
+
+import numpy as np
+import pytest
+
+from qrfkit import (
+    MeasurePair,
+    ObserverLabel,
+    ParityClass,
+    SweepRecord,
+    assign_perspective,
+    check_corollary,
+    check_transference,
+    closed_form_coherence,
+    closed_form_entanglement,
+    density_matrix,
+    entanglement,
+    global_state,
+    mutual_information,
+    mutual_information_curves,
+    random_parity_state,
+    state_from_amplitudes,
+    sweep,
+    transference_sides,
+)
+from qrfkit import perspective
+from qrfkit.cli import main
+from qrfkit.rindler import GLOBAL_QUANTITY, PERSP_QUANTITY, R_MAX
+from qrfkit.transference import oracle_coherence, perspectival_side
+
+PAIRS = list(MeasurePair)
+
+
+def analysed_states():
+    states = []
+    for cls in ParityClass:
+        rng = np.random.default_rng([97, len(states)])
+        states.extend(random_parity_state(cls, rng) for _ in range(12))
+    plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
+    tilted = np.array([math.cos(0.4), 1j * math.sin(0.4)])
+    states.append(state_from_amplitudes(np.kron(np.kron(plus, tilted), [0.6, 0.8])))
+    states.append(state_from_amplitudes([0.6, 0, 0, 0, 0, 0, 0, 0.8]))
+    return states
+
+
+def reference_side(psi, alpha, beta, m):
+    """perspectival_side as separate per-call primitives."""
+    persp = assign_perspective(psi, alpha)
+    return entanglement(persp, [0], m) + oracle_coherence(persp, beta - (beta > alpha), m)
+
+
+def test_constraint_values_equal_per_call_primitives():
+    for psi in analysed_states():
+        for m in PAIRS:
+            for rep in check_transference(psi, m):
+                alpha, beta, gamma = rep.constraint.permutation
+                assert rep.lhs == reference_side(psi, alpha, beta, m)
+                assert rep.rhs == entanglement(psi, [gamma], m)
+                assert (rep.lhs, rep.rhs) == transference_sides(psi, rep.constraint, m)
+            for rep in check_corollary(psi, m):
+                alpha, beta, _ = rep.constraint.permutation
+                assert rep.lhs == reference_side(psi, alpha, beta, m)
+                assert rep.rhs == reference_side(psi, beta, alpha, m)
+                assert rep.lhs == perspectival_side(psi, alpha, beta, m)
+
+
+def reference_point_record(r, m):
+    """One sweep row from per-call primitives, each pair evaluated on its own."""
+    g = global_state(r)
+    rho_g = density_matrix(g)
+    observers = list(ObserverLabel)
+    persp = [assign_perspective(g, obs.value) for obs in observers]
+    ordered_pairs = [(alpha, beta) for alpha in observers for beta in observers if beta is not alpha]
+    mi = mutual_information_curves(r)
+    closed = [
+        *(closed_form_entanglement(r, PERSP_QUANTITY[obs], m) for obs in observers),
+        *(closed_form_coherence(r, alpha, beta, m) for alpha, beta in ordered_pairs),
+        *(closed_form_entanglement(r, GLOBAL_QUANTITY[obs], m) for obs in reversed(observers)),
+        mi.mi_r_rbar, mi.mi_a_rbar, mi.mi_a_r, mi.mi_persp_a, mi.mi_persp_r, mi.mi_persp_rbar,
+    ]
+    oracle = [
+        *(entanglement(psi, [0], m) for psi in persp),
+        *(oracle_coherence(persp[alpha.value], beta.value - (beta.value > alpha.value), m)
+          for alpha, beta in ordered_pairs),
+        *(entanglement(g, [obs.value], m) for obs in reversed(observers)),
+        *(mutual_information(rho_g, [i], [j]) for i, j in ((1, 2), (0, 2), (0, 1))),
+        *(mutual_information(density_matrix(psi), [0], [1]) for psi in persp),
+    ]
+    return SweepRecord(r, *closed, max(abs(c - o) for c, o in zip(closed, oracle)))
+
+
+def test_sweep_records_equal_reference_rows():
+    grid = [float(r) for r in np.linspace(0.0, R_MAX, 23)]
+    for m in PAIRS:
+        got = sweep(grid, m)
+        assert got == [reference_point_record(r, m) for r in grid]
+        assert any(rec.max_residual > 0.0 for rec in got)
+
+
+def cli_out(capsys, argv):
+    assert main(argv) == 0
+    return capsys.readouterr().out
+
+
+def test_sweep_both_pairs_equal_single_pair_runs(capsys):
+    base = ["sweep", "--grid", f"0:{R_MAX!r}:9"]
+    runs = {m: cli_out(capsys, base + ["--measures", m]) for m in ("both", "entropy", "linear")}
+    assert runs["both"] == runs["entropy"] + runs["linear"].split("\n", 1)[1]
+    runs = {m: cli_out(capsys, base + ["--measures", m, "--format", "json"]) for m in ("both", "entropy", "linear")}
+    assert json.loads(runs["both"]) == json.loads(runs["entropy"]) + json.loads(runs["linear"])
+
+
+def test_sample_both_pairs_equal_single_pair_runs(capsys):
+    for parity in ("even", "odd", "neither"):
+        base = ["sample", "--count", "6", "--seed", "13", "--parity", parity]
+        both, ent, lin = ([json.loads(line) for line in cli_out(capsys, base + ["--measures", m]).splitlines()]
+                          for m in ("both", "entropy", "linear"))
+        assert both[:-1] == [doc for pair in zip(ent[:-1], lin[:-1]) for doc in pair]
+        summary = ent[-1]["summary"]
+        summary["pass"].update(lin[-1]["summary"]["pass"])
+        assert both[-1]["summary"] == summary
+
+
+def test_check_both_pairs_equal_single_pair_runs(capsys):
+    for state in ("rindler:0.3", "ghz:0.6", "appc-q:0.3", "sep-counterexample"):
+        both, ent, lin = (json.loads(cli_out(capsys, ["check", "--state", state, "--measures", m]))
+                          for m in ("both", "entropy", "linear"))
+        assert both["results"] == ent["results"] + lin["results"]
+        assert both["parity"] == ent["parity"] == lin["parity"]
+
+
+@pytest.fixture
+def perspective_calls(monkeypatch):
+    """Count assign_perspective calls through every qrfkit module that holds it."""
+    calls = []
+    original = perspective.assign_perspective
+
+    def counted(psi, p):
+        calls.append(p)
+        return original(psi, p)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "qrfkit" and getattr(mod, "assign_perspective", None) is original:
+            monkeypatch.setattr(mod, "assign_perspective", counted)
+    return calls
+
+
+def test_each_state_assigns_three_perspectives(capsys, perspective_calls):
+    cli_out(capsys, ["sample", "--count", "5", "--seed", "3", "--parity", "neither", "--measures", "both"])
+    assert len(perspective_calls) == 3 * 5
+    perspective_calls.clear()
+    cli_out(capsys, ["sweep", "--grid", "0:0.5:4", "--measures", "both"])
+    assert len(perspective_calls) == 3 * 4
+    perspective_calls.clear()
+    cli_out(capsys, ["check", "--state", "rindler:0.3", "--measures", "both"])
+    assert len(perspective_calls) == 3

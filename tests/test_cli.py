@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from qrfkit import assign_perspective, embed, state_from_json, state_to_json
+from qrfkit import PureState, assign_perspective, cli, embed, measures, state_from_json, state_to_json
 from qrfkit.cli import main
 from qrfkit.rindler import CSV_COLUMNS
 
@@ -285,6 +285,25 @@ def test_exit_code_numeric_non_finite_amplitudes(capsys, tmp_path):
         ["perspective", "--state", path, "--perspective", "0"],
         ["check", "--state", "w-even:nan,1,1"],
         ["check", "--state", "appc-q:nan"],
+    ]
+    for argv in cases:
+        code, out, err = run(capsys, argv)
+        assert code == 5, argv
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "numeric"
+
+
+def test_non_finite_output_is_a_numeric_error(capsys, monkeypatch):
+    # a measure that yields nan must not reach stdout as the bare NaN token
+    monkeypatch.setattr(measures, "linear_entropy", lambda rho: math.nan)
+    monkeypatch.setattr(cli, "assign_perspective", lambda psi, p: PureState(2, np.full(4, math.nan + 0j)))
+    cases = [
+        ["check", "--state", "rindler:0.3", "--measures", "linear"],
+        ["sample", "--count", "2", "--seed", "1", "--measures", "both"],
+        ["sweep", "--grid", "0:0.5:2", "--measures", "linear", "--format", "json"],
+        ["perspective", "--state", "rindler:0.3", "--perspective", "0"],
     ]
     for argv in cases:
         code, out, err = run(capsys, argv)

@@ -82,6 +82,19 @@ def test_entropy_rejects_non_finite_matrices():
             coherence(rho, MeasurePair.ENTROPY)
 
 
+@pytest.mark.parametrize("pair", list(MeasurePair))
+def test_measures_reject_non_finite_matrices_under_both_pairs(pair):
+    # the linear pair once returned nan for these; the entropic pair raised
+    for bad in (np.nan, np.inf, -np.inf, complex(0.0, np.inf)):
+        for entries in (np.full((2, 2), bad, dtype=complex), np.array([[0.5, bad], [0.0, 0.5]], dtype=complex)):
+            rho = DensityMatrix(2, entries)
+            with pytest.raises(NumericError):
+                coherence(rho, pair)
+            entropy = von_neumann_entropy if pair is MeasurePair.ENTROPY else linear_entropy
+            with pytest.raises(NumericError):
+                entropy(rho)
+
+
 def test_linear_entropy_examples():
     pure = density_matrix(state_from_amplitudes([RT2, 0.0, 0.0, RT2]))
     assert abs(linear_entropy(pure)) <= 1e-12

@@ -61,6 +61,15 @@ def test_r_from_acceleration():
     assert r_from_acceleration(math.inf, 1.0) == R_MAX
 
 
+def test_r_from_acceleration_infinite_limits():
+    assert r_from_acceleration(math.inf, 1.0) == R_MAX
+    assert r_from_acceleration(1.0, math.inf) == 0.0
+    # omega / a is inf / inf here, which once came back as r = nan
+    with pytest.raises(DomainError) as info:
+        r_from_acceleration(math.inf, math.inf)
+    assert info.value.kind == "domain"
+
+
 def test_global_state_endpoints():
     s = global_state(0.0)
     np.testing.assert_allclose(s.amplitudes,
