@@ -29,9 +29,13 @@ from .errors import DomainError, GridError, IoError, QrfError
 from .measures import MeasurePair
 from .perspective import assign_perspective
 from .qstate import PureState, _dumps, state_from_amplitudes, state_from_json, state_to_json
-from .transference import ParityClass, _analyse, parity_class, random_parity_state
+from .transference import ParityClass, _analysis_of, parity_class, random_parity_state
 
 DEFAULT_TOL = 1e-9
+# Largest --grid count, 500 times the paper's 201-point grid.  A sweep holds the
+# whole grid as one stack; its peak memory grows by about 4 KiB per point with
+# CSV output and 13 KiB with JSON, so the cap bounds a run near 0.4 or 1.3 GiB.
+MAX_GRID_POINTS = 100_000
 
 EXIT_CODES = {"io": 2, "shape": 3, "domain": 4, "numeric": 5}
 
@@ -138,7 +142,7 @@ def load_state(spec: str, tol: float) -> PureState:
         return state_from_json(text, tol=tol)
     except QrfError:
         raise
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
+    except (json.JSONDecodeError, KeyError, OverflowError, TypeError, ValueError) as e:
         raise IoError(f"state file {spec} is not a valid state document: {e}") from e
 
 
@@ -170,6 +174,8 @@ def parse_grid(text: str) -> list[float]:
         raise GridError(f"grid must be start:stop:count with numeric fields, got {text!r}") from None
     if count < 0:
         raise GridError(f"grid count must be nonnegative, got {count}")
+    if count > MAX_GRID_POINTS:
+        raise GridError(f"grid count must be at most {MAX_GRID_POINTS}, got {count}")
     return [float(r) for r in np.linspace(start, stop, count)]
 
 
@@ -181,14 +187,15 @@ def run_perspective(args, tol: float) -> str:
 
 def run_check(args, tol: float) -> str:
     psi = load_state(args.state, tol)
-    analysis = _analyse(psi)
+    pairs = parse_measures(args.measures)
+    analysis = _analysis_of([psi], pairs)
     results = []
-    for m in parse_measures(args.measures):
+    for m in pairs:
         results.append(
             {
                 "measure_pair": m.value,
-                "transference": [r.to_dict() for r in analysis.transference(m, tol)],
-                "corollary": [r.to_dict() for r in analysis.corollary(m, tol)],
+                "transference": [r.to_dict() for r in next(analysis.transference(m, tol))],
+                "corollary": [r.to_dict() for r in next(analysis.corollary(m, tol))],
             }
         )
     doc = {"parity": parity_class(psi).value, "tol": tol, "results": results}
@@ -214,13 +221,14 @@ def run_sample(args, tol: float) -> str:
         raise DomainError(f"seed must be a nonnegative integer, got {args.seed}")
     cls = {"even": ParityClass.EVEN, "odd": ParityClass.ODD, "neither": ParityClass.NEITHER}[args.parity]
     pairs = parse_measures(args.measures)
+    # Each state is drawn from its own seed, so the draws stay one at a time; the analysis is one stack.
+    states = (random_parity_state(cls, np.random.default_rng([args.seed, i])) for i in range(args.count))
+    analysis = _analysis_of(states, pairs)
+    tables = [analysis.transference(m, tol) for m in pairs]
     pass_counts = {m.value: 0 for m in pairs}
     lines = []
-    for i in range(args.count):
-        rng = np.random.default_rng([args.seed, i])
-        analysis = _analyse(random_parity_state(cls, rng))
-        for m in pairs:
-            reports = analysis.transference(m, tol)
+    for i, row in enumerate(zip(*tables)):
+        for m, reports in zip(pairs, row):
             ok = all(r.satisfied for r in reports)
             pass_counts[m.value] += ok
             lines.append(

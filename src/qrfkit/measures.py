@@ -19,7 +19,8 @@ import enum
 import numpy as np
 
 from .errors import InvalidBipartitionError, NumericError, UnknownQuantityError
-from .qstate import DensityMatrix, PureState, clamped_eigenvalues, density_matrix, dephase, partial_trace
+from .qstate import DensityMatrix, PureState, _clamped_spectra, _dephased, _partial_traces, density_matrix, partial_trace
+from .qstate import clamped_eigenvalues  # noqa: F401  kept importable from measures for callers
 
 
 class MeasurePair(enum.Enum):
@@ -41,14 +42,31 @@ def binary_entropy(p: float) -> float:
     return float(-p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p))
 
 
-def _require_finite(rho: DensityMatrix) -> None:
-    """Raise NumericError unless every entry of rho is finite.
+def _require_finite(rho: np.ndarray) -> None:
+    """Raise NumericError unless every entry of a stack of matrices is finite.
 
     The entries are checked, not a result: LAPACK can return a finite
     spectrum for a NaN diagonal.
     """
-    if not np.isfinite(rho.entries).all():
+    if not np.isfinite(rho).all():
         raise NumericError("density matrix has non-finite entries, so its measures are not finite")
+
+
+def _entropies(rho: np.ndarray) -> np.ndarray:
+    """-sum_i lambda_i log2 lambda_i over the clamped spectrum of each matrix in a (..., d, d) stack."""
+    _require_finite(rho)
+    spectra = _clamped_spectra(rho)
+    flat = spectra.reshape(-1, spectra.shape[-1])
+    counts = (flat > 0.0).sum(axis=-1)
+    out = np.zeros(len(flat))
+    # The positive eigenvalues are a suffix of each ascending spectrum.  Rows are
+    # summed in groups of equal suffix length, so every sum adds the same terms
+    # in the same order as a sum over that spectrum's positive values alone.
+    for c in set(counts.tolist()) - {0}:
+        rows = counts == c
+        pos = flat[rows, -c:]
+        out[rows] = np.sum(pos * np.log2(pos), axis=-1)
+    return -out.reshape(spectra.shape[:-1])
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
@@ -56,16 +74,18 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 
     A NaN or infinite entry raises NumericError.
     """
+    return float(_entropies(rho.entries[None])[0])
+
+
+def _linear_entropies(rho: np.ndarray) -> np.ndarray:
+    """1 - Tr(rho^2) of each matrix in a (..., d, d) stack."""
     _require_finite(rho)
-    vals = clamped_eigenvalues(rho)
-    pos = vals[vals > 0.0]
-    return float(-np.sum(pos * np.log2(pos)))
+    return 1.0 - np.trace(rho @ rho, axis1=-2, axis2=-1).real
 
 
 def linear_entropy(rho: DensityMatrix) -> float:
     """1 - Tr(rho^2); zero exactly on pure states.  A NaN or infinite entry raises NumericError."""
-    _require_finite(rho)
-    return float(1.0 - np.trace(rho.entries @ rho.entries).real)
+    return float(_linear_entropies(rho.entries[None])[0])
 
 
 def _partition(n: int, left) -> tuple[list[int], list[int]]:
@@ -78,11 +98,9 @@ def _partition(n: int, left) -> tuple[list[int], list[int]]:
     return left, right
 
 
-def _reduced_entanglement(reduced: DensityMatrix, pair: MeasurePair) -> float:
-    """Entanglement of a pure state from the reduced state of one side of the cut."""
-    if pair is MeasurePair.ENTROPY:
-        return von_neumann_entropy(reduced)
-    return linear_entropy(reduced)
+def _entanglements(reduced: np.ndarray, pair: MeasurePair) -> np.ndarray:
+    """Entanglement of pure states from a stack of reduced states of one side of the cut."""
+    return _entropies(reduced) if pair is MeasurePair.ENTROPY else _linear_entropies(reduced)
 
 
 def entanglement(psi: PureState, left, pair: MeasurePair = MeasurePair.ENTROPY) -> float:
@@ -92,7 +110,15 @@ def entanglement(psi: PureState, left, pair: MeasurePair = MeasurePair.ENTROPY) 
     smaller block costs nothing in generality; we always reduce to ``left``.
     """
     left, _ = _partition(psi.n_qubits, left)
-    return _reduced_entanglement(partial_trace(density_matrix(psi), left), pair)
+    return float(_entanglements(partial_trace(density_matrix(psi), left).entries[None], pair)[0])
+
+
+def _coherences(rho: np.ndarray, pair: MeasurePair) -> np.ndarray:
+    """Basis coherence of each matrix in a (..., d, d) stack; a NaN or infinite entry raises NumericError."""
+    if pair is MeasurePair.ENTROPY:
+        return _entropies(_dephased(rho)) - _entropies(rho)
+    _require_finite(rho)
+    return np.sum(np.abs(rho - _dephased(rho)) ** 2, axis=(-2, -1))
 
 
 def coherence(rho: DensityMatrix, pair: MeasurePair = MeasurePair.ENTROPY) -> float:
@@ -100,11 +126,17 @@ def coherence(rho: DensityMatrix, pair: MeasurePair = MeasurePair.ENTROPY) -> fl
 
     A NaN or infinite entry raises NumericError under either measure pair.
     """
-    if pair is MeasurePair.ENTROPY:
-        return von_neumann_entropy(dephase(rho)) - von_neumann_entropy(rho)
-    _require_finite(rho)
-    off = rho.entries - np.diag(np.diag(rho.entries))
-    return float(np.sum(np.abs(off) ** 2))
+    return float(_coherences(rho.entries[None], pair)[0])
+
+
+def _mutual_informations(rho: np.ndarray, left: list[int], right: list[int]) -> np.ndarray:
+    """I(L:R) of each matrix in a stack, for disjoint sorted qubit lists left and right."""
+    order = sorted(left + right)
+    joint = _partial_traces(rho, order)
+    # After the joint reduction, positions renumber to 0..k-1 in sorted order.
+    s_l = _entropies(_partial_traces(joint, [order.index(i) for i in left]))
+    s_r = _entropies(_partial_traces(joint, [order.index(i) for i in right]))
+    return s_l + s_r - _entropies(joint)
 
 
 def mutual_information(rho: DensityMatrix, left, right) -> float:
@@ -121,11 +153,4 @@ def mutual_information(rho: DensityMatrix, left, right) -> float:
     for i in left + right:
         if i < 0 or i >= n:
             raise InvalidBipartitionError(f"index {i} outside [0, {n})")
-    joint = rho if len(left) + len(right) == n else partial_trace(rho, left + right)
-    # After the joint reduction, positions renumber to 0..k-1 in sorted order.
-    order = sorted(left + right)
-    left_pos = [order.index(i) for i in left]
-    right_pos = [order.index(i) for i in right]
-    s_l = von_neumann_entropy(partial_trace(joint, left_pos))
-    s_r = von_neumann_entropy(partial_trace(joint, right_pos))
-    return s_l + s_r - von_neumann_entropy(joint)
+    return float(_mutual_informations(rho.entries[None], left, right)[0])

@@ -21,6 +21,7 @@ from .qstate import (
     PureState,
     _freeze,
     _renormalised,
+    _renormalised_rows,
     density_matrix,
     dephase,
     partial_trace,
@@ -47,6 +48,21 @@ def _controlled_flip(n: int, control: int, mask: int) -> np.ndarray:
     return m
 
 
+def _flip_merge(amps: np.ndarray, p: int) -> np.ndarray:
+    """Perspective of qubit p for each row of a (K, 2^n) amplitude stack, as (K, 2^(n-1)) complex128.
+
+    Rows are renormalised one by one, exactly as a single state is.
+    """
+    n = amps.shape[-1].bit_length() - 1
+    # float_power(hypot) matches scalar abs(c) ** 2 bit for bit, which keeps the
+    # JSON output stable; np.abs(a) ** 2 can differ in the last ulp.  Index
+    # 2^n - 1 - b of the reversed row is b's all-qubit complement.
+    probs = np.float_power(np.hypot(amps.real, amps.imag), 2.0)
+    merged = (probs + probs[:, ::-1]).reshape((len(amps),) + (2,) * n)
+    out = np.sqrt(merged.take(0, axis=p + 1)).reshape(len(amps), -1).astype(np.complex128)
+    return _renormalised_rows(out)
+
+
 def assign_perspective(psi: PureState, p: int) -> PureState:
     """State of the remaining N-1 qubits as seen by qubit p.
 
@@ -60,14 +76,7 @@ def assign_perspective(psi: PureState, p: int) -> PureState:
     _check_target(n, p)
     if n < 2:
         raise TooFewQubitsError("perspective assignment needs at least 2 qubits")
-    a = psi.amplitudes
-    # float_power(hypot) matches scalar abs(c) ** 2 bit for bit, which keeps the
-    # JSON output stable; np.abs(a) ** 2 can differ in the last ulp.  Index
-    # 2^n - 1 - b of the reversed vector is b's all-qubit complement.
-    probs = np.float_power(np.hypot(a.real, a.imag), 2.0)
-    merged = (probs + probs[::-1]).reshape((2,) * n)
-    out = np.sqrt(merged.take(0, axis=p)).ravel().astype(np.complex128)
-    return PureState(n_qubits=n - 1, amplitudes=_renormalised(out))
+    return PureState(n_qubits=n - 1, amplitudes=_flip_merge(psi.amplitudes[None], p)[0])
 
 
 def perspective_operator(p: int, n: int) -> np.ndarray:

@@ -71,6 +71,17 @@ def _renormalised(vec: np.ndarray) -> np.ndarray:
     return _freeze(vec.astype(np.complex128, copy=False))
 
 
+def _renormalised_rows(rows: np.ndarray) -> np.ndarray:
+    """_renormalised applied to each row of a (K, D) complex128 stack, in place."""
+    # A vectorised norm passes the rows clearly inside the band that
+    # _renormalised leaves alone; only the others take the 1-D rule, so each
+    # decision and divisor is that of a single vector.
+    screen = np.sqrt(np.sum(np.abs(rows) ** 2, axis=-1))
+    for k in np.flatnonzero(~(np.abs(screen - 1.0) <= 0.99e-12)):
+        _renormalised(rows[k])
+    return _freeze(rows)
+
+
 def state_from_amplitudes(amps, tol: float = NORM_TOL) -> PureState:
     """Build a PureState from a sequence of complex amplitudes.
 
@@ -82,16 +93,38 @@ def state_from_amplitudes(amps, tol: float = NORM_TOL) -> PureState:
     dim = vec.size
     if dim < 2 or dim & (dim - 1):
         raise NotPowerOfTwoError(f"amplitude count {dim} is not a power of two >= 2")
-    norm = float(np.linalg.norm(vec))
-    if not abs(norm - 1.0) <= tol:  # also rejects NaN norms
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing norm is inf, rejected below
+        norm = float(np.linalg.norm(vec))
+    if not abs(norm - 1.0) <= tol:  # also rejects NaN and infinite norms
         raise NormToleranceError(f"state norm {norm!r} deviates from 1 by more than {tol}")
     return PureState(n_qubits=dim.bit_length() - 1, amplitudes=_renormalised(vec))
 
 
+def _density_matrices(amps: np.ndarray) -> np.ndarray:
+    """|psi><psi| of each row of a (..., D) stack; broadcasting matches np.outer bit for bit, einsum does not."""
+    return amps[..., :, None] * amps.conj()[..., None, :]
+
+
 def density_matrix(psi: PureState) -> DensityMatrix:
     """Outer product |psi><psi|: unit-trace, rank-1, Hermitian."""
-    rho = np.outer(psi.amplitudes, psi.amplitudes.conj())
-    return DensityMatrix(dim=psi.dim, entries=_freeze(rho))
+    return DensityMatrix(dim=psi.dim, entries=_freeze(_density_matrices(psi.amplitudes[None])[0]))
+
+
+def _partial_traces(rho: np.ndarray, keep: list[int]) -> np.ndarray:
+    """Reduced states on the sorted qubit list keep of a (..., 2^n, 2^n) stack of n-qubit matrices."""
+    n = rho.shape[-1].bit_length() - 1
+    if len(keep) == n:
+        return rho
+    lead = rho.shape[:-2]
+    t = rho.reshape(lead + (2,) * (2 * n))
+    # Row axis i gets label i; column axis i gets the same label when qubit i
+    # is traced out (einsum contracts repeated labels) and label n+i otherwise.
+    # The stack axes ride along under the ellipsis.
+    row = list(range(n))
+    col = [n + i if i in keep else i for i in range(n)]
+    out = [i for i in keep] + [n + i for i in keep]
+    d = 1 << len(keep)
+    return np.einsum(t, [Ellipsis, *row, *col], [Ellipsis, *out]).reshape(lead + (d, d))
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
@@ -108,15 +141,8 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
         raise EmptyKeepSetError(f"keep set {keep} outside [0, {n})")
     if len(keep) == n:
         return rho
-    t = rho.entries.reshape((2,) * (2 * n))
-    # Row axis i gets label i; column axis i gets the same label when qubit i
-    # is traced out (einsum contracts repeated labels) and label n+i otherwise.
-    row = list(range(n))
-    col = [n + i if i in keep else i for i in range(n)]
-    out = [i for i in keep] + [n + i for i in keep]
-    reduced = np.einsum(t, row + col, out)
-    d = 1 << len(keep)
-    return DensityMatrix(dim=d, entries=_freeze(reduced.reshape(d, d).copy()))
+    reduced = _partial_traces(rho.entries[None], keep)[0]
+    return DensityMatrix(dim=reduced.shape[0], entries=_freeze(reduced))
 
 
 def permute_qubits(psi: PureState, order) -> PureState:
@@ -129,6 +155,14 @@ def permute_qubits(psi: PureState, order) -> PureState:
     return PureState(n_qubits=n, amplitudes=_freeze(arr))
 
 
+def _dephased(rho: np.ndarray) -> np.ndarray:
+    """The diagonal part of each matrix in a (..., d, d) stack, off-diagonal entries zero."""
+    diag = np.arange(rho.shape[-1])
+    out = np.zeros_like(rho)
+    out[..., diag, diag] = rho[..., diag, diag]
+    return out
+
+
 def dephase(rho: DensityMatrix) -> DensityMatrix:
     """Zero all off-diagonal entries.
 
@@ -136,7 +170,7 @@ def dephase(rho: DensityMatrix) -> DensityMatrix:
     {sqrt(1/2) I, sqrt(1/2) sigma_z} on every qubit): each off-diagonal
     element picks up a factor (1-2p) = 0 per differing bit.
     """
-    return DensityMatrix(dim=rho.dim, entries=_freeze(np.diag(np.diag(rho.entries)).copy()))
+    return DensityMatrix(dim=rho.dim, entries=_freeze(_dephased(rho.entries[None])[0]))
 
 
 def purify_diagonal(rho: DensityMatrix, tol: float = ATOL) -> PureState:
@@ -148,23 +182,27 @@ def purify_diagonal(rho: DensityMatrix, tol: float = ATOL) -> PureState:
     uniform-phase subspace leaves exactly sqrt(p_i) amplitudes.
     """
     m = rho.entries
-    off = m - np.diag(np.diag(m))
-    if np.max(np.abs(off)) > tol:
+    if np.max(np.abs(m - _dephased(m))) > tol:
         raise NotDiagonalError("matrix has off-diagonal weight above tolerance")
     probs = np.clip(np.diag(m).real, 0.0, None)
     return PureState(n_qubits=rho.n_qubits, amplitudes=_renormalised(np.sqrt(probs)))
 
 
-def clamped_eigenvalues(rho: DensityMatrix) -> np.ndarray:
-    """Eigenvalues of the Hermitian part (M + M*)/2, tiny negatives clamped.
+def _clamped_spectra(rho: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian part (M + M*)/2 of each matrix in a (..., d, d) stack.
 
     Symmetrizing first removes round-off asymmetry; values in [-1e-12, 0) are
     numerical noise on a PSD matrix and are set to 0 before any logarithm.
     """
-    herm = 0.5 * (rho.entries + rho.entries.conj().T)
+    herm = 0.5 * (rho + np.conj(np.swapaxes(rho, -1, -2)))
     vals = np.linalg.eigvalsh(herm)
     vals[(vals < 0) & (vals > -EIG_CLAMP)] = 0.0
     return vals
+
+
+def clamped_eigenvalues(rho: DensityMatrix) -> np.ndarray:
+    """Eigenvalues of the Hermitian part (M + M*)/2, tiny negatives clamped to 0."""
+    return _clamped_spectra(rho.entries[None])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -192,11 +230,17 @@ def state_to_json(psi: PureState, perspective_of: int | None = None) -> str:
 
 
 def state_from_json(text: str, tol: float = NORM_TOL) -> PureState:
+    """Parse the JSON state format.  A malformed document raises ValueError, TypeError or KeyError."""
     doc = json.loads(text)
-    amps = [complex(re, im) for re, im in doc["amplitudes"]]
+    pairs = doc["amplitudes"]
+    amps = [complex(re, im) for re, im in pairs]
+    # complex() takes booleans as numbers, so the parts' types are checked too.
+    if not {type(x) for pair in pairs for x in pair} <= {int, float}:
+        raise ValueError("amplitude parts must be JSON numbers")
+    declared = doc.get("n_qubits")
+    if "n_qubits" in doc and type(declared) is not int:
+        raise ValueError(f"declared n_qubits {declared!r} is not an integer")
     psi = state_from_amplitudes(amps, tol=tol)
-    if "n_qubits" in doc and int(doc["n_qubits"]) != psi.n_qubits:
-        raise NotPowerOfTwoError(
-            f"declared n_qubits {doc['n_qubits']} does not match {len(amps)} amplitudes"
-        )
+    if "n_qubits" in doc and declared != psi.n_qubits:
+        raise NotPowerOfTwoError(f"declared n_qubits {declared} does not match {len(amps)} amplitudes")
     return psi

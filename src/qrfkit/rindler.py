@@ -21,11 +21,13 @@ import enum
 import math
 from dataclasses import dataclass, fields
 
-from .errors import DomainError, GridError, NonPositiveInputError
-from .measures import MeasurePair, binary_entropy, mutual_information
+import numpy as np
+
+from .errors import DomainError, GridError, NonPositiveInputError, NumericError
+from .measures import MeasurePair, _mutual_informations, binary_entropy
 from .qstate import PureState, state_from_amplitudes
 # oracle_coherence is imported for callers only: qrfkit.rindler.oracle_coherence stays importable.
-from .transference import _analyse, oracle_coherence  # noqa: F401
+from .transference import _Analysis, _density_stacks, oracle_coherence  # noqa: F401
 
 R_MAX = math.pi / 4.0
 
@@ -231,40 +233,8 @@ CSV_COLUMNS = (
 )
 
 
-def _point_records(r: float, pairs) -> list[SweepRecord]:
-    """One record per measure pair at r, all drawn from one analysis of the global state."""
-    a = _analyse(global_state(r))
-    observers = list(ObserverLabel)
-    ordered_pairs = [(alpha, beta) for alpha in observers for beta in observers if beta is not alpha]
-    mi = mutual_information_curves(r)
-    # Mutual information is entropic under either measure pair, so both sides are computed once.
-    mi_closed = [mi.mi_r_rbar, mi.mi_a_rbar, mi.mi_a_r, mi.mi_persp_a, mi.mi_persp_r, mi.mi_persp_rbar]
-    mi_oracle = [
-        *(mutual_information(a.global_rho(), [i], [j]) for i, j in ((1, 2), (0, 2), (0, 1))),
-        *(mutual_information(a.perspective_rho(obs.value), [0], [1]) for obs in observers),
-    ]
-    records = []
-    for m in pairs:
-        # Both sequences follow the SweepRecord field order, r and max_residual aside.
-        closed = [
-            *(closed_form_entanglement(r, PERSP_QUANTITY[obs], m) for obs in observers),
-            *(closed_form_coherence(r, alpha, beta, m) for alpha, beta in ordered_pairs),
-            *(closed_form_entanglement(r, GLOBAL_QUANTITY[obs], m) for obs in reversed(observers)),
-            *mi_closed,
-        ]
-        oracle = [
-            *(a.perspectival_entanglement(obs.value, m) for obs in observers),
-            *(a.perspectival_coherence(alpha.value, beta.value, m) for alpha, beta in ordered_pairs),
-            *(a.global_entanglement(obs.value, m) for obs in reversed(observers)),
-            *mi_oracle,
-        ]
-        max_residual = max(abs(c - o) for c, o in zip(closed, oracle))
-        records.append(SweepRecord(r, *closed, max_residual))
-    return records
-
-
 def _sweep_pairs(r_grid, pairs) -> list[list[SweepRecord]]:
-    """sweep for every measure pair in pairs, analysing each grid point once."""
+    """sweep for every measure pair in pairs, analysing the whole grid as one stack."""
     grid = [float(r) for r in r_grid]
     if not grid:
         raise GridError("sweep grid is empty")
@@ -273,8 +243,42 @@ def _sweep_pairs(r_grid, pairs) -> list[list[SweepRecord]]:
             raise GridError(f"grid point {r} outside [0, pi/4]")
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise GridError("sweep grid must be ascending")
-    points = [_point_records(min(r, R_MAX), pairs) for r in grid]
-    return [[records[k] for records in points] for k in range(len(pairs))]
+    grid = [min(r, R_MAX) for r in grid]
+    global_rho, perspective_rho = _density_stacks(global_state(r) for r in grid)
+    a = _Analysis(global_rho, perspective_rho, pairs)
+    mi_oracle = np.column_stack([
+        *(_mutual_informations(global_rho, [i], [j]) for i, j in ((1, 2), (0, 2), (0, 1))),
+        *(_mutual_informations(rho, [0], [1]) for rho in perspective_rho),
+    ])
+    del global_rho, perspective_rho  # the largest arrays go before the records are built
+    observers = list(ObserverLabel)
+    ordered_pairs = [(alpha, beta) for alpha in observers for beta in observers if beta is not alpha]
+    # Mutual information is entropic under either measure pair, so both sides are computed once.
+    mi_closed = []
+    for r in grid:
+        mi = mutual_information_curves(r)
+        mi_closed.append([mi.mi_r_rbar, mi.mi_a_rbar, mi.mi_a_r, mi.mi_persp_a, mi.mi_persp_r, mi.mi_persp_rbar])
+    tables = []
+    for m in pairs:
+        # Both (K, 18) arrays follow the SweepRecord field order, r and max_residual aside.
+        closed = np.array([
+            [
+                *(closed_form_entanglement(r, PERSP_QUANTITY[obs], m) for obs in observers),
+                *(closed_form_coherence(r, alpha, beta, m) for alpha, beta in ordered_pairs),
+                *(closed_form_entanglement(r, GLOBAL_QUANTITY[obs], m) for obs in reversed(observers)),
+                *mi,
+            ]
+            for r, mi in zip(grid, mi_closed)
+        ])
+        # coh[m] holds each observer's slots in ascending party order, which is ordered_pairs' order.
+        oracle = np.column_stack([*a.persp_ent[m], *a.coh[m].reshape(6, -1), *a.global_ent[m][::-1], mi_oracle])
+        # np.max keeps a NaN wherever it stands, so the finiteness check below sees it.
+        rows = np.column_stack([grid, closed, np.max(np.abs(closed - oracle), axis=1)])
+        if not np.isfinite(rows).all():
+            bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))[0]
+            raise NumericError(f"sweep row at r = {grid[bad]!r} holds a non-finite value")
+        tables.append([SweepRecord(*row) for row in rows.tolist()])
+    return tables
 
 
 def sweep(r_grid, m: MeasurePair) -> list[SweepRecord]:

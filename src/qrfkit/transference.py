@@ -13,15 +13,16 @@ families used in the property checks.
 from __future__ import annotations
 
 import enum
-import functools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import WrongQubitCountError
-from .measures import MeasurePair, _partition, _reduced_entanglement, binary_entropy, coherence
-from .perspective import _register_slot, assign_perspective
-from .qstate import DensityMatrix, PureState, density_matrix, partial_trace, permute_qubits, state_from_amplitudes
+from .measures import MeasurePair, _coherences, _entanglements, binary_entropy, coherence, entanglement
+from .perspective import _flip_merge, _register_slot, assign_perspective
+from .qstate import PureState, _density_matrices, _partial_traces, density_matrix, partial_trace, permute_qubits
+from .qstate import state_from_amplitudes
 
 SAT_TOL = 1e-9          # default satisfaction tolerance for residuals
 SUPPORT_TOL = 1e-12     # amplitude modulus below this counts as absent
@@ -76,9 +77,10 @@ class XylTriple:
     l: float
 
 
-def _require_three(psi: PureState) -> None:
+def _require_three(psi: PureState) -> PureState:
     if psi.n_qubits != 3:
         raise WrongQubitCountError(f"expected a 3-qubit state, got {psi.n_qubits} qubits")
+    return psi
 
 
 def parity_class(psi: PureState) -> ParityClass:
@@ -97,110 +99,79 @@ def oracle_coherence(psi_persp: PureState, slot: int, m: MeasurePair) -> float:
     return coherence(partial_trace(density_matrix(psi_persp), [slot]), m)
 
 
-def _once(method):
-    """Compute a _StateAnalysis quantity at most once per argument tuple."""
-    name = method.__name__
-
-    @functools.wraps(method)
-    def cached(self, *args):
-        key = (name, *args)
-        try:
-            return self._memo[key]
-        except KeyError:
-            value = self._memo[key] = method(self, *args)
-            return value
-
-    return cached
+_PERMUTATIONS = [c.permutation for c in ConstraintId]
 
 
-class _StateAnalysis:
-    """Every ingredient of the constraints on one state, each computed on first use.
+def _density_stacks(states) -> tuple[np.ndarray, np.ndarray]:
+    """Density matrices of 3-qubit states, (K, 8, 8), and of their three perspectives, (3, K, 4, 4)."""
+    amps = np.array([_require_three(psi).amplitudes for psi in states])
+    return _density_matrices(amps), np.stack([_density_matrices(_flip_merge(amps, alpha)) for alpha in range(3)])
 
-    Values are those of the per-call functions (assign_perspective,
-    entanglement, oracle_coherence) bit for bit: the same primitives run on
-    the same inputs, only once.  An analysis lives for one call, so nothing
-    is cached across calls.
+
+class _Analysis:
+    """Every ingredient of the constraints on a stack of 3-qubit states, computed at construction.
+
+    The arguments are _density_stacks' output.  For each measure pair m,
+    persp_ent[m] is (3, K), each observer's perspectival entanglement;
+    coh[m] is (3, 2, K), the coherence of each slot of each observer's
+    register; global_ent[m] is (3, K), the entanglement across each
+    (q | rest) cut.  Values are those of the per-call functions
+    (assign_perspective, entanglement, oracle_coherence) bit for bit.
     """
 
-    def __init__(self, psi: PureState):
-        self.psi = psi
-        self._memo: dict = {}
+    def __init__(self, global_rho: np.ndarray, perspective_rho: np.ndarray, pairs):
+        slots = np.stack([_partial_traces(perspective_rho, [s]) for s in range(2)], axis=1)
+        cuts = np.stack([_partial_traces(global_rho, [q]) for q in range(3)])
+        self.persp_ent = {m: _entanglements(slots[:, 0], m) for m in pairs}
+        self.coh = {m: _coherences(slots, m) for m in pairs}
+        self.global_ent = {m: _entanglements(cuts, m) for m in pairs}
 
-    @_once
-    def perspective_rho(self, alpha: int) -> DensityMatrix:
-        return density_matrix(assign_perspective(self.psi, alpha))
+    def side(self, alpha: int, beta: int, m: MeasurePair) -> np.ndarray:
+        """perspectival_side of every analysed state."""
+        return self.persp_ent[m][alpha] + self.coh[m][alpha, _register_slot(beta, alpha)]
 
-    @_once
-    def perspective_reduction(self, alpha: int, slot: int) -> DensityMatrix:
-        return partial_trace(self.perspective_rho(alpha), [slot])
+    def transference(self, m: MeasurePair, tol: float) -> Iterator[list[ConstraintReport]]:
+        """check_transference of each analysed state in turn."""
+        lhs = [self.side(alpha, beta, m) for alpha, beta, _ in _PERMUTATIONS]
+        return _reports(lhs, [self.global_ent[m][gamma] for *_, gamma in _PERMUTATIONS], tol)
 
-    @_once
-    def global_rho(self) -> DensityMatrix:
-        return density_matrix(self.psi)
-
-    @_once
-    def global_reduction(self, q: int) -> DensityMatrix:
-        return partial_trace(self.global_rho(), [q])
-
-    @_once
-    def perspectival_entanglement(self, alpha: int, m: MeasurePair) -> float:
-        _partition(self.perspective_rho(alpha).n_qubits, [0])  # a 1-qubit perspective has no cut
-        return _reduced_entanglement(self.perspective_reduction(alpha, 0), m)
-
-    @_once
-    def perspectival_coherence(self, alpha: int, beta: int, m: MeasurePair) -> float:
-        return coherence(self.perspective_reduction(alpha, _register_slot(beta, alpha)), m)
-
-    @_once
-    def global_entanglement(self, gamma: int, m: MeasurePair) -> float:
-        return _reduced_entanglement(self.global_reduction(gamma), m)
-
-    def side(self, alpha: int, beta: int, m: MeasurePair) -> float:
-        """perspectival_side on the analysed state."""
-        return self.perspectival_entanglement(alpha, m) + self.perspectival_coherence(alpha, beta, m)
-
-    def transference(self, m: MeasurePair, tol: float) -> list[ConstraintReport]:
-        """check_transference on the analysed state."""
-        out = []
-        for c in ConstraintId:
-            alpha, beta, gamma = c.permutation
-            out.append(_report(c, self.side(alpha, beta, m), self.global_entanglement(gamma, m), tol))
-        return out
-
-    def corollary(self, m: MeasurePair, tol: float) -> list[ConstraintReport]:
-        """check_corollary on the analysed state."""
-        out = []
-        for c in ConstraintId:
-            alpha, beta, _ = c.permutation
-            out.append(_report(c, self.side(alpha, beta, m), self.side(beta, alpha, m), tol))
-        return out
+    def corollary(self, m: MeasurePair, tol: float) -> Iterator[list[ConstraintReport]]:
+        """check_corollary of each analysed state in turn."""
+        lhs = [self.side(alpha, beta, m) for alpha, beta, _ in _PERMUTATIONS]
+        return _reports(lhs, [self.side(beta, alpha, m) for alpha, beta, _ in _PERMUTATIONS], tol)
 
 
-def _analyse(psi: PureState) -> _StateAnalysis:
-    """The analysis of a 3-qubit state, which the constraint checks share."""
-    _require_three(psi)
-    return _StateAnalysis(psi)
+def _reports(lhs, rhs, tol: float) -> Iterator[list[ConstraintReport]]:
+    """Each state's reports, from lhs and rhs given as one (K,) array per constraint."""
+    lhs, rhs = np.stack(lhs, axis=1), np.stack(rhs, axis=1)
+    residual = np.abs(lhs - rhs)
+    satisfied = residual <= tol
+    for k in range(len(lhs)):
+        # tolist gives Python floats and bools, so reports hold no numpy scalars.
+        columns = (lhs[k].tolist(), rhs[k].tolist(), residual[k].tolist(), satisfied[k].tolist())
+        yield [ConstraintReport(c, *vals) for c, *vals in zip(ConstraintId, *columns)]
+
+
+def _analysis_of(states, pairs) -> _Analysis:
+    """The analysis of a sequence of 3-qubit states as one stack; one state is a stack of K = 1."""
+    return _Analysis(*_density_stacks(states), pairs)
 
 
 def perspectival_side(psi: PureState, alpha: int, beta: int, m: MeasurePair) -> float:
     """Entanglement within alpha's perspectival state plus beta's coherence."""
-    return _StateAnalysis(psi).side(alpha, beta, m)
+    persp = assign_perspective(psi, alpha)
+    return entanglement(persp, [0], m) + oracle_coherence(persp, _register_slot(beta, alpha), m)
 
 
 def transference_sides(psi: PureState, c: ConstraintId, m: MeasurePair) -> tuple[float, float]:
     alpha, beta, gamma = c.permutation
-    a = _analyse(psi)
-    return a.side(alpha, beta, m), a.global_entanglement(gamma, m)
-
-
-def _report(c: ConstraintId, lhs: float, rhs: float, tol: float) -> ConstraintReport:
-    residual = abs(lhs - rhs)
-    return ConstraintReport(constraint=c, lhs=lhs, rhs=rhs, residual=residual, satisfied=residual <= tol)
+    _require_three(psi)
+    return perspectival_side(psi, alpha, beta, m), entanglement(psi, [gamma], m)
 
 
 def check_transference(psi: PureState, m: MeasurePair, tol: float = SAT_TOL) -> list[ConstraintReport]:
     """All three constraint permutations for one measure pair."""
-    return _analyse(psi).transference(m, tol)
+    return next(_analysis_of([psi], [m]).transference(m, tol))
 
 
 def check_corollary(psi: PureState, m: MeasurePair, tol: float = SAT_TOL) -> list[ConstraintReport]:
@@ -211,7 +182,7 @@ def check_corollary(psi: PureState, m: MeasurePair, tol: float = SAT_TOL) -> lis
     constraints, so transference implies all of them, but they can hold on
     states where transference fails.
     """
-    return _analyse(psi).corollary(m, tol)
+    return next(_analysis_of([psi], [m]).corollary(m, tol))
 
 
 def xyl_closed_form(psi: PureState, c: ConstraintId, m: MeasurePair) -> XylTriple:

@@ -1,9 +1,10 @@
-"""The shared per-state analysis gives the per-call functions' values bit for bit.
+"""The stacked analysis gives the per-call functions' values bit for bit.
 
 check_transference, check_corollary, the sweep oracle and the CLI all read
-one analysis per 3-qubit state or grid point.  Each test here compares that
-path with a reference built on the same machine from the public per-call
-primitives, so the equalities are exact (==) on any CPU.
+one analysis of a stack of 3-qubit states or grid points.  Each test here
+compares that path with a reference built on the same machine from the
+public per-call primitives or from one-state stacks, so the equalities are
+exact (==) on any CPU.
 """
 
 import json
@@ -36,7 +37,7 @@ from qrfkit import (
 from qrfkit import perspective
 from qrfkit.cli import main
 from qrfkit.rindler import GLOBAL_QUANTITY, PERSP_QUANTITY, R_MAX
-from qrfkit.transference import oracle_coherence, perspectival_side
+from qrfkit.transference import _analysis_of, oracle_coherence, perspectival_side
 
 PAIRS = list(MeasurePair)
 
@@ -139,28 +140,55 @@ def test_check_both_pairs_equal_single_pair_runs(capsys):
         assert both["parity"] == ent["parity"] == lin["parity"]
 
 
-@pytest.fixture
-def perspective_calls(monkeypatch):
-    """Count assign_perspective calls through every qrfkit module that holds it."""
-    calls = []
-    original = perspective.assign_perspective
+def test_stack_equals_one_state_stacks():
+    rng = np.random.default_rng(2024)
+    classes = list(ParityClass)
+    states = [random_parity_state(classes[i % 3], rng) for i in range(2994)]
+    plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
+    for k in range(3):
+        tilted = np.array([math.cos(0.3 * k), 1j * math.sin(0.3 * k)])
+        states.append(state_from_amplitudes(np.kron(np.kron(plus, tilted), [0.6, 0.8])))
+        g = 0.2 + 0.3 * k
+        states.append(state_from_amplitudes([g, 0, 0, 0, 0, 0, 0, math.sqrt(1.0 - g * g)]))
+    order = rng.permutation(len(states))
+    states = [states[i] for i in order]
+    stack = _analysis_of(states, PAIRS)
+    tables = {m: (list(stack.transference(m, 1e-9)), list(stack.corollary(m, 1e-9))) for m in PAIRS}
+    for k, psi in enumerate(states):
+        one = _analysis_of([psi], PAIRS)
+        for m in PAIRS:
+            assert (stack.persp_ent[m][:, k] == one.persp_ent[m][:, 0]).all()
+            assert (stack.coh[m][:, :, k] == one.coh[m][:, :, 0]).all()
+            assert (stack.global_ent[m][:, k] == one.global_ent[m][:, 0]).all()
+            assert tables[m][0][k] == next(one.transference(m, 1e-9))
+            assert tables[m][1][k] == next(one.corollary(m, 1e-9))
 
-    def counted(psi, p):
-        calls.append(p)
-        return original(psi, p)
+
+@pytest.fixture
+def flip_merge_calls(monkeypatch):
+    """Count calls of the stacked flip-merge kernel through every qrfkit module that holds it."""
+    calls = []
+    original = perspective._flip_merge
+
+    def counted(amps, p):
+        calls.append(len(amps))
+        return original(amps, p)
 
     for name, mod in list(sys.modules.items()):
-        if name.split(".")[0] == "qrfkit" and getattr(mod, "assign_perspective", None) is original:
-            monkeypatch.setattr(mod, "assign_perspective", counted)
+        if name.split(".")[0] == "qrfkit" and getattr(mod, "_flip_merge", None) is original:
+            monkeypatch.setattr(mod, "_flip_merge", counted)
     return calls
 
 
-def test_each_state_assigns_three_perspectives(capsys, perspective_calls):
-    cli_out(capsys, ["sample", "--count", "5", "--seed", "3", "--parity", "neither", "--measures", "both"])
-    assert len(perspective_calls) == 3 * 5
-    perspective_calls.clear()
-    cli_out(capsys, ["sweep", "--grid", "0:0.5:4", "--measures", "both"])
-    assert len(perspective_calls) == 3 * 4
-    perspective_calls.clear()
+def test_each_state_assigns_three_perspectives(capsys, flip_merge_calls):
+    # One flip-merge call per observer covers every state of a run: three per run, whatever the count.
+    for count in (1, 5, 40):
+        cli_out(capsys, ["sample", "--count", str(count), "--seed", "3", "--parity", "neither", "--measures", "both"])
+        assert flip_merge_calls == [count] * 3
+        flip_merge_calls.clear()
+    for count in (1, 4, 30):
+        cli_out(capsys, ["sweep", "--grid", f"0:0.5:{count}", "--measures", "both"])
+        assert flip_merge_calls == [count] * 3
+        flip_merge_calls.clear()
     cli_out(capsys, ["check", "--state", "rindler:0.3", "--measures", "both"])
-    assert len(perspective_calls) == 3
+    assert flip_merge_calls == [1] * 3

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from qrfkit import PureState, assign_perspective, cli, embed, measures, state_from_json, state_to_json
+from qrfkit import PureState, assign_perspective, cli, embed, measures, state_from_json, state_to_json, transference
 from qrfkit.cli import main
 from qrfkit.rindler import CSV_COLUMNS
 
@@ -297,7 +297,7 @@ def test_exit_code_numeric_non_finite_amplitudes(capsys, tmp_path):
 
 def test_non_finite_output_is_a_numeric_error(capsys, monkeypatch):
     # a measure that yields nan must not reach stdout as the bare NaN token
-    monkeypatch.setattr(measures, "linear_entropy", lambda rho: math.nan)
+    monkeypatch.setattr(measures, "_linear_entropies", lambda rho: np.full(rho.shape[:-2], math.nan))
     monkeypatch.setattr(cli, "assign_perspective", lambda psi, p: PureState(2, np.full(4, math.nan + 0j)))
     cases = [
         ["check", "--state", "rindler:0.3", "--measures", "linear"],
@@ -312,6 +312,76 @@ def test_non_finite_output_is_a_numeric_error(capsys, monkeypatch):
         lines = err.splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "numeric"
+
+
+def test_non_finite_sweep_oracle_value_is_a_numeric_error(capsys, monkeypatch):
+    # NaN in one oracle field after the first (C_R_of_A) must surface through max_residual
+    original = transference._coherences
+
+    def one_nan_field(rho, pair):
+        out = original(rho, pair)
+        out[1, 0] = math.nan
+        return out
+
+    monkeypatch.setattr(transference, "_coherences", one_nan_field)
+    for fmt in ("csv", "json"):
+        for measures_arg in ("entropy", "linear", "both"):
+            argv = ["sweep", "--grid", "0:0.5:3", "--measures", measures_arg, "--format", fmt]
+            code, out, err = run(capsys, argv)
+            assert code == 5, argv
+            assert out == ""
+            lines = err.splitlines()
+            assert len(lines) == 1
+            assert json.loads(lines[0])["error"] == "numeric"
+
+
+def test_overflowing_amplitudes_exit_numeric_without_warning(tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n_qubits": 1, "amplitudes": [[1e308, 0.0], [1e308, 0.0]]}), encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "qrfkit", "perspective", "--state", str(path), "--perspective", "0"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 5
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "numeric"
+
+
+def test_fractional_qubit_count_is_an_io_error(capsys, tmp_path):
+    path = tmp_path / "frac.json"
+    path.write_text(json.dumps({"n_qubits": 2.5, "amplitudes": [[1.0, 0.0]] + [[0.0, 0.0]] * 3}), encoding="utf-8")
+    code, out, err = run(capsys, ["perspective", "--state", str(path), "--perspective", "0"])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "io"
+
+
+def test_boolean_amplitudes_are_an_io_error(capsys, tmp_path):
+    path = tmp_path / "bool.json"
+    path.write_text('{"n_qubits": 1, "amplitudes": [[true, false], [false, false]]}', encoding="utf-8")
+    code, out, err = run(capsys, ["perspective", "--state", str(path), "--perspective", "0"])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "io"
+
+
+def test_integer_amplitude_beyond_float_range_is_an_io_error(capsys, tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text('{"n_qubits": 1, "amplitudes": [[1' + "0" * 400 + ', 0], [0, 0]]}', encoding="utf-8")
+    code, out, err = run(capsys, ["perspective", "--state", str(path), "--perspective", "0"])
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == "io"
+
+
+def test_grid_count_is_capped(capsys):
+    assert len(cli.parse_grid(f"0:0.5:{cli.MAX_GRID_POINTS}")) == cli.MAX_GRID_POINTS
+    code, out, err = run(capsys, ["sweep", "--grid", f"0:0.5:{cli.MAX_GRID_POINTS + 1}"])
+    assert code == 4
+    assert out == ""
+    assert json.loads(err)["error"] == "domain"
 
 
 def test_tol_env_and_flag_precedence(capsys, monkeypatch):

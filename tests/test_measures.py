@@ -18,6 +18,8 @@ from qrfkit import (
     von_neumann_entropy,
 )
 from qrfkit.errors import InvalidBipartitionError, NumericError, UnknownQuantityError
+from qrfkit.measures import _entropies
+from qrfkit.qstate import clamped_eigenvalues
 
 RT2 = 1.0 / math.sqrt(2.0)
 
@@ -218,3 +220,27 @@ def test_entropy_bounded_by_kept_qubits():
         red = partial_trace(density_matrix(s), [0, 2])
         v = von_neumann_entropy(red)
         assert -1e-12 <= v <= 2.0 + 1e-12
+
+
+def low_rank_density(n, rank, rng):
+    """A random density matrix of the given rank: an equal mixture of random pure states."""
+    d = 2 ** n
+    m = sum(density_matrix(rand_state(n, rng)).entries for _ in range(rank)) / rank
+    return DensityMatrix(d, m)
+
+
+def test_entropy_sums_positive_eigenvalues_bit_for_bit():
+    # Rank-deficient spectra put zeros before the positive eigenvalues; a row sum
+    # padded with those zeros can differ in the last bit from a sum over the
+    # positive eigenvalues alone, which is what von_neumann_entropy defines.
+    rng = np.random.default_rng(41)
+    for n in range(1, 9):
+        stack = []
+        for rank in (1, 2, 3, 5, 2 ** n):
+            rho = low_rank_density(n, min(rank, 2 ** n), rng)
+            vals = clamped_eigenvalues(rho)
+            pos = vals[vals > 0.0]
+            assert von_neumann_entropy(rho) == float(-np.sum(pos * np.log2(pos))), (n, rank)
+            stack.append(rho)
+        singles = [von_neumann_entropy(rho) for rho in stack]
+        assert _entropies(np.stack([rho.entries for rho in stack])).tolist() == singles, n

@@ -22,7 +22,7 @@ from qrfkit.errors import (
     NotDiagonalError,
     NotPowerOfTwoError,
 )
-from qrfkit.qstate import clamped_eigenvalues
+from qrfkit.qstate import _renormalised, _renormalised_rows, clamped_eigenvalues
 
 RT2 = 1.0 / math.sqrt(2.0)
 
@@ -229,3 +229,17 @@ def test_json_qubit_count_must_match():
     text = json.dumps({"n_qubits": 3, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]})
     with pytest.raises(ShapeError):
         state_from_json(text)
+
+
+def test_row_renormalisation_matches_single_vectors():
+    # Rows on both sides of the 1e-12 band, and a NaN row, take the single-vector rule bit for bit.
+    rng = np.random.default_rng(5)
+    rows = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    scales = [1.0, 1.0 + 1e-10, 1.0 - 1e-10, 1.0 + 0.98e-12, 1.0 + 1.02e-12, 1.0 - 1.02e-12, 2.0, math.nan]
+    rows *= np.array(scales)[:, None]
+    expect = [_renormalised(row.copy()) for row in rows]
+    got = _renormalised_rows(rows.copy())
+    assert not got.flags.writeable
+    for k in range(len(rows)):
+        assert got[k].tobytes() == expect[k].tobytes(), scales[k]
