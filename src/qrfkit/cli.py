@@ -36,6 +36,10 @@ DEFAULT_TOL = 1e-9
 # whole grid as one stack; its peak memory grows by about 4 KiB per point with
 # CSV output and 13 KiB with JSON, so the cap bounds a run near 0.4 or 1.3 GiB.
 MAX_GRID_POINTS = 100_000
+# Largest sample --count.  The states are analysed as one stack and every output
+# line is kept until the end, so peak memory grows by about 4 KiB per state; the
+# cap bounds a run near 0.4 GiB.
+MAX_SAMPLE_COUNT = 100_000
 
 EXIT_CODES = {"io": 2, "shape": 3, "domain": 4, "numeric": 5}
 
@@ -217,6 +221,8 @@ def run_sweep(args, tol: float) -> str:
 def run_sample(args, tol: float) -> str:
     if args.count < 1:
         raise DomainError(f"sample count must be >= 1, got {args.count}")
+    if args.count > MAX_SAMPLE_COUNT:
+        raise DomainError(f"sample count must be at most {MAX_SAMPLE_COUNT}, got {args.count}")
     if args.seed < 0:
         raise DomainError(f"seed must be a nonnegative integer, got {args.seed}")
     cls = {"even": ParityClass.EVEN, "odd": ParityClass.ODD, "neither": ParityClass.NEITHER}[args.parity]

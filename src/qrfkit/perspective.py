@@ -40,11 +40,18 @@ def _register_slot(party: int, observer: int) -> int:
 
 
 def _controlled_flip(n: int, control: int, mask: int) -> np.ndarray:
-    """0/1 matrix sending |b> to |b ^ mask> when b's control bit is set, else to |b>."""
+    """Index map of the operator sending |b> to |b ^ mask> when b's control bit is set, else to |b>.
+
+    Entry b is the row that column b of the operator's 0/1 matrix holds its 1 in.
+    """
     cols = np.arange(1 << n)
-    rows = np.where((cols >> (n - 1 - control)) & 1, cols ^ mask, cols)
-    m = np.zeros((cols.size, cols.size), dtype=np.complex128)
-    m[rows, cols] = 1.0
+    return np.where((cols >> (n - 1 - control)) & 1, cols ^ mask, cols)
+
+
+def _matrix_of(rows: np.ndarray) -> np.ndarray:
+    """The complex128 0/1 matrix of an index map: column c holds a single 1, at row rows[c]."""
+    m = np.zeros((rows.size, rows.size), dtype=np.complex128)
+    m[rows, np.arange(rows.size)] = 1.0
     return m
 
 
@@ -86,7 +93,7 @@ def perspective_operator(p: int, n: int) -> np.ndarray:
     of |b> when it is 1, i.e. |0><0|_p x identity + |0><1|_p x flip-rest.
     """
     _check_target(n, p)
-    return _controlled_flip(n, p, (1 << n) - 1)
+    return _matrix_of(_controlled_flip(n, p, (1 << n) - 1))
 
 
 def assign_perspective_channel(psi: PureState, p: int) -> PureState:
@@ -94,15 +101,22 @@ def assign_perspective_channel(psi: PureState, p: int) -> PureState:
 
     Pipeline: density matrix, maximal dephasing, conjugation by the
     perspective operator, partial trace over p, purification of the
-    resulting diagonal state.
+    resulting diagonal state.  The operator sends column c to row rows[c],
+    so op @ rho @ op^T is rho scatter-added onto that index map: O(4^n)
+    time and memory, with no dense operator built.
     """
     n = psi.n_qubits
     _check_target(n, p)
     if n < 2:
         raise TooFewQubitsError("perspective assignment needs at least 2 qubits")
     rho = dephase(density_matrix(psi))
-    op = perspective_operator(p, n)
-    shifted = DensityMatrix(dim=rho.dim, entries=op @ rho.entries @ op.conj().T)
+    rows = _controlled_flip(n, p, (1 << n) - 1)
+    # Entry (c, c') lands on (rows[c], rows[c']).  One add.at over flat indices
+    # is about twice as fast as over the broadcast index pair, at the same peak memory.
+    flat = (rows[:, None] * rows.size + rows[None, :]).ravel()
+    entries = np.zeros_like(rho.entries)
+    np.add.at(entries.reshape(-1), flat, rho.entries.ravel())
+    shifted = DensityMatrix(dim=rho.dim, entries=entries)
     reduced = partial_trace(shifted, [i for i in range(n) if i != p])
     return purify_diagonal(reduced)
 
@@ -154,7 +168,7 @@ def z2_operator(n_parties: int, from_label: int, to_label: int) -> QrfOperator:
     n = n_parties - 1
     control = _register_slot(to_label, from_label)
     spectators = ((1 << n) - 1) ^ (1 << (n - 1 - control))
-    m = _controlled_flip(n, control, spectators)
+    m = _matrix_of(_controlled_flip(n, control, spectators))
     return QrfOperator(n_qubits=n, from_label=from_label, to_label=to_label, matrix=_freeze(m))
 
 

@@ -252,12 +252,10 @@ def test_exit_code_domain(capsys):
     cases = [
         ["sweep", "--grid", "0:0.9:5"],
         ["sweep", "--grid", "0:0.5:0"],
-        ["sweep", "--grid", "nonsense"],
         ["perspective", "--state", "ghz:1.5", "--perspective", "0"],
         ["perspective", "--state", "rindler:0.3", "--perspective", "B"],
         ["perspective", "--state", "rindler:0.3", "--perspective", "-1"],
         ["perspective", "--state", "rindler:0.3", "--perspective", "1.0"],
-        ["sample", "--count", "0", "--seed", "1"],
         ["sample", "--count", "3", "--seed", "-1"],
         ["check", "--state", "rindler:0.3", "--tol", "-1"],
         ["check", "--state", "w-even:0,0,0"],
@@ -276,23 +274,6 @@ def test_exit_code_numeric(capsys, tmp_path):
     code, _, err = run(capsys, ["perspective", "--state", path, "--perspective", "0"])
     assert code == 5
     assert json.loads(err)["error"] == "numeric"
-
-
-def test_exit_code_numeric_non_finite_amplitudes(capsys, tmp_path):
-    # json.dumps writes the bare NaN token that Python's parser reads back
-    path = write_state(tmp_path / "nan.json", [math.nan, 0.0, 0.0, 1.0])
-    cases = [
-        ["perspective", "--state", path, "--perspective", "0"],
-        ["check", "--state", "w-even:nan,1,1"],
-        ["check", "--state", "appc-q:nan"],
-    ]
-    for argv in cases:
-        code, out, err = run(capsys, argv)
-        assert code == 5, argv
-        assert out == ""
-        lines = err.splitlines()
-        assert len(lines) == 1
-        assert json.loads(lines[0])["error"] == "numeric"
 
 
 def test_non_finite_output_is_a_numeric_error(capsys, monkeypatch):
@@ -349,24 +330,6 @@ def test_overflowing_amplitudes_exit_numeric_without_warning(tmp_path):
     assert json.loads(lines[0])["error"] == "numeric"
 
 
-def test_fractional_qubit_count_is_an_io_error(capsys, tmp_path):
-    path = tmp_path / "frac.json"
-    path.write_text(json.dumps({"n_qubits": 2.5, "amplitudes": [[1.0, 0.0]] + [[0.0, 0.0]] * 3}), encoding="utf-8")
-    code, out, err = run(capsys, ["perspective", "--state", str(path), "--perspective", "0"])
-    assert code == 2
-    assert out == ""
-    assert json.loads(err)["error"] == "io"
-
-
-def test_boolean_amplitudes_are_an_io_error(capsys, tmp_path):
-    path = tmp_path / "bool.json"
-    path.write_text('{"n_qubits": 1, "amplitudes": [[true, false], [false, false]]}', encoding="utf-8")
-    code, out, err = run(capsys, ["perspective", "--state", str(path), "--perspective", "0"])
-    assert code == 2
-    assert out == ""
-    assert json.loads(err)["error"] == "io"
-
-
 def test_integer_amplitude_beyond_float_range_is_an_io_error(capsys, tmp_path):
     path = tmp_path / "big.json"
     path.write_text('{"n_qubits": 1, "amplitudes": [[1' + "0" * 400 + ', 0], [0, 0]]}', encoding="utf-8")
@@ -382,6 +345,50 @@ def test_grid_count_is_capped(capsys):
     assert code == 4
     assert out == ""
     assert json.loads(err)["error"] == "domain"
+
+
+# State files the exit-code table refers to by name.
+STATE_FILES = {
+    "nan.json": json.dumps({"n_qubits": 2, "amplitudes": [[math.nan, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]}),
+    "huge.json": json.dumps({"n_qubits": 1, "amplitudes": [[1e308, 0.0], [1e308, 0.0]]}),
+    "frac.json": json.dumps({"n_qubits": 2.5, "amplitudes": [[1.0, 0.0]] + [[0.0, 0.0]] * 3}),
+    "bool.json": '{"n_qubits": 1, "amplitudes": [[true, false], [false, false]]}',
+    "bell.json": json.dumps({"n_qubits": 2, "amplitudes": [[RT2, 0.0], [0.0, 0.0], [0.0, 0.0], [RT2, 0.0]]}),
+}
+
+# (argv, expected exit code, stdout empty?)
+EXIT_CODE_TABLE = [
+    (["sweep", "--grid", "nonsense"], 4, True),
+    (["sweep", "--grid", f"0:0.5:{cli.MAX_GRID_POINTS + 1}"], 4, True),
+    (["sample", "--count", str(cli.MAX_SAMPLE_COUNT + 1), "--seed", "1"], 4, True),
+    (["sample", "--count", "0", "--seed", "1"], 4, True),
+    (["sample", "--count", "1", "--seed", "1"], 0, False),
+    (["perspective", "--state", "nan.json", "--perspective", "0"], 5, True),
+    (["perspective", "--state", "huge.json", "--perspective", "0"], 5, True),
+    (["check", "--state", "w-even:nan,1,1"], 5, True),
+    (["check", "--state", "appc-q:nan"], 5, True),
+    (["perspective", "--state", "frac.json", "--perspective", "0"], 2, True),
+    (["perspective", "--state", "bool.json", "--perspective", "0"], 2, True),
+    (["perspective", "--state", "bell.json", "--perspective", "1"], 0, False),
+    (["perspective", "--state", "bell.json", "--perspective", "2"], 3, True),
+    (["perspective", "--state", "bell.json", "--perspective", "-1"], 4, True),
+]
+
+
+@pytest.mark.parametrize("argv, expected, stdout_empty", EXIT_CODE_TABLE, ids=[" ".join(row[0]) for row in EXIT_CODE_TABLE])
+def test_exit_codes(capsys, tmp_path, argv, expected, stdout_empty):
+    for name, text in STATE_FILES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    argv = [str(tmp_path / a) if a in STATE_FILES else a for a in argv]
+    code, out, err = run(capsys, argv)
+    assert code == expected
+    assert (out == "") == stdout_empty
+    if expected == 0:
+        assert err == ""
+    else:
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert cli.EXIT_CODES[json.loads(lines[0])["error"]] == expected
 
 
 def test_tol_env_and_flag_precedence(capsys, monkeypatch):

@@ -19,6 +19,8 @@ from qrfkit.errors import (
     ShapeError,
     TooFewQubitsError,
 )
+from qrfkit.perspective import _controlled_flip
+from qrfkit.qstate import DensityMatrix, density_matrix, dephase, partial_trace, purify_diagonal
 
 RT2 = 1.0 / math.sqrt(2.0)
 
@@ -152,6 +154,36 @@ def test_channel_matches_direct_assignment_randomized():
             assert np.max(np.abs(a.amplitudes - b.amplitudes)) <= 1e-12
 
 
+def dense_channel(s, p):
+    """The channel with the perspective operator applied as two dense matmuls."""
+    n = s.n_qubits
+    rho = dephase(density_matrix(s))
+    op = perspective_operator(p, n)
+    shifted = DensityMatrix(dim=rho.dim, entries=op @ rho.entries @ op.conj().T)
+    return purify_diagonal(partial_trace(shifted, [i for i in range(n) if i != p]))
+
+
+def test_channel_scatter_matches_dense_operator_bit_for_bit():
+    rng = np.random.default_rng(37)
+    for n in range(2, 9):
+        d = 1 << n
+        sparse = np.zeros(d, dtype=complex)
+        sparse[rng.choice(d, size=max(1, d // 8), replace=False)] = rng.standard_normal(max(1, d // 8))
+        negative = -np.abs(rng.standard_normal(d))
+        ghz = np.zeros(d)
+        ghz[[0, d - 1]] = RT2
+        states = [rand_state(n, rng) for _ in range(3)]
+        states += [state_from_amplitudes(v / np.linalg.norm(v)) for v in (sparse, negative, ghz)]
+        for p in range(n):
+            rows = _controlled_flip(n, p, d - 1)
+            op = perspective_operator(p, n)
+            assert np.array_equal(np.count_nonzero(op, axis=0), np.ones(d))
+            assert np.array_equal(op[rows, np.arange(d)], np.ones(d))
+            for s in states:
+                got = assign_perspective_channel(s, p).amplitudes
+                assert got.tobytes() == dense_channel(s, p).amplitudes.tobytes(), (n, p)
+
+
 def test_ghz_like_assignment_collapses():
     s = state_from_amplitudes([RT2, 0, 0, 0, 0, 0, 0, RT2])
     out = assign_perspective(s, 0)
@@ -183,7 +215,7 @@ def test_assignment_stable_under_reembedding():
 
 
 def test_z2_operator_is_unitary_and_self_inverse():
-    for n_parties in (3, 4, 5):
+    for n_parties in range(3, 8):
         for from_label in range(n_parties):
             for to_label in range(n_parties):
                 if to_label == from_label:
@@ -194,6 +226,12 @@ def test_z2_operator_is_unitary_and_self_inverse():
                 assert d == 2 ** (n_parties - 1)
                 assert np.max(np.abs(m @ m.conj().T - np.eye(d))) == 0.0
                 assert np.max(np.abs(m @ m - np.eye(d))) == 0.0
+                # a permutation: one 1 per row and column, every other entry +0.0
+                ones = m == 1.0
+                assert np.array_equal(ones.sum(axis=0), np.ones(d))
+                assert np.array_equal(ones.sum(axis=1), np.ones(d))
+                assert not np.any(m[~ones])
+                assert not np.any(np.signbit(m.real)) and not np.any(np.signbit(m.imag))
 
 
 def test_z2_operator_branches():
