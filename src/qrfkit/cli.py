@@ -213,9 +213,7 @@ def run_sweep(args, tol: float) -> str:
     if args.format == "json":
         rows = [row for m, records in zip(pairs, tables) for row in rindler.sweep_to_dicts(records, m)]
         return _dumps(rows, indent=2) + "\n"
-    csvs = [rindler.sweep_to_csv(records, m) for m, records in zip(pairs, tables)]
-    # One header: later tables contribute their rows only.
-    return csvs[0] + "".join(t.split("\n", 1)[1] for t in csvs[1:])
+    return rindler._sweep_csv(zip(pairs, tables))
 
 
 def run_sample(args, tol: float) -> str:

@@ -62,8 +62,12 @@ def _renormalised(vec: np.ndarray) -> np.ndarray:
     """Divide vec by its norm in place, then freeze it as complex128.
 
     The cast comes last: real and complex division can differ in the last bit.
+    A zero vector has no direction to keep, so it raises NormToleranceError
+    whatever tolerance let it through.
     """
     norm = float(np.linalg.norm(vec))
+    if norm == 0.0:
+        raise NormToleranceError("state norm is 0, so the vector cannot be normalized")
     if abs(norm - 1.0) > 1e-12:
         # Skipping the division for norms this close to 1 keeps already
         # normalized vectors bit-stable across save/load round trips.
@@ -222,7 +226,7 @@ def _dumps(doc, **kwargs) -> str:
 def state_to_json(psi: PureState, perspective_of: int | None = None) -> str:
     doc = {
         "n_qubits": psi.n_qubits,
-        "amplitudes": [[float(a.real), float(a.imag)] for a in psi.amplitudes],
+        "amplitudes": np.column_stack([psi.amplitudes.real, psi.amplitudes.imag]).tolist(),
     }
     if perspective_of is not None:
         doc["perspective_of"] = int(perspective_of)

@@ -8,11 +8,13 @@ is admitted as an evaluable boundary point since every expression here is
 continuous there.
 
 Closed forms exist for the six entanglement quantities (three perspectival,
-three across global cuts).  The six subsystem coherences carry no printed
-closed forms; their reference values come from the transference identities
-(global-cut entanglement minus perspectival entanglement), which the family
-satisfies exactly as an even parity state.  Mutual information is entropic
-by definition, so those columns are entropy-based under either measure pair.
+three across global cuts), stated once as a table evaluated once per (r,
+measure pair).  The six subsystem coherences carry no printed closed forms;
+their reference values are derived from that table by the transference
+identities (global-cut entanglement minus perspectival entanglement), which
+the family satisfies exactly as an even parity state.  Mutual information is
+entropic by definition, so those columns are sums of the entropic curves
+under either measure pair.
 """
 
 from __future__ import annotations
@@ -63,10 +65,11 @@ GLOBAL_QUANTITY = {
 }
 
 
-def _check_r(r: float) -> float:
+def _check_r(r: float, error=DomainError, what: str = "acceleration parameter") -> float:
+    """r as a float in [0, pi/4]; up to 1e-12 past pi/4 is round-off and clamps to pi/4."""
     r = float(r)
     if not 0.0 <= r <= R_MAX + 1e-12:
-        raise DomainError(f"acceleration parameter {r} outside [0, pi/4]")
+        raise error(f"{what} {r} outside [0, pi/4]")
     return min(r, R_MAX)
 
 
@@ -104,35 +107,31 @@ def perspectival_state(r: float, obs: ObserverLabel) -> PureState:
     return state_from_amplitudes(amps)
 
 
+def _curves(r: float, m: MeasurePair) -> tuple[float, ...]:
+    """The six printed closed forms at a checked r, in Quantity order."""
+    c2 = math.cos(r) ** 2
+    if m is MeasurePair.ENTROPY:
+        split = math.sqrt(7.0 + math.cos(4.0 * r)) / (2.0 * math.sqrt(2.0))
+        return (binary_entropy((1.0 + split) / 2.0), binary_entropy((1.0 + math.cos(r)) / 2.0),
+                binary_entropy((1.0 + math.sin(r)) / 2.0), binary_entropy((1.0 + c2) / 2.0),
+                binary_entropy(c2 / 2.0), 1.0)
+    s2 = math.sin(r) ** 2
+    return (math.sin(2.0 * r) ** 2 / 8.0, s2 / 2.0, c2 / 2.0,
+            (s2 / 2.0) * (1.0 + c2), c2 * (1.0 - c2 / 2.0), 0.5)
+
+
+_COLUMN = {q: i for i, q in enumerate(Quantity)}
+
+
 def closed_form_entanglement(r: float, quantity: Quantity, m: MeasurePair) -> float:
     """Printed closed form for one of the six entanglement curves."""
-    r = _check_r(r)
-    c2 = math.cos(r) ** 2
-    s2 = math.sin(r) ** 2
-    if m is MeasurePair.ENTROPY:
-        if quantity is Quantity.E_PERSP_A:
-            split = math.sqrt(7.0 + math.cos(4.0 * r)) / (2.0 * math.sqrt(2.0))
-            return binary_entropy((1.0 + split) / 2.0)
-        if quantity is Quantity.E_PERSP_R:
-            return binary_entropy((1.0 + math.cos(r)) / 2.0)
-        if quantity is Quantity.E_PERSP_RBAR:
-            return binary_entropy((1.0 + math.sin(r)) / 2.0)
-        if quantity is Quantity.E_RBAR_AR:
-            return binary_entropy((1.0 + c2) / 2.0)
-        if quantity is Quantity.E_R_ARBAR:
-            return binary_entropy(c2 / 2.0)
-        return 1.0
-    if quantity is Quantity.E_PERSP_A:
-        return math.sin(2.0 * r) ** 2 / 8.0
-    if quantity is Quantity.E_PERSP_R:
-        return s2 / 2.0
-    if quantity is Quantity.E_PERSP_RBAR:
-        return c2 / 2.0
-    if quantity is Quantity.E_RBAR_AR:
-        return (s2 / 2.0) * (1.0 + c2)
-    if quantity is Quantity.E_R_ARBAR:
-        return c2 * (1.0 - c2 / 2.0)
-    return 0.5
+    return _curves(_check_r(r), m)[_COLUMN[quantity]]
+
+
+def _coherence_columns(alpha: ObserverLabel, beta: ObserverLabel) -> tuple[int, int]:
+    """Curve columns (global, perspectival) whose difference is beta's coherence in alpha's perspective."""
+    gamma = ObserverLabel(3 - alpha.value - beta.value)
+    return _COLUMN[GLOBAL_QUANTITY[gamma]], _COLUMN[PERSP_QUANTITY[alpha]]
 
 
 def closed_form_coherence(r: float, alpha: ObserverLabel, beta: ObserverLabel, m: MeasurePair) -> float:
@@ -145,10 +144,14 @@ def closed_form_coherence(r: float, alpha: ObserverLabel, beta: ObserverLabel, m
     """
     if alpha is beta:
         raise DomainError("coherence subsystem must differ from the perspective holder")
-    gamma = ObserverLabel(3 - alpha.value - beta.value)
-    return closed_form_entanglement(r, GLOBAL_QUANTITY[gamma], m) - closed_form_entanglement(
-        r, PERSP_QUANTITY[alpha], m
-    )
+    g, p = _coherence_columns(alpha, beta)
+    curves = _curves(_check_r(r), m)
+    return curves[g] - curves[p]
+
+
+def _mi_curves(p_a, p_r, p_rbar, e_rbar, e_r, e_a):
+    """SweepRecord's six MI fields from the entropic curves; floats and float64 columns give the same bits."""
+    return e_r + e_rbar - e_a, e_a + e_rbar - e_r, e_a + e_r - e_rbar, 2.0 * p_a, 2.0 * p_r, 2.0 * p_rbar
 
 
 @dataclass(frozen=True)
@@ -163,19 +166,8 @@ class MiCurves:
 
 def mutual_information_curves(r: float) -> MiCurves:
     """Entropic mutual information, three global cuts and three perspectival."""
-    r = _check_r(r)
-    ent = MeasurePair.ENTROPY
-    e_a = closed_form_entanglement(r, Quantity.E_A_RRBAR, ent)
-    e_r = closed_form_entanglement(r, Quantity.E_R_ARBAR, ent)
-    e_rbar = closed_form_entanglement(r, Quantity.E_RBAR_AR, ent)
-    return MiCurves(
-        mi_a_r=e_a + e_r - e_rbar,
-        mi_a_rbar=e_a + e_rbar - e_r,
-        mi_r_rbar=e_r + e_rbar - e_a,
-        mi_persp_a=2.0 * closed_form_entanglement(r, Quantity.E_PERSP_A, ent),
-        mi_persp_r=2.0 * closed_form_entanglement(r, Quantity.E_PERSP_R, ent),
-        mi_persp_rbar=2.0 * closed_form_entanglement(r, Quantity.E_PERSP_RBAR, ent),
-    )
+    mi_r_rbar, mi_a_rbar, mi_a_r, *persp = _mi_curves(*_curves(_check_r(r), MeasurePair.ENTROPY))
+    return MiCurves(mi_a_r, mi_a_rbar, mi_r_rbar, *persp)
 
 
 @dataclass(frozen=True)
@@ -238,12 +230,10 @@ def _sweep_pairs(r_grid, pairs) -> list[list[SweepRecord]]:
     grid = [float(r) for r in r_grid]
     if not grid:
         raise GridError("sweep grid is empty")
-    for r in grid:
-        if not 0.0 <= r <= R_MAX + 1e-12:
-            raise GridError(f"grid point {r} outside [0, pi/4]")
+    clamped = [_check_r(r, GridError, "grid point") for r in grid]
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise GridError("sweep grid must be ascending")
-    grid = [min(r, R_MAX) for r in grid]
+    grid = clamped
     global_rho, perspective_rho = _density_stacks(global_state(r) for r in grid)
     a = _Analysis(global_rho, perspective_rho, pairs)
     mi_oracle = np.column_stack([
@@ -253,23 +243,16 @@ def _sweep_pairs(r_grid, pairs) -> list[list[SweepRecord]]:
     del global_rho, perspective_rho  # the largest arrays go before the records are built
     observers = list(ObserverLabel)
     ordered_pairs = [(alpha, beta) for alpha in observers for beta in observers if beta is not alpha]
-    # Mutual information is entropic under either measure pair, so both sides are computed once.
-    mi_closed = []
-    for r in grid:
-        mi = mutual_information_curves(r)
-        mi_closed.append([mi.mi_r_rbar, mi.mi_a_rbar, mi.mi_a_r, mi.mi_persp_a, mi.mi_persp_r, mi.mi_persp_rbar])
+    g_cols, p_cols = np.array([_coherence_columns(alpha, beta) for alpha, beta in ordered_pairs]).T
+    # One (K, 6) table per measure pair; mutual information is entropic under either pair.
+    curves = {m: np.array([_curves(r, m) for r in grid]) for m in {*pairs, MeasurePair.ENTROPY}}
+    mi_closed = np.column_stack(_mi_curves(*curves[MeasurePair.ENTROPY].T))
     tables = []
     for m in pairs:
-        # Both (K, 18) arrays follow the SweepRecord field order, r and max_residual aside.
-        closed = np.array([
-            [
-                *(closed_form_entanglement(r, PERSP_QUANTITY[obs], m) for obs in observers),
-                *(closed_form_coherence(r, alpha, beta, m) for alpha, beta in ordered_pairs),
-                *(closed_form_entanglement(r, GLOBAL_QUANTITY[obs], m) for obs in reversed(observers)),
-                *mi,
-            ]
-            for r, mi in zip(grid, mi_closed)
-        ])
+        t = curves[m]
+        # Both (K, 18) arrays follow the SweepRecord field order, r and max_residual aside;
+        # Quantity order puts the perspectival curves first and the global cuts last, Rbar's first.
+        closed = np.column_stack([t[:, :3], t[:, g_cols] - t[:, p_cols], t[:, 3:], mi_closed])
         # coh[m] holds each observer's slots in ascending party order, which is ordered_pairs' order.
         oracle = np.column_stack([*a.persp_ent[m], *a.coh[m].reshape(6, -1), *a.global_ent[m][::-1], mi_oracle])
         # np.max keeps a NaN wherever it stands, so the finiteness check below sees it.
@@ -286,19 +269,26 @@ def sweep(r_grid, m: MeasurePair) -> list[SweepRecord]:
     return _sweep_pairs(r_grid, [m])[0]
 
 
+_FIELD_NAMES = tuple(f.name for f in fields(SweepRecord))
+
+
 def record_row(rec: SweepRecord, m: MeasurePair) -> list:
     """Row values in CSV_COLUMNS order."""
-    ordered = [getattr(rec, f.name) for f in fields(SweepRecord)]
-    return [m.value] + ordered
+    return [m.value, *(getattr(rec, name) for name in _FIELD_NAMES)]
+
+
+def _sweep_csv(tables) -> str:
+    """One CSV_COLUMNS header, then the rows of each (measure pair, records) table in turn."""
+    lines = [",".join(CSV_COLUMNS)]
+    for m, records in tables:
+        for rec in records:
+            lines.append(",".join(v if isinstance(v, str) else f"{v:.12g}" for v in record_row(rec, m)))
+    return "\n".join(lines) + "\n"
 
 
 def sweep_to_csv(records, m: MeasurePair) -> str:
     """RFC-4180 CSV, 12 significant digits, LF line endings."""
-    lines = [",".join(CSV_COLUMNS)]
-    for rec in records:
-        row = record_row(rec, m)
-        lines.append(",".join(v if isinstance(v, str) else f"{v:.12g}" for v in row))
-    return "\n".join(lines) + "\n"
+    return _sweep_csv([(m, records)])
 
 
 def sweep_to_dicts(records, m: MeasurePair) -> list[dict]:

@@ -86,7 +86,7 @@ def _require_three(psi: PureState) -> PureState:
 def parity_class(psi: PureState) -> ParityClass:
     """Classify by basis-string weight parity of the state's support."""
     _require_three(psi)
-    support = {b for b, a in enumerate(psi.amplitudes) if abs(a) > SUPPORT_TOL}
+    support = set(np.flatnonzero(np.abs(psi.amplitudes) > SUPPORT_TOL).tolist())
     if support <= EVEN_SUPPORT:
         return ParityClass.EVEN
     if support <= ODD_SUPPORT:

@@ -4,7 +4,9 @@ check_transference, check_corollary, the sweep oracle and the CLI all read
 one analysis of a stack of 3-qubit states or grid points.  Each test here
 compares that path with a reference built on the same machine from the
 public per-call primitives or from one-state stacks, so the equalities are
-exact (==) on any CPU.
+exact (==) on any CPU.  The rindler closed forms are checked against the
+printed formulas written out here one quantity at a time, independent of
+the curve table that the sweep and the public closed-form functions share.
 """
 
 import json
@@ -16,10 +18,13 @@ import pytest
 
 from qrfkit import (
     MeasurePair,
+    MiCurves,
     ObserverLabel,
     ParityClass,
+    Quantity,
     SweepRecord,
     assign_perspective,
+    binary_entropy,
     check_corollary,
     check_transference,
     closed_form_coherence,
@@ -75,25 +80,93 @@ def test_constraint_values_equal_per_call_primitives():
                 assert rep.lhs == perspectival_side(psi, alpha, beta, m)
 
 
+def reference_entanglement(r, quantity, m):
+    """The printed closed forms one quantity at a time, independent of rindler's curve table."""
+    r = min(r, R_MAX)
+    c2 = math.cos(r) ** 2
+    s2 = math.sin(r) ** 2
+    if m is MeasurePair.ENTROPY:
+        if quantity is Quantity.E_PERSP_A:
+            split = math.sqrt(7.0 + math.cos(4.0 * r)) / (2.0 * math.sqrt(2.0))
+            return binary_entropy((1.0 + split) / 2.0)
+        if quantity is Quantity.E_PERSP_R:
+            return binary_entropy((1.0 + math.cos(r)) / 2.0)
+        if quantity is Quantity.E_PERSP_RBAR:
+            return binary_entropy((1.0 + math.sin(r)) / 2.0)
+        if quantity is Quantity.E_RBAR_AR:
+            return binary_entropy((1.0 + c2) / 2.0)
+        if quantity is Quantity.E_R_ARBAR:
+            return binary_entropy(c2 / 2.0)
+        return 1.0
+    if quantity is Quantity.E_PERSP_A:
+        return math.sin(2.0 * r) ** 2 / 8.0
+    if quantity is Quantity.E_PERSP_R:
+        return s2 / 2.0
+    if quantity is Quantity.E_PERSP_RBAR:
+        return c2 / 2.0
+    if quantity is Quantity.E_RBAR_AR:
+        return (s2 / 2.0) * (1.0 + c2)
+    if quantity is Quantity.E_R_ARBAR:
+        return c2 * (1.0 - c2 / 2.0)
+    return 0.5
+
+
+OBSERVERS = list(ObserverLabel)
+ORDERED_PAIRS = [(alpha, beta) for alpha in OBSERVERS for beta in OBSERVERS if beta is not alpha]
+
+
+def reference_coherence(r, alpha, beta, m):
+    """Global-cut entanglement of the third party minus alpha's perspectival entanglement."""
+    gamma = ObserverLabel(3 - alpha.value - beta.value)
+    return reference_entanglement(r, GLOBAL_QUANTITY[gamma], m) - reference_entanglement(r, PERSP_QUANTITY[alpha], m)
+
+
+def reference_mi(r):
+    """MiCurves fields from the entropic reference curves."""
+    e = {q: reference_entanglement(r, q, MeasurePair.ENTROPY) for q in Quantity}
+    e_a, e_r, e_rbar = e[Quantity.E_A_RRBAR], e[Quantity.E_R_ARBAR], e[Quantity.E_RBAR_AR]
+    return MiCurves(
+        mi_a_r=e_a + e_r - e_rbar,
+        mi_a_rbar=e_a + e_rbar - e_r,
+        mi_r_rbar=e_r + e_rbar - e_a,
+        mi_persp_a=2.0 * e[Quantity.E_PERSP_A],
+        mi_persp_r=2.0 * e[Quantity.E_PERSP_R],
+        mi_persp_rbar=2.0 * e[Quantity.E_PERSP_RBAR],
+    )
+
+
+# The domain's ends, the clamped round-off just past pi/4, and the interior.
+REFERENCE_GRID = [float(r) for r in np.linspace(0.0, R_MAX, 23)] + [R_MAX + 5e-13]
+
+
+def test_closed_forms_equal_scalar_reference():
+    for r in [1e-300, *REFERENCE_GRID]:
+        for m in PAIRS:
+            for q in Quantity:
+                assert closed_form_entanglement(r, q, m) == reference_entanglement(r, q, m)
+            for alpha, beta in ORDERED_PAIRS:
+                assert closed_form_coherence(r, alpha, beta, m) == reference_coherence(r, alpha, beta, m)
+        assert mutual_information_curves(r) == reference_mi(r)
+
+
 def reference_point_record(r, m):
-    """One sweep row from per-call primitives, each pair evaluated on its own."""
+    """One sweep row from the scalar reference and per-call primitives, each pair evaluated on its own."""
+    r = min(r, R_MAX)
     g = global_state(r)
     rho_g = density_matrix(g)
-    observers = list(ObserverLabel)
-    persp = [assign_perspective(g, obs.value) for obs in observers]
-    ordered_pairs = [(alpha, beta) for alpha in observers for beta in observers if beta is not alpha]
-    mi = mutual_information_curves(r)
+    persp = [assign_perspective(g, obs.value) for obs in OBSERVERS]
+    mi = reference_mi(r)
     closed = [
-        *(closed_form_entanglement(r, PERSP_QUANTITY[obs], m) for obs in observers),
-        *(closed_form_coherence(r, alpha, beta, m) for alpha, beta in ordered_pairs),
-        *(closed_form_entanglement(r, GLOBAL_QUANTITY[obs], m) for obs in reversed(observers)),
+        *(reference_entanglement(r, PERSP_QUANTITY[obs], m) for obs in OBSERVERS),
+        *(reference_coherence(r, alpha, beta, m) for alpha, beta in ORDERED_PAIRS),
+        *(reference_entanglement(r, GLOBAL_QUANTITY[obs], m) for obs in reversed(OBSERVERS)),
         mi.mi_r_rbar, mi.mi_a_rbar, mi.mi_a_r, mi.mi_persp_a, mi.mi_persp_r, mi.mi_persp_rbar,
     ]
     oracle = [
         *(entanglement(psi, [0], m) for psi in persp),
         *(oracle_coherence(persp[alpha.value], beta.value - (beta.value > alpha.value), m)
-          for alpha, beta in ordered_pairs),
-        *(entanglement(g, [obs.value], m) for obs in reversed(observers)),
+          for alpha, beta in ORDERED_PAIRS),
+        *(entanglement(g, [obs.value], m) for obs in reversed(OBSERVERS)),
         *(mutual_information(rho_g, [i], [j]) for i, j in ((1, 2), (0, 2), (0, 1))),
         *(mutual_information(density_matrix(psi), [0], [1]) for psi in persp),
     ]
@@ -101,10 +174,9 @@ def reference_point_record(r, m):
 
 
 def test_sweep_records_equal_reference_rows():
-    grid = [float(r) for r in np.linspace(0.0, R_MAX, 23)]
     for m in PAIRS:
-        got = sweep(grid, m)
-        assert got == [reference_point_record(r, m) for r in grid]
+        got = sweep(REFERENCE_GRID, m)
+        assert got == [reference_point_record(r, m) for r in REFERENCE_GRID]
         assert any(rec.max_residual > 0.0 for rec in got)
 
 

@@ -354,6 +354,7 @@ STATE_FILES = {
     "frac.json": json.dumps({"n_qubits": 2.5, "amplitudes": [[1.0, 0.0]] + [[0.0, 0.0]] * 3}),
     "bool.json": '{"n_qubits": 1, "amplitudes": [[true, false], [false, false]]}',
     "bell.json": json.dumps({"n_qubits": 2, "amplitudes": [[RT2, 0.0], [0.0, 0.0], [0.0, 0.0], [RT2, 0.0]]}),
+    "zero.json": json.dumps({"n_qubits": 2, "amplitudes": [[0.0, 0.0]] * 4}),
 }
 
 # (argv, expected exit code, stdout empty?)
@@ -365,6 +366,7 @@ EXIT_CODE_TABLE = [
     (["sample", "--count", "1", "--seed", "1"], 0, False),
     (["perspective", "--state", "nan.json", "--perspective", "0"], 5, True),
     (["perspective", "--state", "huge.json", "--perspective", "0"], 5, True),
+    (["perspective", "--state", "zero.json", "--perspective", "0", "--tol", "2"], 5, True),
     (["check", "--state", "w-even:nan,1,1"], 5, True),
     (["check", "--state", "appc-q:nan"], 5, True),
     (["perspective", "--state", "frac.json", "--perspective", "0"], 2, True),

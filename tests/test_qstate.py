@@ -6,6 +6,7 @@ import pytest
 
 from qrfkit import (
     DensityMatrix,
+    PureState,
     ShapeError,
     dephase,
     density_matrix,
@@ -176,6 +177,18 @@ def test_purify_diagonal_examples():
                                [RT2, 0.5, 0.0, 0.5], atol=1e-15)
 
 
+def test_purify_diagonal_rejects_zero_diagonal():
+    for dim in (2, 8):
+        with pytest.raises(NormToleranceError):
+            purify_diagonal(DensityMatrix(dim, np.zeros((dim, dim), dtype=complex)))
+
+
+def test_zero_vector_is_rejected_at_any_tolerance():
+    for tol in (1e-9, 2.0, 1e6):
+        with pytest.raises(NormToleranceError):
+            state_from_amplitudes([0.0, 0.0, 0.0, 0.0], tol=tol)
+
+
 def test_purify_diagonal_rejects_coherences():
     plus = state_from_amplitudes([RT2, RT2])
     with pytest.raises(NotDiagonalError):
@@ -216,6 +229,23 @@ def test_json_roundtrip_exact():
     back = state_from_json(state_to_json(s))
     assert back.n_qubits == s.n_qubits
     assert np.all(back.amplitudes == s.amplitudes)
+
+
+def test_json_writer_matches_per_amplitude_form():
+    rng = np.random.default_rng(18)
+    for n in range(1, 13):
+        v = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+        v /= np.linalg.norm(v)
+        # Exact zeros and negative zeros in either part, as assignment and embedding produce them.
+        v[::3] = 0.0
+        v.real[1::5] = -0.0
+        v.imag[2::7] = -0.0
+        v[-1] = complex(-0.0, -0.0)
+        psi = PureState(n_qubits=n, amplitudes=v)
+        pairs = [[float(a.real), float(a.imag)] for a in v]
+        assert state_to_json(psi) == json.dumps({"n_qubits": n, "amplitudes": pairs})
+        assert state_to_json(psi, perspective_of=0) == json.dumps(
+            {"n_qubits": n, "amplitudes": pairs, "perspective_of": 0})
 
 
 def test_json_perspective_tag():

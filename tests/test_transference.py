@@ -48,6 +48,9 @@ def test_parity_class_examples():
     assert parity_class(sep_counterexample()) is ParityClass.NEITHER
     # mixed-weight support: |000> plus |111>
     assert parity_class(ghz(0.6)) is ParityClass.NEITHER
+    # An amplitude counts as support only when its modulus exceeds SUPPORT_TOL (1e-12).
+    for stray, cls in ((5e-13, ParityClass.EVEN), (2e-12, ParityClass.NEITHER), (-2e-12j, ParityClass.NEITHER)):
+        assert parity_class(state_from_amplitudes([0, stray, 0, 1, 0, 0, 0, 0])) is cls
 
 
 def test_parity_class_requires_three_qubits():
