@@ -56,30 +56,26 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("perspective", help="rewrite a state as seen by one of its qubits")
     p.add_argument("--state", required=True, help="state file path or builtin name")
     p.add_argument("--perspective", required=True, help="target qubit: index 0..n-1, or A|R|Rbar for 0|1|2")
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--out", default=None)
 
     c = sub.add_parser("check", help="run transference and corollary constraints")
     c.add_argument("--state", required=True)
     c.add_argument("--measures", choices=["entropy", "linear", "both"], default="both")
-    c.add_argument("--tol", type=float, default=None)
-    c.add_argument("--out", default=None)
 
     s = sub.add_parser("sweep", help="tabulate degradation curves over an r grid")
     s.add_argument("--grid", required=True, help="start:stop:count over [0, pi/4]")
     s.add_argument("--measures", choices=["entropy", "linear", "both"], default="both")
     s.add_argument("--format", choices=["csv", "json"], default="csv")
-    s.add_argument("--tol", type=float, default=None)
-    s.add_argument("--out", default=None)
 
     b = sub.add_parser("sample", help="batch-verify random states")
     b.add_argument("--count", type=int, required=True)
     b.add_argument("--seed", type=int, required=True)
     b.add_argument("--parity", choices=["even", "odd", "neither"], default="even")
     b.add_argument("--measures", choices=["entropy", "linear", "both"], default="both")
-    b.add_argument("--tol", type=float, default=None)
-    b.add_argument("--out", default=None)
 
+    # Shared by every subcommand, and last in each one's --help.
+    for command in sub.choices.values():
+        command.add_argument("--tol", type=float, default=None)
+        command.add_argument("--out", default=None)
     return parser
 
 
@@ -209,11 +205,10 @@ def run_check(args, tol: float) -> str:
 def run_sweep(args, tol: float) -> str:
     grid = parse_grid(args.grid)
     pairs = parse_measures(args.measures)
-    tables = rindler._sweep_pairs(grid, pairs)
+    tables = zip(pairs, rindler._sweep_pairs(grid, pairs))
     if args.format == "json":
-        rows = [row for m, records in zip(pairs, tables) for row in rindler.sweep_to_dicts(records, m)]
-        return _dumps(rows, indent=2) + "\n"
-    return rindler._sweep_csv(zip(pairs, tables))
+        return _dumps(rindler._sweep_dicts(tables), indent=2) + "\n"
+    return rindler._sweep_csv(tables)
 
 
 def run_sample(args, tol: float) -> str:
@@ -261,7 +256,7 @@ _RUNNERS = {
 
 
 def _emit_error(kind: str, message: str) -> None:
-    sys.stderr.write(json.dumps({"error": kind, "message": message}, allow_nan=False) + "\n")
+    sys.stderr.write(_dumps({"error": kind, "message": message}) + "\n")
 
 
 def main(argv=None) -> int:

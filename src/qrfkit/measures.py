@@ -35,6 +35,13 @@ class MeasurePair(enum.Enum):
             raise UnknownQuantityError(f"unknown measure pair {text!r}") from None
 
 
+def _is_entropic(pair) -> bool:
+    """Whether pair is MeasurePair.ENTROPY; anything that is not a MeasurePair raises UnknownQuantityError."""
+    if not isinstance(pair, MeasurePair):
+        raise UnknownQuantityError(f"unknown measure pair {pair!r}")
+    return pair is MeasurePair.ENTROPY
+
+
 def binary_entropy(p: float) -> float:
     """H2(p) = -p log2 p - (1-p) log2 (1-p), with 0 log 0 = 0."""
     if p <= 0.0 or p >= 1.0:
@@ -100,7 +107,7 @@ def _partition(n: int, left) -> tuple[list[int], list[int]]:
 
 def _entanglements(reduced: np.ndarray, pair: MeasurePair) -> np.ndarray:
     """Entanglement of pure states from a stack of reduced states of one side of the cut."""
-    return _entropies(reduced) if pair is MeasurePair.ENTROPY else _linear_entropies(reduced)
+    return _entropies(reduced) if _is_entropic(pair) else _linear_entropies(reduced)
 
 
 def entanglement(psi: PureState, left, pair: MeasurePair = MeasurePair.ENTROPY) -> float:
@@ -115,7 +122,7 @@ def entanglement(psi: PureState, left, pair: MeasurePair = MeasurePair.ENTROPY) 
 
 def _coherences(rho: np.ndarray, pair: MeasurePair) -> np.ndarray:
     """Basis coherence of each matrix in a (..., d, d) stack; a NaN or infinite entry raises NumericError."""
-    if pair is MeasurePair.ENTROPY:
+    if _is_entropic(pair):
         return _entropies(_dephased(rho)) - _entropies(rho)
     _require_finite(rho)
     return np.sum(np.abs(rho - _dephased(rho)) ** 2, axis=(-2, -1))

@@ -186,6 +186,8 @@ def purify_diagonal(rho: DensityMatrix, tol: float = ATOL) -> PureState:
     uniform-phase subspace leaves exactly sqrt(p_i) amplitudes.
     """
     m = rho.entries
+    if not np.isfinite(m).all():  # a NaN would pass the diagonality test below
+        raise NumericError("density matrix has non-finite entries, so it has no purification")
     if np.max(np.abs(m - _dephased(m))) > tol:
         raise NotDiagonalError("matrix has off-diagonal weight above tolerance")
     probs = np.clip(np.diag(m).real, 0.0, None)

@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .errors import DomainError, GridError, NonPositiveInputError, NumericError
-from .measures import MeasurePair, _mutual_informations, binary_entropy
+from .errors import DomainError, GridError, NonPositiveInputError, NumericError, UnknownQuantityError
+from .measures import MeasurePair, _is_entropic, _mutual_informations, binary_entropy
 from .qstate import PureState, state_from_amplitudes
 # oracle_coherence is imported for callers only: qrfkit.rindler.oracle_coherence stays importable.
 from .transference import _Analysis, _density_stacks, oracle_coherence  # noqa: F401
@@ -110,7 +110,7 @@ def perspectival_state(r: float, obs: ObserverLabel) -> PureState:
 def _curves(r: float, m: MeasurePair) -> tuple[float, ...]:
     """The six printed closed forms at a checked r, in Quantity order."""
     c2 = math.cos(r) ** 2
-    if m is MeasurePair.ENTROPY:
+    if _is_entropic(m):
         split = math.sqrt(7.0 + math.cos(4.0 * r)) / (2.0 * math.sqrt(2.0))
         return (binary_entropy((1.0 + split) / 2.0), binary_entropy((1.0 + math.cos(r)) / 2.0),
                 binary_entropy((1.0 + math.sin(r)) / 2.0), binary_entropy((1.0 + c2) / 2.0),
@@ -125,6 +125,8 @@ _COLUMN = {q: i for i, q in enumerate(Quantity)}
 
 def closed_form_entanglement(r: float, quantity: Quantity, m: MeasurePair) -> float:
     """Printed closed form for one of the six entanglement curves."""
+    if not isinstance(quantity, Quantity):
+        raise UnknownQuantityError(f"unknown quantity {quantity!r}")
     return _curves(_check_r(r), m)[_COLUMN[quantity]]
 
 
@@ -225,8 +227,8 @@ CSV_COLUMNS = (
 )
 
 
-def _sweep_pairs(r_grid, pairs) -> list[list[SweepRecord]]:
-    """sweep for every measure pair in pairs, analysing the whole grid as one stack."""
+def _sweep_pairs(r_grid, pairs) -> list[list[list[float]]]:
+    """sweep's rows, in SweepRecord field order, for every measure pair in pairs, analysing the whole grid as one stack."""
     grid = [float(r) for r in r_grid]
     if not grid:
         raise GridError("sweep grid is empty")
@@ -240,7 +242,7 @@ def _sweep_pairs(r_grid, pairs) -> list[list[SweepRecord]]:
         *(_mutual_informations(global_rho, [i], [j]) for i, j in ((1, 2), (0, 2), (0, 1))),
         *(_mutual_informations(rho, [0], [1]) for rho in perspective_rho),
     ])
-    del global_rho, perspective_rho  # the largest arrays go before the records are built
+    del global_rho, perspective_rho  # the largest arrays go before the rows are built
     observers = list(ObserverLabel)
     ordered_pairs = [(alpha, beta) for alpha in observers for beta in observers if beta is not alpha]
     g_cols, p_cols = np.array([_coherence_columns(alpha, beta) for alpha, beta in ordered_pairs]).T
@@ -260,37 +262,33 @@ def _sweep_pairs(r_grid, pairs) -> list[list[SweepRecord]]:
         if not np.isfinite(rows).all():
             bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))[0]
             raise NumericError(f"sweep row at r = {grid[bad]!r} holds a non-finite value")
-        tables.append([SweepRecord(*row) for row in rows.tolist()])
+        tables.append(rows.tolist())
     return tables
 
 
 def sweep(r_grid, m: MeasurePair) -> list[SweepRecord]:
     """Evaluate the full record at every grid point, ordered by r."""
-    return _sweep_pairs(r_grid, [m])[0]
-
-
-_FIELD_NAMES = tuple(f.name for f in fields(SweepRecord))
-
-
-def record_row(rec: SweepRecord, m: MeasurePair) -> list:
-    """Row values in CSV_COLUMNS order."""
-    return [m.value, *(getattr(rec, name) for name in _FIELD_NAMES)]
+    return [SweepRecord(*row) for row in _sweep_pairs(r_grid, [m])[0]]
 
 
 def _sweep_csv(tables) -> str:
-    """One CSV_COLUMNS header, then the rows of each (measure pair, records) table in turn."""
+    """One CSV_COLUMNS header, then the rows of each (measure pair, rows) table in turn."""
     lines = [",".join(CSV_COLUMNS)]
-    for m, records in tables:
-        for rec in records:
-            lines.append(",".join(v if isinstance(v, str) else f"{v:.12g}" for v in record_row(rec, m)))
+    for m, rows in tables:
+        lines.extend(",".join([m.value, *[f"{v:.12g}" for v in row]]) for row in rows)
     return "\n".join(lines) + "\n"
+
+
+def _sweep_dicts(tables) -> list[dict]:
+    """One dict per row of each (measure pair, rows) table, keyed by the CSV column names."""
+    return [dict(zip(CSV_COLUMNS, [m.value, *row])) for m, rows in tables for row in rows]
 
 
 def sweep_to_csv(records, m: MeasurePair) -> str:
     """RFC-4180 CSV, 12 significant digits, LF line endings."""
-    return _sweep_csv([(m, records)])
+    return _sweep_csv([(m, map(astuple, records))])
 
 
 def sweep_to_dicts(records, m: MeasurePair) -> list[dict]:
     """Full-precision row dicts keyed by the CSV column names."""
-    return [dict(zip(CSV_COLUMNS, record_row(rec, m))) for rec in records]
+    return _sweep_dicts([(m, map(astuple, records))])

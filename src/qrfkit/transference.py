@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import WrongQubitCountError
-from .measures import MeasurePair, _coherences, _entanglements, binary_entropy, coherence, entanglement
+from .measures import MeasurePair, _coherences, _entanglements, _is_entropic, binary_entropy, coherence, entanglement
 from .perspective import _flip_merge, _register_slot, assign_perspective
 from .qstate import PureState, _density_matrices, _partial_traces, density_matrix, partial_trace, permute_qubits
 from .qstate import state_from_amplitudes
@@ -207,7 +207,7 @@ def xyl_closed_form(psi: PureState, c: ConstraintId, m: MeasurePair) -> XylTripl
     s = np.vdot(a[1::2], a[::2])
     p1 = 1.0 - p0
     l_ent = u2 + v2
-    if m is MeasurePair.ENTROPY:
+    if _is_entropic(m):
         xv = float(np.sqrt((p0 - p1) ** 2 + 4.0 * abs(s) ** 2))
         yv = float(np.sqrt(max(1.0 - 4.0 * (u2 * x2 + v2 * w2) + 8.0 * u * v * w * x, 0.0)))
         lv = float(l_ent)
@@ -220,7 +220,7 @@ def xyl_closed_form(psi: PureState, c: ConstraintId, m: MeasurePair) -> XylTripl
 
 def reconstruct_from_xyl(t: XylTriple, m: MeasurePair) -> tuple[float, float, float]:
     """(global entanglement, perspectival entanglement, coherence) from X/Y/L."""
-    if m is MeasurePair.ENTROPY:
+    if _is_entropic(m):
         e_global = binary_entropy((1.0 + t.x) / 2.0)
         e_persp = binary_entropy((1.0 + t.y) / 2.0)
         coh = binary_entropy(t.l) - e_persp
@@ -234,7 +234,7 @@ def reconstruct_from_xyl(t: XylTriple, m: MeasurePair) -> tuple[float, float, fl
 def condition_check(psi: PureState, c: ConstraintId, m: MeasurePair, tol: float = SAT_TOL) -> bool:
     """Algebraic satisfaction criterion in terms of the X/Y/L triple alone."""
     t = xyl_closed_form(psi, c, m)
-    if m is MeasurePair.ENTROPY:
+    if _is_entropic(m):
         return abs(t.l - (1.0 - t.x) / 2.0) <= tol or abs(t.l - (1.0 + t.x) / 2.0) <= tol
     return abs(t.l - t.x) <= tol
 

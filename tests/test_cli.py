@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from qrfkit import PureState, assign_perspective, cli, embed, measures, state_from_json, state_to_json, transference
+from qrfkit import PureState, assign_perspective, cli, embed, measures, rindler, state_from_json, state_to_json, transference
 from qrfkit.cli import main
 from qrfkit.rindler import CSV_COLUMNS
 
@@ -149,6 +149,20 @@ def test_sweep_csv(capsys):
     assert first["r"] == "0"
     assert first["MI_A_R"] == "2"
     assert float(first["max_residual"]) <= 1e-10
+
+
+@pytest.mark.parametrize("m", list(measures.MeasurePair), ids=lambda m: m.value)
+def test_library_and_cli_share_one_sweep_writer(capsys, m):
+    text = f"0:{R_MAX_TEXT}:201"
+    grid = cli.parse_grid(text)
+    records = rindler.sweep(grid, m)
+    assert records == [rindler.SweepRecord(*row) for row in rindler._sweep_pairs(grid, [m])[0]]
+    code, out, _ = run(capsys, ["sweep", "--grid", text, "--measures", m.value])
+    assert code == 0
+    assert out == rindler.sweep_to_csv(records, m)
+    code, out, _ = run(capsys, ["sweep", "--grid", text, "--measures", m.value, "--format", "json"])
+    assert code == 0
+    assert json.loads(out) == rindler.sweep_to_dicts(records, m)
 
 
 def test_sweep_single_point_plateau(capsys):

@@ -4,8 +4,21 @@ import numpy as np
 import pytest
 
 from qrfkit import (
+    ConstraintId,
     DensityMatrix,
     MeasurePair,
+    ObserverLabel,
+    Quantity,
+    XylTriple,
+    check_corollary,
+    check_transference,
+    closed_form_coherence,
+    closed_form_entanglement,
+    condition_check,
+    global_state,
+    reconstruct_from_xyl,
+    sweep,
+    xyl_closed_form,
     binary_entropy,
     coherence,
     dephase,
@@ -19,6 +32,7 @@ from qrfkit import (
 )
 from qrfkit.errors import InvalidBipartitionError, NumericError, UnknownQuantityError
 from qrfkit.measures import _entropies
+from qrfkit.transference import perspectival_side
 from qrfkit.qstate import clamped_eigenvalues
 
 RT2 = 1.0 / math.sqrt(2.0)
@@ -244,3 +258,30 @@ def test_entropy_sums_positive_eigenvalues_bit_for_bit():
             stack.append(rho)
         singles = [von_neumann_entropy(rho) for rho in stack]
         assert _entropies(np.stack([rho.entries for rho in stack])).tolist() == singles, n
+
+
+# Every entry point that branches on a measure pair, given a stand-in argument
+# in place of a MeasurePair member (or, for closed_form_entanglement's quantity,
+# in place of a Quantity member).
+MEMBER_ARGUMENTS = {
+    "entanglement": lambda bad: entanglement(global_state(0.3), [0], bad),
+    "coherence": lambda bad: coherence(partial_trace(density_matrix(global_state(0.3)), [1]), bad),
+    "check_transference": lambda bad: check_transference(global_state(0.3), bad),
+    "check_corollary": lambda bad: check_corollary(global_state(0.3), bad),
+    "perspectival_side": lambda bad: perspectival_side(global_state(0.3), 0, 1, bad),
+    "xyl_closed_form": lambda bad: xyl_closed_form(global_state(0.3), ConstraintId.C1, bad),
+    "reconstruct_from_xyl": lambda bad: reconstruct_from_xyl(XylTriple(x=0.5, y=0.5, l=0.5), bad),
+    "condition_check": lambda bad: condition_check(global_state(0.3), ConstraintId.C1, bad),
+    "closed_form_entanglement": lambda bad: closed_form_entanglement(0.3, Quantity.E_PERSP_R, bad),
+    "closed_form_entanglement quantity": lambda bad: closed_form_entanglement(0.3, bad, MeasurePair.ENTROPY),
+    "closed_form_coherence": lambda bad: closed_form_coherence(0.3, ObserverLabel.ALICE, ObserverLabel.ROB, bad),
+    "sweep": lambda bad: sweep([0.0, 0.3], bad),
+}
+
+
+@pytest.mark.parametrize("bad", ["entropy", None])
+@pytest.mark.parametrize("entry", sorted(MEMBER_ARGUMENTS))
+def test_non_member_arguments_are_refused(entry, bad):
+    # A string or None must not fall through to the linear formulas.
+    with pytest.raises(UnknownQuantityError):
+        MEMBER_ARGUMENTS[entry](bad)

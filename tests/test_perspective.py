@@ -16,11 +16,12 @@ from qrfkit import (
 )
 from qrfkit.errors import (
     DimensionMismatchError,
+    NumericError,
     ShapeError,
     TooFewQubitsError,
 )
 from qrfkit.perspective import _controlled_flip
-from qrfkit.qstate import DensityMatrix, density_matrix, dephase, partial_trace, purify_diagonal
+from qrfkit.qstate import DensityMatrix, PureState, density_matrix, dephase, partial_trace, purify_diagonal
 
 RT2 = 1.0 / math.sqrt(2.0)
 
@@ -141,6 +142,13 @@ def test_channel_matches_direct_assignment_on_examples():
         a = assign_perspective(s, p)
         b = assign_perspective_channel(s, p)
         assert np.max(np.abs(a.amplitudes - b.amplitudes)) <= 1e-12
+
+
+def test_channel_refuses_nan_amplitudes():
+    # PureState's constructor does not validate, so a NaN reaches the channel's purification step.
+    psi = PureState(n_qubits=2, amplitudes=np.array([math.nan, 0.0, 0.0, 1.0], dtype=complex))
+    with pytest.raises(NumericError):
+        assign_perspective_channel(psi, 0)
 
 
 def test_channel_matches_direct_assignment_randomized():

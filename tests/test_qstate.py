@@ -22,6 +22,7 @@ from qrfkit.errors import (
     NormToleranceError,
     NotDiagonalError,
     NotPowerOfTwoError,
+    NumericError,
 )
 from qrfkit.qstate import _renormalised, _renormalised_rows, clamped_eigenvalues
 
@@ -181,6 +182,15 @@ def test_purify_diagonal_rejects_zero_diagonal():
     for dim in (2, 8):
         with pytest.raises(NormToleranceError):
             purify_diagonal(DensityMatrix(dim, np.zeros((dim, dim), dtype=complex)))
+
+
+def test_purify_diagonal_rejects_non_finite_entries():
+    # A NaN off-diagonal would pass the diagonality test, since nan > tol is False.
+    nan_diagonal = np.diag([math.nan, 1.0]).astype(complex)
+    nan_off_diagonal = np.array([[0.5, math.nan], [math.nan, 0.5]], dtype=complex)
+    for entries in (nan_diagonal, nan_off_diagonal):
+        with pytest.raises(NumericError):
+            purify_diagonal(DensityMatrix(2, entries))
 
 
 def test_zero_vector_is_rejected_at_any_tolerance():

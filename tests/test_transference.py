@@ -108,6 +108,29 @@ def test_sep_counterexample_gap_is_one():
     assert abs(rhs) <= 1e-12
 
 
+# (amplitudes, expected side under ENTROPY, under LINEAR).  The uniform states'
+# one-qubit reductions are all maximally mixed, a doubly degenerate spectrum,
+# and their perspectival states are pure products whose spectra carry round-off
+# negatives for the clamp; W-even's reductions are diag(1/3, 2/3) for every party,
+# so all three constraints compare sides of one spectrum.
+DEGENERATE_STATES = {
+    "uniform-even": ([0.5, 0, 0, 0.5, 0, 0.5, 0.5, 0], 1.0, 0.5),
+    "uniform-odd": ([0, 0.5, 0.5, 0, 0.5, 0, 0, 0.5], 1.0, 0.5),
+    "w-even": ([0, 0, 0, 1 / math.sqrt(3), 0, 1 / math.sqrt(3), 1 / math.sqrt(3), 0], binary_entropy(1 / 3), 4 / 9),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEGENERATE_STATES))
+def test_degenerate_spectra_satisfy_constraints_exactly(name):
+    amps, entropic, linear = DEGENERATE_STATES[name]
+    psi = state_from_amplitudes(amps)
+    for m, expected in ((MeasurePair.ENTROPY, entropic), (MeasurePair.LINEAR, linear)):
+        for rep in check_transference(psi, m) + check_corollary(psi, m):
+            assert rep.satisfied
+            assert rep.lhs == rep.rhs and rep.residual == 0.0
+            assert rep.lhs == pytest.approx(expected, abs=1e-12)
+
+
 def test_ghz_family_violates():
     for g in (0.3, 0.6, RT2, 0.9):
         s = ghz(g)
