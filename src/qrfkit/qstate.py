@@ -27,6 +27,8 @@ from .errors import (
 NORM_TOL = 1e-9      # default normalization tolerance for state construction
 ATOL = 1e-10         # default comparison tolerance
 EIG_CLAMP = 1e-12    # eigenvalues in [-EIG_CLAMP, 0) are treated as exactly 0
+_UNIT_NORM_BAND = 1e-12      # norms this close to 1 stay undivided, so normalized vectors round-trip bit-stable
+_ROW_NORM_SCREEN = 0.99e-12  # _renormalised_rows' vectorised screen; must sit inside _UNIT_NORM_BAND
 
 
 @dataclass(frozen=True)
@@ -68,9 +70,7 @@ def _renormalised(vec: np.ndarray) -> np.ndarray:
     norm = float(np.linalg.norm(vec))
     if norm == 0.0:
         raise NormToleranceError("state norm is 0, so the vector cannot be normalized")
-    if abs(norm - 1.0) > 1e-12:
-        # Skipping the division for norms this close to 1 keeps already
-        # normalized vectors bit-stable across save/load round trips.
+    if abs(norm - 1.0) > _UNIT_NORM_BAND:
         vec /= norm
     return _freeze(vec.astype(np.complex128, copy=False))
 
@@ -81,7 +81,7 @@ def _renormalised_rows(rows: np.ndarray) -> np.ndarray:
     # _renormalised leaves alone; only the others take the 1-D rule, so each
     # decision and divisor is that of a single vector.
     screen = np.sqrt(np.sum(np.abs(rows) ** 2, axis=-1))
-    for k in np.flatnonzero(~(np.abs(screen - 1.0) <= 0.99e-12)):
+    for k in np.flatnonzero(~(np.abs(screen - 1.0) <= _ROW_NORM_SCREEN)):
         _renormalised(rows[k])
     return _freeze(rows)
 

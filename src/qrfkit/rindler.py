@@ -32,6 +32,7 @@ from .qstate import PureState, state_from_amplitudes
 from .transference import _Analysis, _density_stacks, oracle_coherence  # noqa: F401
 
 R_MAX = math.pi / 4.0
+_R_SLACK = 1e-12  # r this far past R_MAX is round-off and clamps to R_MAX
 
 
 class ObserverLabel(enum.Enum):
@@ -65,10 +66,16 @@ GLOBAL_QUANTITY = {
 }
 
 
+def _check_observer(obs) -> None:
+    """Anything that is not an ObserverLabel raises UnknownQuantityError."""
+    if not isinstance(obs, ObserverLabel):
+        raise UnknownQuantityError(f"unknown observer {obs!r}")
+
+
 def _check_r(r: float, error=DomainError, what: str = "acceleration parameter") -> float:
-    """r as a float in [0, pi/4]; up to 1e-12 past pi/4 is round-off and clamps to pi/4."""
+    """r as a float in [0, pi/4]; up to _R_SLACK past pi/4 is round-off and clamps to pi/4."""
     r = float(r)
-    if not 0.0 <= r <= R_MAX + 1e-12:
+    if not 0.0 <= r <= R_MAX + _R_SLACK:
         raise error(f"{what} {r} outside [0, pi/4]")
     return min(r, R_MAX)
 
@@ -96,6 +103,7 @@ def global_state(r: float) -> PureState:
 def perspectival_state(r: float, obs: ObserverLabel) -> PureState:
     """Two-qubit state of the other two parties as seen by obs."""
     r = _check_r(r)
+    _check_observer(obs)
     c, s = math.cos(r), math.sin(r)
     inv = 1.0 / math.sqrt(2.0)
     if obs is ObserverLabel.ALICE:
@@ -144,6 +152,8 @@ def closed_form_coherence(r: float, alpha: ObserverLabel, beta: ObserverLabel, m
     coherence equals the (gamma | alpha beta) global entanglement minus the
     perspectival entanglement, gamma being the remaining party.
     """
+    _check_observer(alpha)
+    _check_observer(beta)
     if alpha is beta:
         raise DomainError("coherence subsystem must differ from the perspective holder")
     g, p = _coherence_columns(alpha, beta)
@@ -286,9 +296,11 @@ def _sweep_dicts(tables) -> list[dict]:
 
 def sweep_to_csv(records, m: MeasurePair) -> str:
     """RFC-4180 CSV, 12 significant digits, LF line endings."""
+    _is_entropic(m)  # refuses a non-member before any row is written
     return _sweep_csv([(m, map(astuple, records))])
 
 
 def sweep_to_dicts(records, m: MeasurePair) -> list[dict]:
     """Full-precision row dicts keyed by the CSV column names."""
+    _is_entropic(m)  # refuses a non-member before any row is written
     return _sweep_dicts([(m, map(astuple, records))])

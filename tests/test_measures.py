@@ -16,8 +16,10 @@ from qrfkit import (
     closed_form_entanglement,
     condition_check,
     global_state,
+    perspectival_state,
     reconstruct_from_xyl,
     sweep,
+    sweep_to_csv,
     xyl_closed_form,
     binary_entropy,
     coherence,
@@ -32,6 +34,7 @@ from qrfkit import (
 )
 from qrfkit.errors import InvalidBipartitionError, NumericError, UnknownQuantityError
 from qrfkit.measures import _entropies
+from qrfkit.rindler import sweep_to_dicts
 from qrfkit.transference import perspectival_side
 from qrfkit.qstate import clamped_eigenvalues
 
@@ -260,9 +263,10 @@ def test_entropy_sums_positive_eigenvalues_bit_for_bit():
         assert _entropies(np.stack([rho.entries for rho in stack])).tolist() == singles, n
 
 
-# Every entry point that branches on a measure pair, given a stand-in argument
+# Every entry point that branches on or writes a measure pair, given a stand-in argument
 # in place of a MeasurePair member (or, for closed_form_entanglement's quantity,
-# in place of a Quantity member).
+# in place of a Quantity member, and for the observer entries, in place of an
+# ObserverLabel member).
 MEMBER_ARGUMENTS = {
     "entanglement": lambda bad: entanglement(global_state(0.3), [0], bad),
     "coherence": lambda bad: coherence(partial_trace(density_matrix(global_state(0.3)), [1]), bad),
@@ -275,13 +279,18 @@ MEMBER_ARGUMENTS = {
     "closed_form_entanglement": lambda bad: closed_form_entanglement(0.3, Quantity.E_PERSP_R, bad),
     "closed_form_entanglement quantity": lambda bad: closed_form_entanglement(0.3, bad, MeasurePair.ENTROPY),
     "closed_form_coherence": lambda bad: closed_form_coherence(0.3, ObserverLabel.ALICE, ObserverLabel.ROB, bad),
+    "closed_form_coherence observer": lambda bad: closed_form_coherence(0.3, bad, ObserverLabel.ROB, MeasurePair.ENTROPY),
+    "perspectival_state observer": lambda bad: perspectival_state(0.3, bad),
     "sweep": lambda bad: sweep([0.0, 0.3], bad),
+    "sweep_to_csv": lambda bad: sweep_to_csv(sweep([0.0, 0.3], MeasurePair.ENTROPY), bad),
+    "sweep_to_dicts": lambda bad: sweep_to_dicts(sweep([0.0, 0.3], MeasurePair.ENTROPY), bad),
 }
 
 
-@pytest.mark.parametrize("bad", ["entropy", None])
+@pytest.mark.parametrize("bad", ["entropy", None, 1])
 @pytest.mark.parametrize("entry", sorted(MEMBER_ARGUMENTS))
 def test_non_member_arguments_are_refused(entry, bad):
-    # A string or None must not fall through to the linear formulas.
+    # A string, None or an integer must not fall through to the linear formulas
+    # or to another observer's state.
     with pytest.raises(UnknownQuantityError):
         MEMBER_ARGUMENTS[entry](bad)

@@ -24,7 +24,7 @@ from qrfkit.errors import (
     NotPowerOfTwoError,
     NumericError,
 )
-from qrfkit.qstate import _renormalised, _renormalised_rows, clamped_eigenvalues
+from qrfkit.qstate import _ROW_NORM_SCREEN, _UNIT_NORM_BAND, _renormalised, _renormalised_rows, clamped_eigenvalues
 
 RT2 = 1.0 / math.sqrt(2.0)
 
@@ -273,6 +273,8 @@ def test_json_qubit_count_must_match():
 
 def test_row_renormalisation_matches_single_vectors():
     # Rows on both sides of the 1e-12 band, and a NaN row, take the single-vector rule bit for bit.
+    # The vectorised screen sits inside the band, so its round-off passes no row the band would divide.
+    assert 0.0 < _ROW_NORM_SCREEN < _UNIT_NORM_BAND == 1e-12
     rng = np.random.default_rng(5)
     rows = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)

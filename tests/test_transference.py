@@ -23,7 +23,7 @@ from qrfkit import (
     xyl_closed_form,
 )
 from qrfkit.errors import WrongQubitCountError
-from qrfkit.transference import perspectival_side
+from qrfkit.transference import _analysis_of, perspectival_side
 
 RT2 = 1.0 / math.sqrt(2.0)
 
@@ -106,6 +106,39 @@ def test_sep_counterexample_gap_is_one():
     lhs, rhs = transference_sides(sep_counterexample(), ConstraintId.C1, MeasurePair.ENTROPY)
     assert abs((lhs - rhs) - 1.0) <= 1e-12
     assert abs(rhs) <= 1e-12
+
+
+def random_qubit(rng):
+    """One normalised qubit: random complex, random real or a basis state, in equal shares."""
+    kind = rng.integers(3)
+    if kind == 0:
+        v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    elif kind == 1:
+        v = rng.standard_normal(2)
+    else:
+        v = np.eye(2)[rng.integers(2)]
+    return v / np.linalg.norm(v)
+
+
+def random_product_state(rng):
+    a, b, c = (random_qubit(rng) for _ in range(3))
+    return state_from_amplitudes(np.kron(np.kron(a, b), c))
+
+
+def test_product_states_satisfy_corollaries_but_not_transference():
+    # sep_counterexample generalised: on a product of three qubits both
+    # orderings of each observer pair give the same side, so the corollaries hold to round-off,
+    # while transference fails clearly on most states.  The stacked analysis
+    # gives check_corollary's and check_transference's values bit for bit.
+    rng = np.random.default_rng(2024)
+    states = [random_product_state(rng) for _ in range(3000)]
+    analysis = _analysis_of(states, list(MeasurePair))
+    failures = 0
+    for m in MeasurePair:
+        for reps in analysis.corollary(m, 1e-12):
+            assert all(rep.satisfied for rep in reps), (m, reps)
+        failures += sum(max(rep.residual for rep in reps) > 0.1 for reps in analysis.transference(m, 1e-12))
+    assert failures > 0.9 * 2 * len(states), failures
 
 
 # (amplitudes, expected side under ENTROPY, under LINEAR).  The uniform states'
