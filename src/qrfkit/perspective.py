@@ -4,9 +4,11 @@ A perspective assignment rewrites an N-qubit global state as the
 (N-1)-qubit state seen by one of its own subsystems, which always regards
 itself as |0>.  Two equivalent formulations are provided: the direct
 flip-merge rule over complement-related basis pairs, and a five-step channel
-pipeline (dephase, perspective operator, trace, purify).  The frame-change
-operator switches between two already-assigned perspectives for the group
-Z2 acting by bit flip.
+pipeline (density matrix, dephase, perspective operator, trace, purify).
+After dephasing only the diagonal of |psi><psi| is left, so the channel runs
+every step on that length-2^n vector, in O(2^n) time and memory.  The
+frame-change operator switches between two already-assigned perspectives for
+the group Z2 acting by bit flip.
 """
 
 from __future__ import annotations
@@ -16,17 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, ShapeError, TooFewQubitsError
-from .qstate import (
-    DensityMatrix,
-    PureState,
-    _freeze,
-    _renormalised,
-    _renormalised_rows,
-    density_matrix,
-    dephase,
-    partial_trace,
-    purify_diagonal,
-)
+from .qstate import PureState, _freeze, _purified, _renormalised, _renormalised_rows
 
 
 def _check_target(n: int, p: int) -> None:
@@ -101,22 +93,22 @@ def assign_perspective_channel(psi: PureState, p: int) -> PureState:
 
     Pipeline: density matrix, maximal dephasing, conjugation by the
     perspective operator, partial trace over p, purification of the
-    resulting diagonal state.  The operator sends column c to row rows[c];
-    after dephasing only the diagonal is nonzero, so op @ rho @ op^T is that
-    diagonal scatter-added onto (rows, rows): O(2^n), no dense operator
-    built.  The density matrix, dephasing and trace stay O(4^n).
+    resulting diagonal state.  Dephasing leaves only the diagonal of
+    |psi><psi|, so every step runs on that length-2^n vector: op @ rho @ op^T
+    scatter-adds it through the operator's index map (column c goes to row
+    rows[c]), and the trace over p sums axis p of the (2,) * n reshape.  O(2^n) time, about 64 bytes per amplitude of working memory;
+    perspective_operator still returns the dense matrix.
     """
     n = psi.n_qubits
     _check_target(n, p)
     if n < 2:
         raise TooFewQubitsError("perspective assignment needs at least 2 qubits")
-    rho = dephase(density_matrix(psi))
-    rows = _controlled_flip(n, p, (1 << n) - 1)
-    entries = np.zeros_like(rho.entries)
-    np.add.at(entries, (rows, rows), rho.entries.diagonal())
-    shifted = DensityMatrix(dim=rho.dim, entries=entries)
-    reduced = partial_trace(shifted, [i for i in range(n) if i != p])
-    return purify_diagonal(reduced)
+    a = psi.amplitudes
+    diagonal = (a * a.conj()).real  # the diagonal of _density_matrices, entry by entry
+    shifted = np.zeros(a.size)
+    np.add.at(shifted, _controlled_flip(n, p, (1 << n) - 1), diagonal)
+    reduced = shifted.reshape((2,) * n).sum(axis=p).ravel()
+    return PureState(n_qubits=n - 1, amplitudes=_purified(reduced))
 
 
 def embed(psi: PureState, p: int) -> PureState:

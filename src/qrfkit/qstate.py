@@ -190,8 +190,14 @@ def purify_diagonal(rho: DensityMatrix, tol: float = ATOL) -> PureState:
         raise NumericError("density matrix has non-finite entries, so it has no purification")
     if np.max(np.abs(m - _dephased(m))) > tol:
         raise NotDiagonalError("matrix has off-diagonal weight above tolerance")
-    probs = np.clip(np.diag(m).real, 0.0, None)
-    return PureState(n_qubits=rho.n_qubits, amplitudes=_renormalised(np.sqrt(probs)))
+    return PureState(n_qubits=rho.n_qubits, amplitudes=_purified(np.diag(m).real))
+
+
+def _purified(probs: np.ndarray) -> np.ndarray:
+    """Frozen complex128 amplitudes sqrt(p_i) of a real diagonal, negatives clipped to 0, renormalised."""
+    if not np.isfinite(probs).all():
+        raise NumericError("diagonal has non-finite entries, so it has no purification")
+    return _renormalised(np.sqrt(np.clip(probs, 0.0, None)))
 
 
 def _clamped_spectra(rho: np.ndarray) -> np.ndarray:

@@ -1,12 +1,25 @@
+import copy
 import json
 import math
 import subprocess
 import sys
+import zlib
 
 import numpy as np
 import pytest
 
-from qrfkit import PureState, assign_perspective, cli, embed, measures, rindler, state_from_json, state_to_json, transference
+from qrfkit import (
+    PureState,
+    assign_perspective,
+    cli,
+    embed,
+    measures,
+    rindler,
+    state_from_amplitudes,
+    state_from_json,
+    state_to_json,
+    transference,
+)
 from qrfkit.cli import main
 from qrfkit.rindler import CSV_COLUMNS
 
@@ -369,6 +382,8 @@ STATE_FILES = {
     "bool.json": '{"n_qubits": 1, "amplitudes": [[true, false], [false, false]]}',
     "bell.json": json.dumps({"n_qubits": 2, "amplitudes": [[RT2, 0.0], [0.0, 0.0], [0.0, 0.0], [RT2, 0.0]]}),
     "zero.json": json.dumps({"n_qubits": 2, "amplitudes": [[0.0, 0.0]] * 4}),
+    "inf.json": json.dumps({"n_qubits": 1, "amplitudes": [[math.inf, 0.0], [0.0, 0.0]]}),
+    "neginf.json": json.dumps({"n_qubits": 1, "amplitudes": [[0.0, -math.inf], [0.0, 0.0]]}),
 }
 
 # (argv, expected exit code, stdout empty?)
@@ -379,6 +394,8 @@ EXIT_CODE_TABLE = [
     (["sample", "--count", "0", "--seed", "1"], 4, True),
     (["sample", "--count", "1", "--seed", "1"], 0, False),
     (["perspective", "--state", "nan.json", "--perspective", "0"], 5, True),
+    (["perspective", "--state", "inf.json", "--perspective", "0"], 5, True),
+    (["perspective", "--state", "neginf.json", "--perspective", "0"], 5, True),
     (["perspective", "--state", "huge.json", "--perspective", "0"], 5, True),
     (["perspective", "--state", "zero.json", "--perspective", "0", "--tol", "2"], 5, True),
     (["check", "--state", "w-even:nan,1,1"], 5, True),
@@ -405,6 +422,111 @@ def test_exit_codes(capsys, tmp_path, argv, expected, stdout_empty):
         lines = err.splitlines()
         assert len(lines) == 1
         assert cli.EXIT_CODES[json.loads(lines[0])["error"]] == expected
+
+
+def assert_clean_exit(code, out, err):
+    """A CLI run either succeeds with JSON on stdout or fails with a documented code and one stderr line."""
+    if code == 0:
+        json.loads(out)
+        assert err == ""
+    else:
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert cli.EXIT_CODES[json.loads(lines[0])["error"]] == code
+
+
+def _pick(doc, rng):
+    return int(rng.integers(len(doc["amplitudes"])))
+
+
+def _edit(change):
+    """A mutation that changes the parsed document in place, then writes it as JSON."""
+    def mutate(doc, rng):
+        change(doc, rng)
+        return json.dumps(doc)
+    return mutate
+
+
+def _set(field, value):
+    return _edit(lambda doc, rng: doc.update({field: value}))
+
+
+def _set_part(value):
+    return _edit(lambda doc, rng: doc["amplitudes"][_pick(doc, rng)].__setitem__(int(rng.integers(2)), value))
+
+
+def _append_key(field, value):
+    # json keeps the last of two equal keys, so the appended one overrides the original
+    return lambda doc, rng: json.dumps(doc)[:-1] + f', "{field}": {json.dumps(value(rng))}}}'
+
+
+# (mutation, function of a valid document and a generator giving the mutated text,
+#  exit codes it may give).  Code 3 also covers `check` on the 2-qubit document.
+# The non-standard NaN and Infinity tokens that json accepts are a numeric error (5).
+STATE_MUTATIONS = [
+    ("drop n_qubits", _edit(lambda doc, rng: doc.pop("n_qubits")), {0, 3}),
+    ("drop amplitudes", _edit(lambda doc, rng: doc.pop("amplitudes")), {2}),
+    ("drop a pair", _edit(lambda doc, rng: doc["amplitudes"].pop(_pick(doc, rng))), {3}),
+    ("drop a part", _edit(lambda doc, rng: doc["amplitudes"][_pick(doc, rng)].pop()), {2}),
+    ("empty amplitudes", _set("amplitudes", []), {3}),
+    ("duplicate a pair", _edit(lambda doc, rng: doc["amplitudes"].append(doc["amplitudes"][_pick(doc, rng)])), {3}),
+    ("duplicate a part", _edit(lambda doc, rng: doc["amplitudes"][_pick(doc, rng)].append(0.0)), {2}),
+    ("duplicate every pair", _edit(lambda doc, rng: doc["amplitudes"].extend(doc["amplitudes"])), {5}),
+    ("duplicate n_qubits", _append_key("n_qubits", lambda rng: int(rng.integers(-1, 5))), {0, 3}),
+    ("duplicate amplitudes", _append_key("amplitudes", lambda rng: [[1.0, 0.0], [0.0, 0.0]]), {3}),
+    ("n_qubits as string", _set("n_qubits", "3"), {2}),
+    ("n_qubits as float", _set("n_qubits", 3.0), {2}),
+    ("n_qubits as boolean", _set("n_qubits", True), {2}),
+    ("n_qubits as null", _set("n_qubits", None), {2}),
+    ("n_qubits as list", _set("n_qubits", [3]), {2}),
+    ("n_qubits negative", _set("n_qubits", -3), {3}),
+    ("amplitudes as null", _set("amplitudes", None), {2}),
+    ("amplitudes as number", _set("amplitudes", 1.0), {2}),
+    ("amplitudes as string", _set("amplitudes", "1,0"), {2}),
+    ("amplitudes as object", _set("amplitudes", {"re": 1.0, "im": 0.0}), {2}),
+    ("amplitudes nested", _edit(lambda doc, rng: doc.update(amplitudes=[doc["amplitudes"]])), {2}),
+    ("pair as number", _edit(lambda doc, rng: doc["amplitudes"].__setitem__(_pick(doc, rng), 1.0)), {2}),
+    ("pair as object", _edit(lambda doc, rng: doc["amplitudes"].__setitem__(_pick(doc, rng), {"re": 1.0})), {2}),
+    ("part as string", _set_part("0.5"), {2}),
+    ("part as boolean", _set_part(False), {2}),
+    ("part as null", _set_part(None), {2}),
+    ("part as list", _set_part([0.5]), {2}),
+    ("part as object", _set_part({}), {2}),
+    ("part as integer", _set_part(0), {0, 3, 5}),
+    ("part beyond the float range", _set_part(10 ** 400), {2}),
+    ("part underflowing to zero", lambda doc, rng: _set_part("tiny")(doc, rng).replace('"tiny"', "1e-400"), {0, 3, 5}),
+    ("part as NaN", _set_part(math.nan), {5}),
+    ("part as Infinity", _set_part(math.inf), {5}),
+    ("part as -Infinity", _set_part(-math.inf), {5}),
+    ("document as list", lambda doc, rng: json.dumps(doc["amplitudes"]), {2}),
+    ("document as string", lambda doc, rng: json.dumps(json.dumps(doc)), {2}),
+    ("document as null", lambda doc, rng: "null", {2}),
+    ("trailing garbage", lambda doc, rng: json.dumps(doc) + "]", {2}),
+    ("truncated", lambda doc, rng: json.dumps(doc)[: int(rng.integers(1, len(json.dumps(doc))))], {2}),
+]
+
+# Valid documents the mutations start from: a 2-qubit Bell state, a random complex
+# 3-qubit state, and a 3-qubit perspectival output carrying "perspective_of".
+VALID_STATE_DOCS = [
+    {"n_qubits": 2, "amplitudes": [[RT2, 0.0], [0.0, 0.0], [0.0, 0.0], [RT2, 0.0]]},
+    json.loads(state_to_json(state_from_amplitudes(np.array([3, -1j, 2 + 1j, 1 + 1j, 1 + 1j, -2, 1j, 1]) / 5))),
+    json.loads(state_to_json(assign_perspective(state_from_amplitudes([0.25] * 16), 0), perspective_of=0)),
+]
+
+
+@pytest.mark.parametrize("mutation, mutate, codes", STATE_MUTATIONS, ids=[row[0] for row in STATE_MUTATIONS])
+def test_mutated_state_documents_exit_cleanly(capsys, tmp_path, mutation, mutate, codes):
+    rng = np.random.default_rng(zlib.crc32(mutation.encode()))
+    path = tmp_path / "state.json"
+    for doc in VALID_STATE_DOCS:
+        for _ in range(3):
+            text = mutate(copy.deepcopy(doc), rng)
+            path.write_text(text, encoding="utf-8")
+            for argv in (["perspective", "--state", str(path), "--perspective", "0"], ["check", "--state", str(path)]):
+                code, out, err = run(capsys, argv)
+                assert code in codes, (argv[0], text, code, err)
+                assert_clean_exit(code, out, err)
 
 
 def test_tol_env_and_flag_precedence(capsys, monkeypatch):

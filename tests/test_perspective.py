@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -180,8 +181,14 @@ def test_channel_scatter_matches_dense_operator_bit_for_bit():
         negative = -np.abs(rng.standard_normal(d))
         ghz = np.zeros(d)
         ghz[[0, d - 1]] = RT2
+        product = reduce(np.kron, [rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(n)])
+        # -0.0 parts guard the sign of zero and the order of the two terms in each sum
+        signed_zeros = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        signed_zeros.real[rng.random(d) < 0.3] = -0.0
+        signed_zeros.imag[rng.random(d) < 0.3] = -0.0
+        signed_zeros[rng.random(d) < 0.2] = complex(-0.0, -0.0)
         states = [rand_state(n, rng) for _ in range(3)]
-        states += [state_from_amplitudes(v / np.linalg.norm(v)) for v in (sparse, negative, ghz)]
+        states += [state_from_amplitudes(v / np.linalg.norm(v)) for v in (sparse, negative, ghz, product, signed_zeros)]
         for p in range(n):
             rows = _controlled_flip(n, p, d - 1)
             op = perspective_operator(p, n)
@@ -190,6 +197,19 @@ def test_channel_scatter_matches_dense_operator_bit_for_bit():
             for s in states:
                 got = assign_perspective_channel(s, p).amplitudes
                 assert got.tobytes() == dense_channel(s, p).amplitudes.tobytes(), (n, p)
+
+
+def test_channel_memory_is_linear_in_the_amplitude_count():
+    # The dense pipeline peaks at 704 MiB here; the diagonal path needs a few vectors of 2^n entries.
+    n = 12
+    s = rand_state(n, np.random.default_rng(38))
+    tracemalloc.start()
+    try:
+        assign_perspective_channel(s, 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 128 << n, peak
 
 
 def test_ghz_like_assignment_collapses():
