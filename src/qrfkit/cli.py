@@ -140,8 +140,6 @@ def load_state(spec: str, tol: float) -> PureState:
         raise IoError(f"cannot read state file {spec}: {e}") from e
     try:
         return state_from_json(text, tol=tol)
-    except QrfError:
-        raise
     except (json.JSONDecodeError, KeyError, OverflowError, TypeError, ValueError) as e:
         raise IoError(f"state file {spec} is not a valid state document: {e}") from e
 
@@ -176,6 +174,8 @@ def parse_grid(text: str) -> list[float]:
         raise GridError(f"grid count must be nonnegative, got {count}")
     if count > MAX_GRID_POINTS:
         raise GridError(f"grid count must be at most {MAX_GRID_POINTS}, got {count}")
+    if not math.isfinite(stop - start):  # an inf or NaN bound, or a span past the float range
+        raise GridError(f"grid bounds must be finite with a finite span, got {text!r}")
     return [float(r) for r in np.linspace(start, stop, count)]
 
 

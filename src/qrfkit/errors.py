@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the toolkit.
 
-Every error carries a ``kind`` string ("shape", "domain", "numeric") that the
-command-line layer maps onto its documented exit codes.
+Every error carries a ``kind`` string ("shape", "domain", "numeric", "io") that
+the command-line layer maps onto its documented exit codes.
 """
 
 
@@ -77,3 +77,10 @@ class GridError(DomainError):
 
 class NonPositiveInputError(DomainError):
     pass
+
+
+def _require_member(value, kind, what: str):
+    """value, if it is a member of the enum kind; anything else raises UnknownQuantityError."""
+    if not isinstance(value, kind):
+        raise UnknownQuantityError(f"unknown {what} {value!r}")
+    return value

@@ -18,7 +18,7 @@ import enum
 
 import numpy as np
 
-from .errors import InvalidBipartitionError, NumericError, UnknownQuantityError
+from .errors import InvalidBipartitionError, NumericError, UnknownQuantityError, _require_member
 from .qstate import DensityMatrix, PureState, _clamped_spectra, _dephased, _partial_traces, density_matrix, partial_trace
 from .qstate import clamped_eigenvalues  # noqa: F401  kept importable from measures for callers
 
@@ -37,9 +37,7 @@ class MeasurePair(enum.Enum):
 
 def _is_entropic(pair) -> bool:
     """Whether pair is MeasurePair.ENTROPY; anything that is not a MeasurePair raises UnknownQuantityError."""
-    if not isinstance(pair, MeasurePair):
-        raise UnknownQuantityError(f"unknown measure pair {pair!r}")
-    return pair is MeasurePair.ENTROPY
+    return _require_member(pair, MeasurePair, "measure pair") is MeasurePair.ENTROPY
 
 
 def binary_entropy(p: float) -> float:

@@ -143,8 +143,6 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     n = rho.n_qubits
     if keep[0] < 0 or keep[-1] >= n:
         raise EmptyKeepSetError(f"keep set {keep} outside [0, {n})")
-    if len(keep) == n:
-        return rho
     reduced = _partial_traces(rho.entries[None], keep)[0]
     return DensityMatrix(dim=reduced.shape[0], entries=_freeze(reduced))
 

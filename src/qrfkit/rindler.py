@@ -25,7 +25,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .errors import DomainError, GridError, NonPositiveInputError, NumericError, UnknownQuantityError
+from .errors import DomainError, GridError, NonPositiveInputError, NumericError, _require_member
 from .measures import MeasurePair, _is_entropic, _mutual_informations, binary_entropy
 from .qstate import PureState, state_from_amplitudes
 # oracle_coherence is imported for callers only: qrfkit.rindler.oracle_coherence stays importable.
@@ -66,12 +66,6 @@ GLOBAL_QUANTITY = {
 }
 
 
-def _check_observer(obs) -> None:
-    """Anything that is not an ObserverLabel raises UnknownQuantityError."""
-    if not isinstance(obs, ObserverLabel):
-        raise UnknownQuantityError(f"unknown observer {obs!r}")
-
-
 def _check_r(r: float, error=DomainError, what: str = "acceleration parameter") -> float:
     """r as a float in [0, pi/4]; up to _R_SLACK past pi/4 is round-off and clamps to pi/4."""
     r = float(r)
@@ -90,20 +84,24 @@ def r_from_acceleration(a: float, omega: float) -> float:
     return math.atan(math.exp(-math.pi * ratio))
 
 
+def _global_amplitudes(grid) -> np.ndarray:
+    """(K, 8) complex128 amplitudes of global_state at each checked r of grid."""
+    amps = np.zeros((len(grid), 8), dtype=np.complex128)
+    amps[:, 0b000] = [math.cos(r) / math.sqrt(2.0) for r in grid]
+    amps[:, 0b011] = [math.sin(r) / math.sqrt(2.0) for r in grid]
+    amps[:, 0b110] = 1.0 / math.sqrt(2.0)
+    return amps
+
+
 def global_state(r: float) -> PureState:
     """(1/sqrt 2)(cos r |000> + sin r |011> + |110>) over (A, R, Rbar)."""
-    r = _check_r(r)
-    amps = [0.0] * 8
-    amps[0b000] = math.cos(r) / math.sqrt(2.0)
-    amps[0b011] = math.sin(r) / math.sqrt(2.0)
-    amps[0b110] = 1.0 / math.sqrt(2.0)
-    return state_from_amplitudes(amps)
+    return state_from_amplitudes(_global_amplitudes([_check_r(r)])[0])
 
 
 def perspectival_state(r: float, obs: ObserverLabel) -> PureState:
     """Two-qubit state of the other two parties as seen by obs."""
     r = _check_r(r)
-    _check_observer(obs)
+    _require_member(obs, ObserverLabel, "observer")
     c, s = math.cos(r), math.sin(r)
     inv = 1.0 / math.sqrt(2.0)
     if obs is ObserverLabel.ALICE:
@@ -133,9 +131,8 @@ _COLUMN = {q: i for i, q in enumerate(Quantity)}
 
 def closed_form_entanglement(r: float, quantity: Quantity, m: MeasurePair) -> float:
     """Printed closed form for one of the six entanglement curves."""
-    if not isinstance(quantity, Quantity):
-        raise UnknownQuantityError(f"unknown quantity {quantity!r}")
-    return _curves(_check_r(r), m)[_COLUMN[quantity]]
+    column = _COLUMN[_require_member(quantity, Quantity, "quantity")]
+    return _curves(_check_r(r), m)[column]
 
 
 def _coherence_columns(alpha: ObserverLabel, beta: ObserverLabel) -> tuple[int, int]:
@@ -152,8 +149,8 @@ def closed_form_coherence(r: float, alpha: ObserverLabel, beta: ObserverLabel, m
     coherence equals the (gamma | alpha beta) global entanglement minus the
     perspectival entanglement, gamma being the remaining party.
     """
-    _check_observer(alpha)
-    _check_observer(beta)
+    _require_member(alpha, ObserverLabel, "observer")
+    _require_member(beta, ObserverLabel, "observer")
     if alpha is beta:
         raise DomainError("coherence subsystem must differ from the perspective holder")
     g, p = _coherence_columns(alpha, beta)
@@ -246,7 +243,7 @@ def _sweep_pairs(r_grid, pairs) -> list[list[list[float]]]:
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise GridError("sweep grid must be ascending")
     grid = clamped
-    global_rho, perspective_rho = _density_stacks(global_state(r) for r in grid)
+    global_rho, perspective_rho = _density_stacks(_global_amplitudes(grid))
     a = _Analysis(global_rho, perspective_rho, pairs)
     mi_oracle = np.column_stack([
         *(_mutual_informations(global_rho, [i], [j]) for i, j in ((1, 2), (0, 2), (0, 1))),

@@ -102,9 +102,8 @@ def oracle_coherence(psi_persp: PureState, slot: int, m: MeasurePair) -> float:
 _PERMUTATIONS = [c.permutation for c in ConstraintId]
 
 
-def _density_stacks(states) -> tuple[np.ndarray, np.ndarray]:
-    """Density matrices of 3-qubit states, (K, 8, 8), and of their three perspectives, (3, K, 4, 4)."""
-    amps = np.array([_require_three(psi).amplitudes for psi in states])
+def _density_stacks(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Density matrices of a (K, 8) amplitude stack, (K, 8, 8), and of its three perspectives, (3, K, 4, 4)."""
     return _density_matrices(amps), np.stack([_density_matrices(_flip_merge(amps, alpha)) for alpha in range(3)])
 
 
@@ -154,7 +153,7 @@ def _reports(lhs, rhs, tol: float) -> Iterator[list[ConstraintReport]]:
 
 def _analysis_of(states, pairs) -> _Analysis:
     """The analysis of a sequence of 3-qubit states as one stack; one state is a stack of K = 1."""
-    return _Analysis(*_density_stacks(states), pairs)
+    return _Analysis(*_density_stacks(np.array([_require_three(psi).amplitudes for psi in states])), pairs)
 
 
 def perspectival_side(psi: PureState, alpha: int, beta: int, m: MeasurePair) -> float:

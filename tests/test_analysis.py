@@ -135,8 +135,10 @@ def reference_mi(r):
     )
 
 
-# The domain's ends, the clamped round-off just past pi/4, and the interior.
-REFERENCE_GRID = [float(r) for r in np.linspace(0.0, R_MAX, 23)] + [R_MAX + 5e-13]
+# The domain's ends, the clamped round-off just past pi/4, and the interior: an even
+# grid and 40 seeded uniform points, in ascending order as a sweep requires.
+REFERENCE_GRID = sorted(np.linspace(0.0, R_MAX, 23).tolist() + np.random.default_rng(40).uniform(0.0, R_MAX, 40).tolist())
+REFERENCE_GRID.append(R_MAX + 5e-13)
 
 
 def test_closed_forms_equal_scalar_reference():

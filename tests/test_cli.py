@@ -343,20 +343,6 @@ def test_non_finite_sweep_oracle_value_is_a_numeric_error(capsys, monkeypatch):
             assert json.loads(lines[0])["error"] == "numeric"
 
 
-def test_overflowing_amplitudes_exit_numeric_without_warning(tmp_path):
-    path = tmp_path / "huge.json"
-    path.write_text(json.dumps({"n_qubits": 1, "amplitudes": [[1e308, 0.0], [1e308, 0.0]]}), encoding="utf-8")
-    proc = subprocess.run(
-        [sys.executable, "-m", "qrfkit", "perspective", "--state", str(path), "--perspective", "0"],
-        capture_output=True, text=True, timeout=60,
-    )
-    assert proc.returncode == 5
-    assert proc.stdout == ""
-    lines = proc.stderr.splitlines()
-    assert len(lines) == 1
-    assert json.loads(lines[0])["error"] == "numeric"
-
-
 def test_integer_amplitude_beyond_float_range_is_an_io_error(capsys, tmp_path):
     path = tmp_path / "big.json"
     path.write_text('{"n_qubits": 1, "amplitudes": [[1' + "0" * 400 + ', 0], [0, 0]]}', encoding="utf-8")
@@ -386,6 +372,14 @@ STATE_FILES = {
     "neginf.json": json.dumps({"n_qubits": 1, "amplitudes": [[0.0, -math.inf], [0.0, 0.0]]}),
 }
 
+
+def with_state_files(tmp_path, argv):
+    """argv with each STATE_FILES name replaced by the path of that file, written under tmp_path."""
+    for name, text in STATE_FILES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    return [str(tmp_path / a) if a in STATE_FILES else a for a in argv]
+
+
 # (argv, expected exit code, stdout empty?)
 EXIT_CODE_TABLE = [
     (["sweep", "--grid", "nonsense"], 4, True),
@@ -405,14 +399,15 @@ EXIT_CODE_TABLE = [
     (["perspective", "--state", "bell.json", "--perspective", "1"], 0, False),
     (["perspective", "--state", "bell.json", "--perspective", "2"], 3, True),
     (["perspective", "--state", "bell.json", "--perspective", "-1"], 4, True),
+    (["sweep", "--grid", "1e309:0:3"], 4, True),
+    (["sweep", "--grid", "0:inf:3"], 4, True),
+    (["sweep", "--grid=-1e308:1e308:3"], 4, True),
 ]
 
 
 @pytest.mark.parametrize("argv, expected, stdout_empty", EXIT_CODE_TABLE, ids=[" ".join(row[0]) for row in EXIT_CODE_TABLE])
 def test_exit_codes(capsys, tmp_path, argv, expected, stdout_empty):
-    for name, text in STATE_FILES.items():
-        (tmp_path / name).write_text(text, encoding="utf-8")
-    argv = [str(tmp_path / a) if a in STATE_FILES else a for a in argv]
+    argv = with_state_files(tmp_path, argv)
     code, out, err = run(capsys, argv)
     assert code == expected
     assert (out == "") == stdout_empty
@@ -422,6 +417,25 @@ def test_exit_codes(capsys, tmp_path, argv, expected, stdout_empty):
         lines = err.splitlines()
         assert len(lines) == 1
         assert cli.EXIT_CODES[json.loads(lines[0])["error"]] == expected
+
+
+# (argv, expected exit code, error kind) for inputs whose arithmetic overflows; run in a
+# child process, where no warning filter hides a numpy RuntimeWarning from stderr.
+NON_FINITE_TABLE = [
+    (["perspective", "--state", "huge.json", "--perspective", "0"], 5, "numeric"),
+    (["sweep", "--grid", "0:inf:3"], 4, "domain"),
+]
+
+
+@pytest.mark.parametrize("argv, expected, kind", NON_FINITE_TABLE, ids=[" ".join(row[0]) for row in NON_FINITE_TABLE])
+def test_non_finite_input_exits_with_one_line_and_no_warning(tmp_path, argv, expected, kind):
+    argv = with_state_files(tmp_path, argv)
+    proc = subprocess.run([sys.executable, "-m", "qrfkit", *argv], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == expected
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == kind
 
 
 def assert_clean_exit(code, out, err):

@@ -30,6 +30,8 @@ from qrfkit.rindler import (
     GLOBAL_QUANTITY,
     PERSP_QUANTITY,
     R_MAX,
+    _check_r,
+    _global_amplitudes,
     oracle_coherence,
     sweep_to_dicts,
 )
@@ -84,6 +86,15 @@ def test_global_state_is_even_and_normalized():
         s = global_state(r)
         assert parity_class(s) is ParityClass.EVEN
         assert abs(np.linalg.norm(s.amplitudes) - 1.0) <= 1e-12
+
+
+def test_sweep_stack_rows_equal_global_state_bytes():
+    # The sweep analyses this complex128 stack without building a PureState per point;
+    # a float64 stack would take eigvalsh's real path and change bits in some rows.
+    points = [*np.linspace(0.0, R_MAX, 2001).tolist(), R_MAX + 5e-13, 1e-300, 5e-324]
+    stack = _global_amplitudes([_check_r(r) for r in points])
+    assert stack.dtype == np.complex128
+    assert stack.tobytes() == b"".join(global_state(r).amplitudes.tobytes() for r in points)
 
 
 def test_r_domain():
