@@ -25,11 +25,12 @@ import sys
 import numpy as np
 
 from . import rindler
-from .errors import DomainError, GridError, IoError, QrfError
+from .errors import DomainError, GridError, IoError, NumericError, QrfError, ShapeError
 from .measures import MeasurePair
 from .perspective import assign_perspective
 from .qstate import PureState, _dumps, state_from_amplitudes, state_from_json, state_to_json
-from .transference import ParityClass, _analysis_of, parity_class, random_parity_state
+from .transference import ParityClass, _Analysis, _analysis_of, _density_stacks, _parity_amplitudes, _report_dict, _rows
+from .transference import parity_class
 
 DEFAULT_TOL = 1e-9
 # Largest --grid count, 500 times the paper's 201-point grid.  A sweep holds the
@@ -52,6 +53,7 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qrfkit", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
+    measures = ["entropy", "linear", "both"]
 
     p = sub.add_parser("perspective", help="rewrite a state as seen by one of its qubits")
     p.add_argument("--state", required=True, help="state file path or builtin name")
@@ -59,18 +61,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("check", help="run transference and corollary constraints")
     c.add_argument("--state", required=True)
-    c.add_argument("--measures", choices=["entropy", "linear", "both"], default="both")
+    c.add_argument("--measures", choices=measures, default="both")
 
     s = sub.add_parser("sweep", help="tabulate degradation curves over an r grid")
     s.add_argument("--grid", required=True, help="start:stop:count over [0, pi/4]")
-    s.add_argument("--measures", choices=["entropy", "linear", "both"], default="both")
+    s.add_argument("--measures", choices=measures, default="both")
     s.add_argument("--format", choices=["csv", "json"], default="csv")
 
     b = sub.add_parser("sample", help="batch-verify random states")
     b.add_argument("--count", type=int, required=True)
     b.add_argument("--seed", type=int, required=True)
     b.add_argument("--parity", choices=["even", "odd", "neither"], default="even")
-    b.add_argument("--measures", choices=["entropy", "linear", "both"], default="both")
+    b.add_argument("--measures", choices=measures, default="both")
 
     # Shared by every subcommand, and last in each one's --help.
     for command in sub.choices.values():
@@ -121,7 +123,10 @@ def load_state(spec: str, tol: float) -> PureState:
         if len(parts) != 3:
             raise DomainError("w-even expects three comma-separated weights")
         w = np.array([_builtin_param(p, "w-even") for p in parts])
-        norm = float(np.linalg.norm(w))
+        with np.errstate(over="ignore"):  # an overflowing norm is inf, refused below with an infinite weight
+            norm = float(np.linalg.norm(w))
+        if math.isinf(norm):
+            raise NumericError(f"w-even weights {spec[7:]} have no finite norm")
         if norm == 0.0:
             raise DomainError("w-even weights must not all vanish")
         amps = np.zeros(8)
@@ -149,7 +154,11 @@ def parse_perspective(text: str) -> int:
     aliases = {"a": 0, "r": 1, "rbar": 2}
     key = text.strip().lower()
     if key.isascii() and key.isdecimal():
-        return int(key)
+        digits = key.lstrip("0") or "0"
+        try:
+            return int(digits)
+        except ValueError:  # more digits than int() converts, so past the end of any register
+            raise ShapeError(f"perspective target of {len(digits)} digits lies outside any register") from None
     if key not in aliases:
         raise DomainError(f"perspective must be a nonnegative qubit index or A|R|Rbar, got {text!r}")
     return aliases[key]
@@ -194,8 +203,8 @@ def run_check(args, tol: float) -> str:
         results.append(
             {
                 "measure_pair": m.value,
-                "transference": [r.to_dict() for r in next(analysis.transference(m, tol))],
-                "corollary": [r.to_dict() for r in next(analysis.corollary(m, tol))],
+                "transference": [_report_dict(*row) for row in _rows(analysis.transference(m, tol), 0)],
+                "corollary": [_report_dict(*row) for row in _rows(analysis.corollary(m, tol), 0)],
             }
         )
     doc = {"parity": parity_class(psi).value, "tol": tol, "results": results}
@@ -218,29 +227,20 @@ def run_sample(args, tol: float) -> str:
         raise DomainError(f"sample count must be at most {MAX_SAMPLE_COUNT}, got {args.count}")
     if args.seed < 0:
         raise DomainError(f"seed must be a nonnegative integer, got {args.seed}")
-    cls = {"even": ParityClass.EVEN, "odd": ParityClass.ODD, "neither": ParityClass.NEITHER}[args.parity]
+    cls = ParityClass(args.parity.title())
     pairs = parse_measures(args.measures)
     # Each state is drawn from its own seed, so the draws stay one at a time; the analysis is one stack.
-    states = (random_parity_state(cls, np.random.default_rng([args.seed, i])) for i in range(args.count))
-    analysis = _analysis_of(states, pairs)
+    analysis = _Analysis(*_density_stacks(np.array(
+        [_parity_amplitudes(cls, np.random.default_rng([args.seed, i])) for i in range(args.count)])), pairs)
     tables = [analysis.transference(m, tol) for m in pairs]
-    pass_counts = {m.value: 0 for m in pairs}
+    passed = [satisfied.all(axis=1).tolist() for *_, satisfied in tables]
     lines = []
-    for i, row in enumerate(zip(*tables)):
-        for m, reports in zip(pairs, row):
-            ok = all(r.satisfied for r in reports)
-            pass_counts[m.value] += ok
-            lines.append(
-                _dumps(
-                    {
-                        "index": i,
-                        "parity": args.parity,
-                        "measure_pair": m.value,
-                        "constraints": [r.to_dict() for r in reports],
-                        "all_satisfied": ok,
-                    }
-                )
-            )
+    for i in range(args.count):
+        for m, table, ok in zip(pairs, tables, passed):
+            constraints = [_report_dict(*row) for row in _rows(table, i)]
+            lines.append(_dumps({"index": i, "parity": args.parity, "measure_pair": m.value,
+                                 "constraints": constraints, "all_satisfied": ok[i]}))
+    pass_counts = {m.value: sum(ok) for m, ok in zip(pairs, passed)}
     lines.append(
         _dumps({"summary": {"count": args.count, "parity": args.parity, "seed": args.seed, "pass": pass_counts}})
     )

@@ -13,7 +13,6 @@ families used in the property checks.
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,13 +60,12 @@ class ConstraintReport:
     satisfied: bool
 
     def to_dict(self) -> dict:
-        return {
-            "constraint": self.constraint.value,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "residual": self.residual,
-            "satisfied": self.satisfied,
-        }
+        return _report_dict(self.constraint, self.lhs, self.rhs, self.residual, self.satisfied)
+
+
+def _report_dict(c: ConstraintId, lhs: float, rhs: float, residual: float, satisfied: bool) -> dict:
+    """ConstraintReport.to_dict of one report's values; the CLI writes each state's reports with it, building none."""
+    return {"constraint": c.value, "lhs": lhs, "rhs": rhs, "residual": residual, "satisfied": satisfied}
 
 
 @dataclass(frozen=True)
@@ -129,26 +127,26 @@ class _Analysis:
         """perspectival_side of every analysed state."""
         return self.persp_ent[m][alpha] + self.coh[m][alpha, _register_slot(beta, alpha)]
 
-    def transference(self, m: MeasurePair, tol: float) -> Iterator[list[ConstraintReport]]:
-        """check_transference of each analysed state in turn."""
-        lhs = [self.side(alpha, beta, m) for alpha, beta, _ in _PERMUTATIONS]
-        return _reports(lhs, [self.global_ent[m][gamma] for *_, gamma in _PERMUTATIONS], tol)
+    def transference(self, m: MeasurePair, tol: float) -> tuple[np.ndarray, ...]:
+        """check_transference of every analysed state, as a _table."""
+        return self._table(m, [self.global_ent[m][gamma] for *_, gamma in _PERMUTATIONS], tol)
 
-    def corollary(self, m: MeasurePair, tol: float) -> Iterator[list[ConstraintReport]]:
-        """check_corollary of each analysed state in turn."""
-        lhs = [self.side(alpha, beta, m) for alpha, beta, _ in _PERMUTATIONS]
-        return _reports(lhs, [self.side(beta, alpha, m) for alpha, beta, _ in _PERMUTATIONS], tol)
+    def corollary(self, m: MeasurePair, tol: float) -> tuple[np.ndarray, ...]:
+        """check_corollary of every analysed state, as a _table."""
+        return self._table(m, [self.side(beta, alpha, m) for alpha, beta, _ in _PERMUTATIONS], tol)
+
+    def _table(self, m: MeasurePair, rhs, tol: float) -> tuple[np.ndarray, ...]:
+        """(lhs, rhs, residual, satisfied) as (K, 3) arrays, one column per ConstraintId; rhs is one (K,) array per constraint."""
+        lhs = np.stack([self.side(alpha, beta, m) for alpha, beta, _ in _PERMUTATIONS], axis=1)
+        rhs = np.stack(rhs, axis=1)
+        residual = np.abs(lhs - rhs)
+        return lhs, rhs, residual, residual <= tol
 
 
-def _reports(lhs, rhs, tol: float) -> Iterator[list[ConstraintReport]]:
-    """Each state's reports, from lhs and rhs given as one (K,) array per constraint."""
-    lhs, rhs = np.stack(lhs, axis=1), np.stack(rhs, axis=1)
-    residual = np.abs(lhs - rhs)
-    satisfied = residual <= tol
-    for k in range(len(lhs)):
-        # tolist gives Python floats and bools, so reports hold no numpy scalars.
-        columns = (lhs[k].tolist(), rhs[k].tolist(), residual[k].tolist(), satisfied[k].tolist())
-        yield [ConstraintReport(c, *vals) for c, *vals in zip(ConstraintId, *columns)]
+def _rows(table, k: int):
+    """State k's (constraint, lhs, rhs, residual, satisfied) in an _Analysis table, one tuple per ConstraintId."""
+    # tolist gives Python floats and bools, so neither reports nor documents hold numpy scalars.
+    return zip(ConstraintId, *(column[k].tolist() for column in table))
 
 
 def _analysis_of(states, pairs) -> _Analysis:
@@ -170,7 +168,7 @@ def transference_sides(psi: PureState, c: ConstraintId, m: MeasurePair) -> tuple
 
 def check_transference(psi: PureState, m: MeasurePair, tol: float = SAT_TOL) -> list[ConstraintReport]:
     """All three constraint permutations for one measure pair."""
-    return next(_analysis_of([psi], [m]).transference(m, tol))
+    return [ConstraintReport(*row) for row in _rows(_analysis_of([psi], [m]).transference(m, tol), 0)]
 
 
 def check_corollary(psi: PureState, m: MeasurePair, tol: float = SAT_TOL) -> list[ConstraintReport]:
@@ -181,7 +179,7 @@ def check_corollary(psi: PureState, m: MeasurePair, tol: float = SAT_TOL) -> lis
     constraints, so transference implies all of them, but they can hold on
     states where transference fails.
     """
-    return next(_analysis_of([psi], [m]).corollary(m, tol))
+    return [ConstraintReport(*row) for row in _rows(_analysis_of([psi], [m]).corollary(m, tol), 0)]
 
 
 def xyl_closed_form(psi: PureState, c: ConstraintId, m: MeasurePair) -> XylTriple:
@@ -244,19 +242,23 @@ def condition_check(psi: PureState, c: ConstraintId, m: MeasurePair, tol: float 
 # which is uniform on the complex sphere of the chosen support.
 # ---------------------------------------------------------------------------
 
-def random_parity_state(cls: ParityClass, rng: np.random.Generator) -> PureState:
+def _unit_gaussian(rng: np.random.Generator, size: int) -> np.ndarray:
+    coeffs = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    return coeffs / np.linalg.norm(coeffs)
+
+
+def _parity_amplitudes(cls: ParityClass, rng: np.random.Generator) -> np.ndarray:
+    """The (8,) amplitudes random_parity_state draws; already unit, so its state holds them unchanged."""
     if cls is ParityClass.NEITHER:
-        return random_state(3, rng)
-    support = sorted(EVEN_SUPPORT if cls is ParityClass.EVEN else ODD_SUPPORT)
-    coeffs = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    coeffs /= np.linalg.norm(coeffs)
+        return _unit_gaussian(rng, 8)
     amps = np.zeros(8, dtype=np.complex128)
-    amps[support] = coeffs
-    return state_from_amplitudes(amps)
+    amps[sorted(EVEN_SUPPORT if cls is ParityClass.EVEN else ODD_SUPPORT)] = _unit_gaussian(rng, 4)
+    return amps
+
+
+def random_parity_state(cls: ParityClass, rng: np.random.Generator) -> PureState:
+    return state_from_amplitudes(_parity_amplitudes(cls, rng))
 
 
 def random_state(n_qubits: int, rng: np.random.Generator) -> PureState:
-    dim = 1 << n_qubits
-    coeffs = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    coeffs /= np.linalg.norm(coeffs)
-    return state_from_amplitudes(coeffs)
+    return state_from_amplitudes(_unit_gaussian(rng, 1 << n_qubits))

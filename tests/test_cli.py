@@ -9,11 +9,15 @@ import numpy as np
 import pytest
 
 from qrfkit import (
+    MeasurePair,
+    ParityClass,
     PureState,
     assign_perspective,
+    check_transference,
     cli,
     embed,
     measures,
+    random_parity_state,
     rindler,
     state_from_amplitudes,
     state_from_json,
@@ -243,6 +247,32 @@ def test_sample_neither_parity_reports_without_expectation(capsys):
         assert len(doc["constraints"]) == 3
 
 
+@pytest.mark.parametrize("measures", ["both", "linear"])
+@pytest.mark.parametrize("parity", ["even", "odd", "neither"])
+def test_sample_lines_equal_the_scalar_checks(capsys, parity, measures):
+    # Every line is the document built from check_transference on the state that
+    # random_parity_state draws from the line's seed, so the stacked path is tied to
+    # the public scalar API byte for byte.  A tol at round-off splits passes from fails.
+    seed, count, tol = 11, 40, 2e-16
+    code, out, err = run(capsys, ["sample", "--count", str(count), "--seed", str(seed), "--parity", parity,
+                                  "--measures", measures, "--tol", str(tol)])
+    assert code == 0
+    assert err == ""
+    cls = {"even": ParityClass.EVEN, "odd": ParityClass.ODD, "neither": ParityClass.NEITHER}[parity]
+    pairs = {"both": [MeasurePair.ENTROPY, MeasurePair.LINEAR], "linear": [MeasurePair.LINEAR]}[measures]
+    expected, passes = [], {m.value: 0 for m in pairs}
+    for i in range(count):
+        psi = random_parity_state(cls, np.random.default_rng([seed, i]))
+        for m in pairs:
+            reports = check_transference(psi, m, tol)
+            ok = all(r.satisfied for r in reports)
+            passes[m.value] += ok
+            expected.append(json.dumps({"index": i, "parity": parity, "measure_pair": m.value,
+                                        "constraints": [r.to_dict() for r in reports], "all_satisfied": ok}))
+    expected.append(json.dumps({"summary": {"count": count, "parity": parity, "seed": seed, "pass": passes}}))
+    assert out.splitlines() == expected
+
+
 def test_exit_code_io(capsys, tmp_path):
     code, out, err = run(capsys, ["perspective", "--state", str(tmp_path / "missing.json"),
                                   "--perspective", "0"])
@@ -399,13 +429,19 @@ EXIT_CODE_TABLE = [
     (["perspective", "--state", "bell.json", "--perspective", "1"], 0, False),
     (["perspective", "--state", "bell.json", "--perspective", "2"], 3, True),
     (["perspective", "--state", "bell.json", "--perspective", "-1"], 4, True),
+    (["perspective", "--state", "bell.json", "--perspective", "9" * 5000], 3, True),
     (["sweep", "--grid", "1e309:0:3"], 4, True),
     (["sweep", "--grid", "0:inf:3"], 4, True),
     (["sweep", "--grid=-1e308:1e308:3"], 4, True),
 ]
 
 
-@pytest.mark.parametrize("argv, expected, stdout_empty", EXIT_CODE_TABLE, ids=[" ".join(row[0]) for row in EXIT_CODE_TABLE])
+def row_id(argv):
+    """The argv as one test id, each argument past 40 characters shortened to its length."""
+    return " ".join(a if len(a) <= 40 else f"<{len(a)} characters>" for a in argv)
+
+
+@pytest.mark.parametrize("argv, expected, stdout_empty", EXIT_CODE_TABLE, ids=[row_id(row[0]) for row in EXIT_CODE_TABLE])
 def test_exit_codes(capsys, tmp_path, argv, expected, stdout_empty):
     argv = with_state_files(tmp_path, argv)
     code, out, err = run(capsys, argv)
@@ -424,10 +460,12 @@ def test_exit_codes(capsys, tmp_path, argv, expected, stdout_empty):
 NON_FINITE_TABLE = [
     (["perspective", "--state", "huge.json", "--perspective", "0"], 5, "numeric"),
     (["sweep", "--grid", "0:inf:3"], 4, "domain"),
+    (["check", "--state", "w-even:inf,1,1"], 5, "numeric"),
+    (["check", "--state", "w-even:1e308,1e308,1"], 5, "numeric"),
 ]
 
 
-@pytest.mark.parametrize("argv, expected, kind", NON_FINITE_TABLE, ids=[" ".join(row[0]) for row in NON_FINITE_TABLE])
+@pytest.mark.parametrize("argv, expected, kind", NON_FINITE_TABLE, ids=[row_id(row[0]) for row in NON_FINITE_TABLE])
 def test_non_finite_input_exits_with_one_line_and_no_warning(tmp_path, argv, expected, kind):
     argv = with_state_files(tmp_path, argv)
     proc = subprocess.run([sys.executable, "-m", "qrfkit", *argv], capture_output=True, text=True, timeout=60)

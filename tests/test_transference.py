@@ -135,9 +135,10 @@ def test_product_states_satisfy_corollaries_but_not_transference():
     analysis = _analysis_of(states, list(MeasurePair))
     failures = 0
     for m in MeasurePair:
-        for reps in analysis.corollary(m, 1e-12):
-            assert all(rep.satisfied for rep in reps), (m, reps)
-        failures += sum(max(rep.residual for rep in reps) > 0.1 for reps in analysis.transference(m, 1e-12))
+        *_, satisfied = analysis.corollary(m, 1e-12)
+        assert satisfied.all(), (m, np.argwhere(~satisfied))
+        _, _, residual, _ = analysis.transference(m, 1e-12)
+        failures += int((residual.max(axis=1) > 0.1).sum())
     assert failures > 0.9 * 2 * len(states), failures
 
 
@@ -305,3 +306,23 @@ def test_samplers():
     s = random_state(4, np.random.default_rng(49))
     assert s.n_qubits == 4
     assert abs(np.linalg.norm(s.amplitudes) - 1.0) <= 1e-12
+
+
+def test_samplers_hold_the_unit_gaussian_draw_unchanged():
+    # Both samplers divide standard-normal real and imaginary parts by their norm;
+    # the state keeps that vector bit for bit, with the parity supports' other entries 0.
+    def draw(seed, size):
+        rng = np.random.default_rng(seed)
+        v = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        v /= np.linalg.norm(v)
+        return v
+
+    for n in range(1, 13):
+        assert random_state(n, np.random.default_rng([50, n])).amplitudes.tobytes() == draw([50, n], 1 << n).tobytes()
+    for i in range(20):
+        neither = random_parity_state(ParityClass.NEITHER, np.random.default_rng([51, i]))
+        assert neither.amplitudes.tobytes() == draw([51, i], 8).tobytes()
+        for cls, support in ((ParityClass.EVEN, [0, 3, 5, 6]), (ParityClass.ODD, [1, 2, 4, 7])):
+            expected = np.zeros(8, dtype=np.complex128)
+            expected[support] = draw([51, i], 4)
+            assert random_parity_state(cls, np.random.default_rng([51, i])).amplitudes.tobytes() == expected.tobytes()
