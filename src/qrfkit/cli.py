@@ -17,7 +17,6 @@ environment variable (--tol wins).
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -105,47 +104,51 @@ def _builtin_param(text: str, name: str) -> float:
 
 
 def load_state(spec: str, tol: float) -> PureState:
-    """Resolve --state: builtin registry first, file path otherwise."""
-    if spec == "sep-counterexample":
-        return state_from_amplitudes([0.5, 0.5, 0.5, 0.5, 0, 0, 0, 0], tol=tol)
-    if spec.startswith("rindler:"):
-        return rindler.global_state(_builtin_param(spec[8:], "rindler"))
-    if spec.startswith("ghz:"):
-        g = _builtin_param(spec[4:], "ghz")
-        if not 0.0 <= g <= 1.0:
-            raise DomainError(f"ghz weight must lie in [0, 1], got {g}")
-        amps = np.zeros(8)
-        amps[0b000] = g
-        amps[0b111] = math.sqrt(1.0 - g * g)
-        return state_from_amplitudes(amps, tol=tol)
-    if spec.startswith("w-even:"):
-        parts = spec[7:].split(",")
-        if len(parts) != 3:
-            raise DomainError("w-even expects three comma-separated weights")
-        w = np.array([_builtin_param(p, "w-even") for p in parts])
-        with np.errstate(over="ignore"):  # an overflowing norm is inf, refused below with an infinite weight
-            norm = float(np.linalg.norm(w))
-        if math.isinf(norm):
-            raise NumericError(f"w-even weights {spec[7:]} have no finite norm")
-        if norm == 0.0:
-            raise DomainError("w-even weights must not all vanish")
-        amps = np.zeros(8)
-        amps[[0b011, 0b101, 0b110]] = w / norm
-        return state_from_amplitudes(amps, tol=tol)
-    if spec.startswith("appc-q:"):
-        q = _builtin_param(spec[7:], "appc-q")
-        if q * q >= 0.5:
-            raise DomainError(f"appc-q parameter must satisfy q^2 < 1/2, got {q}")
-        edge = math.sqrt(0.5 - q * q)
-        return state_from_amplitudes([edge, q, -q, edge, 0, 0, 0, 0], tol=tol)
+    """Resolve --state: ``name:params`` or sep-counterexample is a builtin, anything else a state file path.
+
+    Builtins are exact constructions, so tol reaches state files only."""
+    match spec.partition(":"):
+        case ("sep-counterexample", "", ""):
+            return state_from_amplitudes([0.5, 0.5, 0.5, 0.5, 0, 0, 0, 0])
+        case ("rindler", ":", arg):
+            return rindler.global_state(_builtin_param(arg, "rindler"))
+        case ("ghz", ":", arg):
+            g = _builtin_param(arg, "ghz")
+            if not 0.0 <= g <= 1.0:
+                raise DomainError(f"ghz weight must lie in [0, 1], got {g}")
+            return state_from_amplitudes([g, 0, 0, 0, 0, 0, 0, math.sqrt(1.0 - g * g)])
+        case ("w-even", ":", arg):
+            parts = arg.split(",")
+            if len(parts) != 3:
+                raise DomainError("w-even expects three comma-separated weights")
+            w = np.array([_builtin_param(p, "w-even") for p in parts])
+            with np.errstate(over="ignore"):  # an overflowing norm is inf, refused below
+                norm = float(np.linalg.norm(w))
+            if norm < math.sqrt(sys.float_info.min) and w.any():  # w.w lost bits below the normal range
+                w = w / np.abs(w).max()
+                norm = float(np.linalg.norm(w))
+            if not math.isfinite(norm):  # an infinite or NaN weight, or an overflowing norm
+                raise NumericError(f"w-even weights {arg} have no finite norm")
+            if norm == 0.0:
+                raise DomainError("w-even weights must not all vanish")
+            a, b, c = w / norm
+            return state_from_amplitudes([0, 0, 0, a, 0, b, c, 0])
+        case ("appc-q", ":", arg):
+            q = _builtin_param(arg, "appc-q")
+            if math.isnan(q):
+                raise NumericError(f"appc-q parameter must be a number, got {q}")
+            if q * q >= 0.5:
+                raise DomainError(f"appc-q parameter must satisfy q^2 < 1/2, got {q}")
+            edge = math.sqrt(0.5 - q * q)
+            return state_from_amplitudes([edge, q, -q, edge, 0, 0, 0, 0])
     try:
         with open(spec, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise IoError(f"cannot read state file {spec}: {e}") from e
     try:
         return state_from_json(text, tol=tol)
-    except (json.JSONDecodeError, KeyError, OverflowError, TypeError, ValueError) as e:
+    except (KeyError, OverflowError, RecursionError, TypeError, ValueError) as e:
         raise IoError(f"state file {spec} is not a valid state document: {e}") from e
 
 

@@ -29,6 +29,7 @@ ATOL = 1e-10         # default comparison tolerance
 EIG_CLAMP = 1e-12    # eigenvalues in [-EIG_CLAMP, 0) are treated as exactly 0
 _UNIT_NORM_BAND = 1e-12      # norms this close to 1 stay undivided, so normalized vectors round-trip bit-stable
 _ROW_NORM_SCREEN = 0.99e-12  # _renormalised_rows' vectorised screen; must sit inside _UNIT_NORM_BAND
+_JSON_NUMBERS = frozenset((int, float))  # the types json.loads gives JSON numbers; bool is neither
 
 
 @dataclass(frozen=True)
@@ -232,7 +233,7 @@ def _dumps(doc, **kwargs) -> str:
 def state_to_json(psi: PureState, perspective_of: int | None = None) -> str:
     doc = {
         "n_qubits": psi.n_qubits,
-        "amplitudes": np.column_stack([psi.amplitudes.real, psi.amplitudes.imag]).tolist(),
+        "amplitudes": np.ascontiguousarray(psi.amplitudes, np.complex128).view(np.float64).reshape(-1, 2).tolist(),
     }
     if perspective_of is not None:
         doc["perspective_of"] = int(perspective_of)
@@ -243,9 +244,9 @@ def state_from_json(text: str, tol: float = NORM_TOL) -> PureState:
     """Parse the JSON state format.  A malformed document raises ValueError, TypeError or KeyError."""
     doc = json.loads(text)
     pairs = doc["amplitudes"]
-    amps = [complex(re, im) for re, im in pairs]
-    # complex() takes booleans as numbers, so the parts' types are checked too.
-    if not {type(x) for pair in pairs for x in pair} <= {int, float}:
+    # complex() takes booleans as numbers, so it runs only on pairs of JSON numbers.
+    amps = [complex(re, im) for re, im in pairs if type(re) in _JSON_NUMBERS and type(im) in _JSON_NUMBERS]
+    if len(amps) != len(pairs):
         raise ValueError("amplitude parts must be JSON numbers")
     declared = doc.get("n_qubits")
     if "n_qubits" in doc and type(declared) is not int:

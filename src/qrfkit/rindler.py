@@ -282,7 +282,8 @@ def _sweep_csv(tables) -> str:
     """One CSV_COLUMNS header, then the rows of each (measure pair, rows) table in turn."""
     lines = [",".join(CSV_COLUMNS)]
     for m, rows in tables:
-        lines.extend(",".join([m.value, *[f"{v:.12g}" for v in row]]) for row in rows)
+        row_format = m.value + ",%.12g" * (len(CSV_COLUMNS) - 1)
+        lines.extend(row_format % tuple(row) for row in rows)
     return "\n".join(lines) + "\n"
 
 

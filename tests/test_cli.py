@@ -400,13 +400,18 @@ STATE_FILES = {
     "zero.json": json.dumps({"n_qubits": 2, "amplitudes": [[0.0, 0.0]] * 4}),
     "inf.json": json.dumps({"n_qubits": 1, "amplitudes": [[math.inf, 0.0], [0.0, 0.0]]}),
     "neginf.json": json.dumps({"n_qubits": 1, "amplitudes": [[0.0, -math.inf], [0.0, 0.0]]}),
+    "undecodable.json": b"\xff\xfe" + json.dumps({"n_qubits": 1, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}).encode(),
+    "deep.json": "[" * 100_000 + "]" * 100_000,
 }
 
 
 def with_state_files(tmp_path, argv):
-    """argv with each STATE_FILES name replaced by the path of that file, written under tmp_path."""
+    """argv with each STATE_FILES name replaced by the path of that file, written under tmp_path.
+
+    A text is written as UTF-8, and bytes as they are.
+    """
     for name, text in STATE_FILES.items():
-        (tmp_path / name).write_text(text, encoding="utf-8")
+        (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     return [str(tmp_path / a) if a in STATE_FILES else a for a in argv]
 
 
@@ -424,6 +429,10 @@ EXIT_CODE_TABLE = [
     (["perspective", "--state", "zero.json", "--perspective", "0", "--tol", "2"], 5, True),
     (["check", "--state", "w-even:nan,1,1"], 5, True),
     (["check", "--state", "appc-q:nan"], 5, True),
+    (["perspective", "--state", "undecodable.json", "--perspective", "0"], 2, True),
+    (["check", "--state", "deep.json"], 2, True),
+    (["perspective", "--state", "ghz", "--perspective", "0"], 2, True),
+    (["perspective", "--state", "rindler", "--perspective", "0"], 2, True),
     (["perspective", "--state", "frac.json", "--perspective", "0"], 2, True),
     (["perspective", "--state", "bool.json", "--perspective", "0"], 2, True),
     (["perspective", "--state", "bell.json", "--perspective", "1"], 0, False),
@@ -602,6 +611,49 @@ def test_tol_env_and_flag_precedence(capsys, monkeypatch):
     code, _, err = run(capsys, ["check", "--state", "ghz:0.6"])
     assert code == 4
     assert json.loads(err)["error"] == "domain"
+
+
+_BUILTIN_RNG = np.random.default_rng(14)
+# Builtins over several parameters each.  The first three, and some of the seeded draws, give
+# norms an ulp or two off 1, which a state file with --tol 1e-17 would be refused for.
+BUILTIN_SPECS = [
+    "w-even:0.144,0.949,0.312", "ghz:0.4534978894806515", "appc-q:0.027715013664941997",
+    "w-even:1,1,1", "w-even:-0.5,0,2", "w-even:1e-320,0,0", "ghz:0", "ghz:0.6", "ghz:1",
+    "appc-q:0", "appc-q:0.3", "appc-q:-0.7", "rindler:0", "rindler:0.4", f"rindler:{R_MAX_TEXT}", "sep-counterexample",
+    *[f"ghz:{g!r}" for g in _BUILTIN_RNG.uniform(0.0, 1.0, 8).tolist()],
+    *[f"appc-q:{q!r}" for q in _BUILTIN_RNG.uniform(-RT2, RT2, 8).tolist()],
+    *["w-even:" + ",".join(map(repr, w)) for w in _BUILTIN_RNG.uniform(-1.0, 1.0, (8, 3)).tolist()],
+]
+
+
+@pytest.mark.parametrize("spec", BUILTIN_SPECS)
+def test_builtins_are_built_outside_tol(capsys, spec):
+    for p in ("0", "1", "2"):
+        argv = ["perspective", "--state", spec, "--perspective", p]
+        code, out, err = run(capsys, argv)
+        assert code == 0 and err == ""
+        assert run(capsys, argv + ["--tol", "1e-17"]) == (0, out, "")
+
+
+@pytest.mark.parametrize("tiny, plain", [("1e-320,0,0", "1,0,0"), ("1e-200,1e-200,0", "1,1,0"),
+                                         ("1e-160,0,-1e-160", "1,0,-1"), ("0,5e-324,0", "0,1,0")])
+def test_tiny_w_even_weights_keep_their_direction(capsys, tiny, plain):
+    # Weights whose squares fall below the normal float range are scaled by the largest first.
+    for p in ("0", "1", "2"):
+        expected = run(capsys, ["perspective", "--state", f"w-even:{plain}", "--perspective", p])
+        assert expected[0] == 0
+        assert run(capsys, ["perspective", "--state", f"w-even:{tiny}", "--perspective", p]) == expected
+
+
+@pytest.mark.parametrize("spec", ["w-even:nan,1,1", "w-even:1,1,nan", "appc-q:nan"])
+def test_nan_builtin_parameters_name_the_builtin(capsys, spec):
+    for tol in ("1e-3", "1e-9"):
+        code, out, err = run(capsys, ["check", "--state", spec, "--tol", tol])
+        assert (code, out) == (5, "")
+        error = json.loads(err)
+        assert error["error"] == "numeric"
+        assert error["message"].startswith(spec.partition(":")[0])
+        assert "nan" in error["message"] and "tol" not in error["message"] and "deviates" not in error["message"]
 
 
 def test_module_entry_point():

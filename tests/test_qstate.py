@@ -17,6 +17,7 @@ from qrfkit import (
     state_from_json,
     state_to_json,
 )
+from qrfkit import qstate
 from qrfkit.errors import (
     EmptyKeepSetError,
     NormToleranceError,
@@ -256,6 +257,10 @@ def test_json_writer_matches_per_amplitude_form():
         assert state_to_json(psi) == json.dumps({"n_qubits": n, "amplitudes": pairs})
         assert state_to_json(psi, perspective_of=0) == json.dumps(
             {"n_qubits": n, "amplitudes": pairs, "perspective_of": 0})
+        # A PureState built by hand may hold real or strided amplitudes; they are written as complex.
+        assert state_to_json(PureState(n, v.real.copy())) == json.dumps(
+            {"n_qubits": n, "amplitudes": [[re, 0.0] for re, _ in pairs]})
+        assert state_to_json(PureState(n, np.repeat(v, 2)[::2])) == json.dumps({"n_qubits": n, "amplitudes": pairs})
 
 
 def test_json_perspective_tag():
@@ -263,6 +268,30 @@ def test_json_perspective_tag():
     doc = json.loads(state_to_json(s, perspective_of=2))
     assert doc["perspective_of"] == 2
     assert "perspective_of" not in json.loads(state_to_json(s))
+
+
+# State documents with integer parts, negative zeros, subnormals, parts past the square root of the
+# float range, and a seeded 16-qubit state, each with whether its norm is within tolerance of 1.
+_RNG = np.random.default_rng(19)
+_V16 = _RNG.standard_normal(1 << 16) + 1j * _RNG.standard_normal(1 << 16)
+STATE_DOCS = [
+    ('{"n_qubits": 1, "amplitudes": [[1, 0], [0, 0]]}', True),
+    ('{"amplitudes": [[0, 1], [-0.0, -0.0], [3, 4.0], [0.0, -0.0]]}', False),
+    ('{"n_qubits": 1, "amplitudes": [[-0.0, 1.0], [5e-324, -2.2250738585072014e-309]]}', True),
+    (json.dumps({"n_qubits": 1, "amplitudes": [[2 ** 1000, 0], [1, -(2 ** 1000)]]}), False),
+    (state_to_json(state_from_amplitudes(_V16 / np.linalg.norm(_V16))), True),
+]
+
+
+@pytest.mark.parametrize("text, normalized", STATE_DOCS, ids=["integers", "zeros", "subnormal", "2**1000", "16 qubits"])
+def test_json_reader_converts_each_pair_through_complex(monkeypatch, text, normalized):
+    converted = np.array([complex(re, im) for re, im in json.loads(text)["amplitudes"]])
+    if normalized:  # the reader's state keeps the converted parts bit for bit
+        assert state_from_json(text).amplitudes.tobytes() == converted.tobytes()
+    # Whatever the norm, the parts handed to normalisation are exactly the converted pairs.
+    monkeypatch.setattr(qstate, "state_from_amplitudes",
+                        lambda amps, tol: PureState(len(amps).bit_length() - 1, np.asarray(amps, dtype=np.complex128)))
+    assert state_from_json(text).amplitudes.tobytes() == converted.tobytes()
 
 
 def test_json_qubit_count_must_match():

@@ -24,6 +24,7 @@ from qrfkit import (
     sweep,
     sweep_to_csv,
 )
+from qrfkit import rindler
 from qrfkit.errors import DomainError, GridError, NonPositiveInputError
 from qrfkit.rindler import (
     CSV_COLUMNS,
@@ -312,6 +313,30 @@ def test_csv_deterministic():
     a = sweep_to_csv(sweep(grid(5), MeasurePair.ENTROPY), MeasurePair.ENTROPY)
     b = sweep_to_csv(sweep(grid(5), MeasurePair.ENTROPY), MeasurePair.ENTROPY)
     assert a == b
+
+
+def per_value_csv(tables):
+    """The sweep CSV written value by value through f"{v:.12g}", the rule its one-format writer must match."""
+    lines = [",".join(CSV_COLUMNS)]
+    for m, rows in tables:
+        lines.extend(",".join([m.value, *[f"{v:.12g}" for v in row]]) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_rows_match_per_value_format():
+    rng = np.random.default_rng(26)
+    width = len(CSV_COLUMNS) - 1
+    rows = rng.standard_normal((5000, width)) * 10.0 ** rng.integers(-320, 301, (5000, width))
+    # Exact and negative zeros, subnormals, the range ends and round-half cases at 12 digits.
+    specials = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e300, -1e300,
+                1.7976931348623157e308, 0.5, 1.0, 1.2345678901235, 9.9999999999995e-5, 123456789012.5]
+    rows.flat[rng.choice(rows.size, (len(specials), 40), replace=False)] = np.array(specials)[:, None]
+    tables = [(MeasurePair.ENTROPY, rows.tolist()), (MeasurePair.LINEAR, rows[::-1].tolist())]
+    assert rindler._sweep_csv(tables) == per_value_csv(tables)
+    full = np.linspace(0.0, R_MAX, 2001).tolist()
+    pairs = list(MeasurePair)
+    tables = list(zip(pairs, rindler._sweep_pairs(full, pairs)))
+    assert rindler._sweep_csv(tables) == per_value_csv(tables)
 
 
 def test_sweep_dicts_align_with_columns():
