@@ -27,14 +27,14 @@ from . import rindler
 from .errors import DomainError, GridError, IoError, NumericError, QrfError, ShapeError
 from .measures import MeasurePair
 from .perspective import assign_perspective
-from .qstate import PureState, _dumps, state_from_amplitudes, state_from_json, state_to_json
-from .transference import ParityClass, _Analysis, _analysis_of, _density_stacks, _parity_amplitudes, _report_dict, _rows
-from .transference import parity_class
+from .qstate import PureState, _dumps, _json_rows, _row_template, state_from_amplitudes, state_from_json, state_to_json
+from .transference import ConstraintId, ParityClass, _Analysis, _analysis_of, _density_stacks, _parity_amplitudes
+from .transference import _report_dict, _rows, parity_class
 
 DEFAULT_TOL = 1e-9
 # Largest --grid count, 500 times the paper's 201-point grid.  A sweep holds the
 # whole grid as one stack; its peak memory grows by about 4 KiB per point with
-# CSV output and 13 KiB with JSON, so the cap bounds a run near 0.4 or 1.3 GiB.
+# CSV output and 5.5 KiB with JSON, so the cap bounds a run near 0.4 or 0.55 GiB.
 MAX_GRID_POINTS = 100_000
 # Largest sample --count.  The states are analysed as one stack and every output
 # line is kept until the end, so peak memory grows by about 4 KiB per state; the
@@ -217,10 +217,11 @@ def run_check(args, tol: float) -> str:
 def run_sweep(args, tol: float) -> str:
     grid = parse_grid(args.grid)
     pairs = parse_measures(args.measures)
-    tables = zip(pairs, rindler._sweep_pairs(grid, pairs))
+    tables = rindler._sweep_pairs(grid, pairs)
     if args.format == "json":
-        return _dumps(rindler._sweep_dicts(tables), indent=2) + "\n"
-    return rindler._sweep_csv(tables)
+        return rindler._sweep_json(zip(pairs, tables)) + "\n"
+    tables = [t.tolist() for t in tables]  # rebound, so the arrays are freed before the CSV text is built
+    return rindler._sweep_csv(zip(pairs, tables))
 
 
 def run_sample(args, tol: float) -> str:
@@ -236,14 +237,17 @@ def run_sample(args, tol: float) -> str:
     analysis = _Analysis(*_density_stacks(np.array(
         [_parity_amplitudes(cls, np.random.default_rng([args.seed, i])) for i in range(args.count)])), pairs)
     tables = [analysis.transference(m, tol) for m in pairs]
-    passed = [satisfied.all(axis=1).tolist() for *_, satisfied in tables]
-    lines = []
-    for i in range(args.count):
-        for m, table, ok in zip(pairs, tables, passed):
-            constraints = [_report_dict(*row) for row in _rows(table, i)]
-            lines.append(_dumps({"index": i, "parity": args.parity, "measure_pair": m.value,
-                                 "constraints": constraints, "all_satisfied": ok[i]}))
-    pass_counts = {m.value: sum(ok) for m, ok in zip(pairs, passed)}
+    passed = [satisfied.all(axis=1) for *_, satisfied in tables]
+    index = np.arange(args.count)
+    rows = []
+    for m, table, ok in zip(pairs, tables, passed):
+        doc = {"index": "%d", "parity": args.parity, "measure_pair": m.value,
+               "constraints": [_report_dict(c, "%r", "%r", "%r", "%s") for c in ConstraintId], "all_satisfied": "%s"}
+        # One column per field in line order: each constraint's lhs, rhs, residual and verdict in turn.
+        rows.append((_row_template(doc), [index, *(column[:, j] for j in range(3) for column in table), ok]))
+    # Each state's lines follow one another, one per measure pair.
+    lines = [line for group in zip(*_json_rows(rows)) for line in group]
+    pass_counts = {m.value: int(np.count_nonzero(ok)) for m, ok in zip(pairs, passed)}
     lines.append(
         _dumps({"summary": {"count": args.count, "parity": args.parity, "seed": args.seed, "pass": pass_counts}})
     )

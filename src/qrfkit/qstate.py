@@ -11,6 +11,7 @@ functions, so values are safe to share across threads.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,7 +101,7 @@ def state_from_amplitudes(amps, tol: float = NORM_TOL) -> PureState:
         raise NotPowerOfTwoError(f"amplitude count {dim} is not a power of two >= 2")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing norm is inf, rejected below
         norm = float(np.linalg.norm(vec))
-    if not abs(norm - 1.0) <= tol:  # also rejects NaN and infinite norms
+    if not abs(norm - 1.0) <= tol or math.isinf(norm):  # also rejects NaN norms, and infinite ones at tol = inf
         raise NormToleranceError(f"state norm {norm!r} deviates from 1 by more than {tol}")
     return PureState(n_qubits=dim.bit_length() - 1, amplitudes=_renormalised(vec))
 
@@ -228,6 +229,40 @@ def _dumps(doc, **kwargs) -> str:
         return json.dumps(doc, allow_nan=False, **kwargs)
     except ValueError as e:
         raise NumericError(f"output holds a non-finite number: {e}") from None
+
+
+_ROW_BLOCK = 4096  # rows turned into Python values at a time, so the writer never holds a whole table of them
+
+
+def _row_template(doc, **kwargs) -> str:
+    """json.dumps(doc, **kwargs) as a % template: each string value "%r", "%d" or "%s" becomes that bare field."""
+    text = json.dumps(doc, **kwargs).replace("%", "%%")
+    for field in ("%r", "%d", "%s"):
+        text = text.replace(f'"%{field}"', field)
+    return text
+
+
+def _json_rows(tables) -> list[list[str]]:
+    """For each (template, columns) in tables, template % row for each row of its equal-length 1-D columns.
+
+    The values come out as json.dumps writes them: float columns fill %r
+    fields (float.__repr__ is json's float form), integer columns %d, and bool
+    columns %s as true/false.  A NaN or infinity in any float column of any
+    table raises _dumps' NumericError before a single row is formatted.
+    """
+    for _, columns in tables:
+        for c in columns:
+            if c.dtype.kind == "f" and not np.isfinite(c).all():
+                _dumps(float(c[~np.isfinite(c)][0]))  # raises, with the message _dumps gives for it
+    out = []
+    for template, columns in tables:
+        lines = []
+        for start in range(0, len(columns[0]), _ROW_BLOCK):
+            block = [c[start:start + _ROW_BLOCK] for c in columns]
+            values = [(np.where(b, "true", "false") if b.dtype == bool else b).tolist() for b in block]
+            lines.extend(map(template.__mod__, zip(*values)))
+        out.append(lines)
+    return out
 
 
 def state_to_json(psi: PureState, perspective_of: int | None = None) -> str:

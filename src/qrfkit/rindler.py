@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DomainError, GridError, NonPositiveInputError, NumericError, _require_member
 from .measures import MeasurePair, _is_entropic, _mutual_informations, binary_entropy
-from .qstate import PureState, state_from_amplitudes
+from .qstate import PureState, _json_rows, _row_template, state_from_amplitudes
 # oracle_coherence is imported for callers only: qrfkit.rindler.oracle_coherence stays importable.
 from .transference import _Analysis, _density_stacks, oracle_coherence  # noqa: F401
 
@@ -234,8 +234,11 @@ CSV_COLUMNS = (
 )
 
 
-def _sweep_pairs(r_grid, pairs) -> list[list[list[float]]]:
-    """sweep's rows, in SweepRecord field order, for every measure pair in pairs, analysing the whole grid as one stack."""
+def _sweep_pairs(r_grid, pairs) -> list[np.ndarray]:
+    """sweep's rows for every measure pair in pairs, each one finite (K, 20) array in SweepRecord field order.
+
+    The whole grid is analysed as one stack.
+    """
     grid = [float(r) for r in r_grid]
     if not grid:
         raise GridError("sweep grid is empty")
@@ -269,13 +272,13 @@ def _sweep_pairs(r_grid, pairs) -> list[list[list[float]]]:
         if not np.isfinite(rows).all():
             bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))[0]
             raise NumericError(f"sweep row at r = {grid[bad]!r} holds a non-finite value")
-        tables.append(rows.tolist())
+        tables.append(rows)
     return tables
 
 
 def sweep(r_grid, m: MeasurePair) -> list[SweepRecord]:
     """Evaluate the full record at every grid point, ordered by r."""
-    return [SweepRecord(*row) for row in _sweep_pairs(r_grid, [m])[0]]
+    return [SweepRecord(*row) for row in _sweep_pairs(r_grid, [m])[0].tolist()]
 
 
 def _sweep_csv(tables) -> str:
@@ -290,6 +293,14 @@ def _sweep_csv(tables) -> str:
 def _sweep_dicts(tables) -> list[dict]:
     """One dict per row of each (measure pair, rows) table, keyed by the CSV column names."""
     return [dict(zip(CSV_COLUMNS, [m.value, *row])) for m, rows in tables for row in rows]
+
+
+def _sweep_json(tables) -> str:
+    """json.dumps(_sweep_dicts(tables), indent=2) of (measure pair, (K, 20) array) tables, written by row template."""
+    # The template of one row is that of a one-row document without its "[\n" and "\n]".
+    rows = [(_row_template([dict(zip(CSV_COLUMNS, [m.value, *["%r"] * t.shape[1]]))], indent=2)[2:-2], list(t.T))
+            for m, t in tables]
+    return "[\n" + ",\n".join(line for lines in _json_rows(rows) for line in lines) + "\n]"
 
 
 def sweep_to_csv(records, m: MeasurePair) -> str:

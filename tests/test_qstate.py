@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -314,3 +315,14 @@ def test_row_renormalisation_matches_single_vectors():
     assert not got.flags.writeable
     for k in range(len(rows)):
         assert got[k].tobytes() == expect[k].tobytes(), scales[k]
+
+
+def test_infinite_norm_is_rejected_at_any_tolerance():
+    # [1e308, 1e308] has norm inf; at tol = inf it once passed and was divided to all zeros
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for tol in (1e-9, 1e300, math.inf):
+            with pytest.raises(NormToleranceError):
+                state_from_amplitudes([1e308, 1e308], tol=tol)
+            with pytest.raises(NormToleranceError):
+                state_from_amplitudes([math.inf, 0.0], tol=tol)
