@@ -27,7 +27,7 @@ from . import rindler
 from .errors import DomainError, GridError, IoError, NumericError, QrfError, ShapeError
 from .measures import MeasurePair
 from .perspective import assign_perspective
-from .qstate import PureState, _dumps, _json_rows, _row_template, state_from_amplitudes, state_from_json, state_to_json
+from .qstate import PureState, _dumps, _fill_rows, _row_template, state_from_amplitudes, state_from_json, state_to_json
 from .transference import ConstraintId, ParityClass, _Analysis, _analysis_of, _density_stacks, _parity_amplitudes
 from .transference import _report_dict, _rows, parity_class
 
@@ -217,11 +217,10 @@ def run_check(args, tol: float) -> str:
 def run_sweep(args, tol: float) -> str:
     grid = parse_grid(args.grid)
     pairs = parse_measures(args.measures)
-    tables = rindler._sweep_pairs(grid, pairs)
+    tables = zip(pairs, rindler._sweep_pairs(grid, pairs))
     if args.format == "json":
-        return rindler._sweep_json(zip(pairs, tables)) + "\n"
-    tables = [t.tolist() for t in tables]  # rebound, so the arrays are freed before the CSV text is built
-    return rindler._sweep_csv(zip(pairs, tables))
+        return rindler._sweep_json(tables) + "\n"
+    return rindler._sweep_csv(tables)
 
 
 def run_sample(args, tol: float) -> str:
@@ -239,14 +238,15 @@ def run_sample(args, tol: float) -> str:
     tables = [analysis.transference(m, tol) for m in pairs]
     passed = [satisfied.all(axis=1) for *_, satisfied in tables]
     index = np.arange(args.count)
-    rows = []
+    templates, columns = [], []
     for m, table, ok in zip(pairs, tables, passed):
         doc = {"index": "%d", "parity": args.parity, "measure_pair": m.value,
                "constraints": [_report_dict(c, "%r", "%r", "%r", "%s") for c in ConstraintId], "all_satisfied": "%s"}
+        templates.append(_row_template(doc))
         # One column per field in line order: each constraint's lhs, rhs, residual and verdict in turn.
-        rows.append((_row_template(doc), [index, *(column[:, j] for j in range(3) for column in table), ok]))
-    # Each state's lines follow one another, one per measure pair.
-    lines = [line for group in zip(*_json_rows(rows)) for line in group]
+        columns += [index, *(column[:, j] for j in range(3) for column in table), ok]
+    # One template per state: its lines follow one another, one per measure pair.
+    lines = _fill_rows("\n".join(templates), columns)
     pass_counts = {m.value: int(np.count_nonzero(ok)) for m, ok in zip(pairs, passed)}
     lines.append(
         _dumps({"summary": {"count": args.count, "parity": args.parity, "seed": args.seed, "pass": pass_counts}})

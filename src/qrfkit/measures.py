@@ -15,6 +15,7 @@ Mutual information is always the entropic combination S(L) + S(R) - S(LR).
 from __future__ import annotations
 
 import enum
+import math
 
 import numpy as np
 
@@ -41,9 +42,11 @@ def _is_entropic(pair) -> bool:
 
 
 def binary_entropy(p: float) -> float:
-    """H2(p) = -p log2 p - (1-p) log2 (1-p), with 0 log 0 = 0."""
+    """H2(p) = -p log2 p - (1-p) log2 (1-p), with 0 log 0 = 0: p <= 0 and p >= 1 give 0, a NaN p raises NumericError."""
     if p <= 0.0 or p >= 1.0:
         return 0.0
+    if math.isnan(p):
+        raise NumericError(f"binary entropy of p = {p} is undefined")
     return float(-p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p))
 
 

@@ -13,6 +13,7 @@ the group Z2 acting by bit flip.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,9 +22,15 @@ from .errors import DimensionMismatchError, ShapeError, TooFewQubitsError
 from .qstate import PureState, _freeze, _purified, _renormalised, _renormalised_rows
 
 
-def _check_target(n: int, p: int) -> None:
+def _check_target(n: int, p: int, what: str = "perspective target") -> int:
+    """p by operator.index, if it lies in [0, n); a non-integer or an index outside raises ShapeError."""
+    try:
+        p = operator.index(p)
+    except TypeError:
+        raise ShapeError(f"{what} {p!r} is not an integer") from None
     if not 0 <= p < n:
-        raise ShapeError(f"perspective target {p} outside register of {n} qubits")
+        raise ShapeError(f"{what} {p} outside register of {n} qubits")
+    return p
 
 
 def _register_slot(party: int, observer: int) -> int:
@@ -72,7 +79,7 @@ def assign_perspective(psi: PureState, p: int) -> PureState:
     is real and nonnegative regardless of input phases.
     """
     n = psi.n_qubits
-    _check_target(n, p)
+    p = _check_target(n, p)
     if n < 2:
         raise TooFewQubitsError("perspective assignment needs at least 2 qubits")
     return PureState(n_qubits=n - 1, amplitudes=_flip_merge(psi.amplitudes[None], p)[0])
@@ -84,7 +91,7 @@ def perspective_operator(p: int, n: int) -> np.ndarray:
     Column b holds |b> when the p-bit of b is 0 and the all-qubit complement
     of |b> when it is 1, i.e. |0><0|_p x identity + |0><1|_p x flip-rest.
     """
-    _check_target(n, p)
+    p = _check_target(n, p)
     return _matrix_of(_controlled_flip(n, p, (1 << n) - 1))
 
 
@@ -100,7 +107,7 @@ def assign_perspective_channel(psi: PureState, p: int) -> PureState:
     perspective_operator still returns the dense matrix.
     """
     n = psi.n_qubits
-    _check_target(n, p)
+    p = _check_target(n, p)
     if n < 2:
         raise TooFewQubitsError("perspective assignment needs at least 2 qubits")
     a = psi.amplitudes
@@ -118,7 +125,7 @@ def embed(psi: PureState, p: int) -> PureState:
     perspective: the observer re-enters the register in its own ground slot.
     """
     n = psi.n_qubits + 1
-    _check_target(n, p)
+    p = _check_target(n, p)
     a = psi.amplitudes.reshape((2,) * psi.n_qubits)
     out = np.stack([a, np.zeros_like(a)], axis=p).ravel()
     return PureState(n_qubits=n, amplitudes=_freeze(out))
@@ -151,8 +158,7 @@ def z2_operator(n_parties: int, from_label: int, to_label: int) -> QrfOperator:
     if n_parties < 2:
         raise TooFewQubitsError("frame change needs at least 2 parties")
     for label in (from_label, to_label):
-        if not 0 <= label < n_parties:
-            raise ShapeError(f"party label {label} outside [0, {n_parties})")
+        _check_target(n_parties, label, "party label")
     if from_label == to_label:
         raise ShapeError("frame change requires two distinct party labels")
     n = n_parties - 1

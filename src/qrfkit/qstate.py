@@ -242,27 +242,22 @@ def _row_template(doc, **kwargs) -> str:
     return text
 
 
-def _json_rows(tables) -> list[list[str]]:
-    """For each (template, columns) in tables, template % row for each row of its equal-length 1-D columns.
+def _fill_rows(template, columns) -> list[str]:
+    """template % row for each row of the equal-length 1-D columns, _ROW_BLOCK rows at a time.
 
-    The values come out as json.dumps writes them: float columns fill %r
-    fields (float.__repr__ is json's float form), integer columns %d, and bool
-    columns %s as true/false.  A NaN or infinity in any float column of any
-    table raises _dumps' NumericError before a single row is formatted.
+    Float columns fill float fields (%r gives json's float form), integer
+    columns %d, and bool columns %s as true/false.  A NaN or infinity in any
+    float column raises _dumps' NumericError before a single row is formatted.
     """
-    for _, columns in tables:
-        for c in columns:
-            if c.dtype.kind == "f" and not np.isfinite(c).all():
-                _dumps(float(c[~np.isfinite(c)][0]))  # raises, with the message _dumps gives for it
-    out = []
-    for template, columns in tables:
-        lines = []
-        for start in range(0, len(columns[0]), _ROW_BLOCK):
-            block = [c[start:start + _ROW_BLOCK] for c in columns]
-            values = [(np.where(b, "true", "false") if b.dtype == bool else b).tolist() for b in block]
-            lines.extend(map(template.__mod__, zip(*values)))
-        out.append(lines)
-    return out
+    for c in columns:
+        if c.dtype.kind == "f" and not np.isfinite(c).all():
+            _dumps(float(c[~np.isfinite(c)][0]))  # raises, with the message _dumps gives for it
+    lines = []
+    for start in range(0, len(columns[0]), _ROW_BLOCK):
+        block = [c[start:start + _ROW_BLOCK] for c in columns]
+        values = [(np.where(b, "true", "false") if b.dtype == bool else b).tolist() for b in block]
+        lines.extend(map(template.__mod__, zip(*values)))
+    return lines
 
 
 def state_to_json(psi: PureState, perspective_of: int | None = None) -> str:

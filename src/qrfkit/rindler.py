@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DomainError, GridError, NonPositiveInputError, NumericError, _require_member
 from .measures import MeasurePair, _is_entropic, _mutual_informations, binary_entropy
-from .qstate import PureState, _json_rows, _row_template, state_from_amplitudes
+from .qstate import PureState, _fill_rows, _row_template, state_from_amplitudes
 # oracle_coherence is imported for callers only: qrfkit.rindler.oracle_coherence stays importable.
 from .transference import _Analysis, _density_stacks, oracle_coherence  # noqa: F401
 
@@ -282,34 +282,29 @@ def sweep(r_grid, m: MeasurePair) -> list[SweepRecord]:
 
 
 def _sweep_csv(tables) -> str:
-    """One CSV_COLUMNS header, then the rows of each (measure pair, rows) table in turn."""
+    """One CSV_COLUMNS header, then the rows of each (measure pair, (K, 20) array) table in turn."""
     lines = [",".join(CSV_COLUMNS)]
-    for m, rows in tables:
-        row_format = m.value + ",%.12g" * (len(CSV_COLUMNS) - 1)
-        lines.extend(row_format % tuple(row) for row in rows)
+    for m, t in tables:
+        lines += _fill_rows(m.value + ",%.12g" * t.shape[1], list(t.T))
     return "\n".join(lines) + "\n"
 
 
-def _sweep_dicts(tables) -> list[dict]:
-    """One dict per row of each (measure pair, rows) table, keyed by the CSV column names."""
-    return [dict(zip(CSV_COLUMNS, [m.value, *row])) for m, rows in tables for row in rows]
-
-
 def _sweep_json(tables) -> str:
-    """json.dumps(_sweep_dicts(tables), indent=2) of (measure pair, (K, 20) array) tables, written by row template."""
+    """json.dumps(sweep_to_dicts rows, indent=2) of (measure pair, (K, 20) array) tables, written by row template."""
     # The template of one row is that of a one-row document without its "[\n" and "\n]".
-    rows = [(_row_template([dict(zip(CSV_COLUMNS, [m.value, *["%r"] * t.shape[1]]))], indent=2)[2:-2], list(t.T))
+    rows = [_fill_rows(_row_template([dict(zip(CSV_COLUMNS, [m.value, *["%r"] * t.shape[1]]))], indent=2)[2:-2], list(t.T))
             for m, t in tables]
-    return "[\n" + ",\n".join(line for lines in _json_rows(rows) for line in lines) + "\n]"
+    return "[\n" + ",\n".join(line for lines in rows for line in lines) + "\n]"
 
 
 def sweep_to_csv(records, m: MeasurePair) -> str:
-    """RFC-4180 CSV, 12 significant digits, LF line endings."""
+    """RFC-4180 CSV, 12 significant digits, LF line endings; a NaN or infinite field raises NumericError."""
     _is_entropic(m)  # refuses a non-member before any row is written
-    return _sweep_csv([(m, map(astuple, records))])
+    rows = np.array([astuple(rec) for rec in records], dtype=np.float64).reshape(-1, len(CSV_COLUMNS) - 1)
+    return _sweep_csv([(m, rows)])
 
 
 def sweep_to_dicts(records, m: MeasurePair) -> list[dict]:
     """Full-precision row dicts keyed by the CSV column names."""
     _is_entropic(m)  # refuses a non-member before any row is written
-    return _sweep_dicts([(m, map(astuple, records))])
+    return [dict(zip(CSV_COLUMNS, [m.value, *astuple(rec)])) for rec in records]

@@ -70,6 +70,15 @@ def test_binary_entropy_values():
     assert abs(binary_entropy(0.25) - H2_QUARTER) <= 1e-15
 
 
+def test_binary_entropy_nan_is_a_numeric_error():
+    with pytest.raises(NumericError):
+        binary_entropy(math.nan)
+    with pytest.raises(NumericError):
+        reconstruct_from_xyl(XylTriple(math.nan, 0.5, 0.5), MeasurePair.ENTROPY)
+    # The clamping rule is unchanged, infinities included.
+    assert binary_entropy(-math.inf) == binary_entropy(math.inf) == binary_entropy(-0.5) == binary_entropy(1.5) == 0.0
+
+
 def test_von_neumann_entropy_examples():
     pure = density_matrix(state_from_amplitudes([RT2, 0.0, 0.0, RT2]))
     assert abs(von_neumann_entropy(pure)) <= 1e-12

@@ -309,6 +309,26 @@ def test_z2_operator_validation():
         z2_operator(3, 0, 3)
 
 
+INDEXED_CALLS = {
+    "assign_perspective": lambda p: assign_perspective(state_from_amplitudes([1, 0, 0, 0, 0, 0, 0, 0]), p),
+    "assign_perspective_channel": lambda p: assign_perspective_channel(state_from_amplitudes([1, 0, 0, 0, 0, 0, 0, 0]), p),
+    "perspective_operator": lambda p: perspective_operator(p, 3),
+    "embed": lambda p: embed(state_from_amplitudes([1, 0, 0, 0]), p),
+    "z2_operator": lambda p: z2_operator(3, p, 0),
+}
+
+
+@pytest.mark.parametrize("name", list(INDEXED_CALLS))
+def test_non_integer_index_is_a_shape_error(name):
+    call = INDEXED_CALLS[name]
+    for bad in (0.5, 1.0, "1", None):
+        with pytest.raises(ShapeError):
+            call(bad)
+    # numpy integers and Python bools are integers.
+    for good in (np.int64(1), np.uint8(1), True):
+        call(good)
+
+
 def test_frame_change_report():
     """Frame changes agree with direct assignment to within 1e-12.
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -25,7 +26,8 @@ from qrfkit import (
     sweep_to_csv,
 )
 from qrfkit import rindler
-from qrfkit.errors import DomainError, GridError, NonPositiveInputError
+from qrfkit.cli import main, parse_grid
+from qrfkit.errors import DomainError, GridError, NonPositiveInputError, NumericError
 from qrfkit.rindler import (
     CSV_COLUMNS,
     GLOBAL_QUANTITY,
@@ -331,12 +333,30 @@ def test_csv_rows_match_per_value_format():
     specials = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e300, -1e300,
                 1.7976931348623157e308, 0.5, 1.0, 1.2345678901235, 9.9999999999995e-5, 123456789012.5]
     rows.flat[rng.choice(rows.size, (len(specials), 40), replace=False)] = np.array(specials)[:, None]
-    tables = [(MeasurePair.ENTROPY, rows.tolist()), (MeasurePair.LINEAR, rows[::-1].tolist())]
-    assert rindler._sweep_csv(tables) == per_value_csv(tables)
+    tables = [(MeasurePair.ENTROPY, rows), (MeasurePair.LINEAR, rows[::-1])]
+    assert rindler._sweep_csv(tables) == per_value_csv([(m, t.tolist()) for m, t in tables])
     full = np.linspace(0.0, R_MAX, 2001).tolist()
     pairs = list(MeasurePair)
     tables = list(zip(pairs, rindler._sweep_pairs(full, pairs)))
     assert rindler._sweep_csv(tables) == per_value_csv(tables)
+
+
+@pytest.mark.parametrize("count", [4095, 4096, 4097])
+def test_cli_sweep_csv_at_row_block_seams(capsys, count):
+    text = f"0:{R_MAX!r}:{count}"
+    assert main(["sweep", "--grid", text, "--measures", "both"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    pairs = list(MeasurePair)
+    tables = [(m, t.tolist()) for m, t in zip(pairs, rindler._sweep_pairs(parse_grid(text), pairs))]
+    assert out == per_value_csv(tables)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_sweep_to_csv_refuses_non_finite_records(bad):
+    record = sweep([0.3], MeasurePair.LINEAR)[0]
+    with pytest.raises(NumericError):
+        sweep_to_csv([record, dataclasses.replace(record, e_persp_r=bad)], MeasurePair.LINEAR)
 
 
 def test_sweep_dicts_align_with_columns():

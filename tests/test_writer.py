@@ -1,7 +1,8 @@
 """The row-template writer gives json.dumps' bytes.
 
-`sample` lines and `sweep --format json` are formatted from the stacked
-arrays through one % template per measure pair.  These tests pin that text
+`sample` lines, the sweep CSV and `sweep --format json` are filled from the
+stacked arrays by one row writer, one % template per table: a state's lines
+under every measure pair, or one sweep row.  These tests pin the JSON text
 byte for byte against json.dumps of the documents the library builds, and
 check that a NaN in any single row or column is refused before any output.
 """
@@ -46,15 +47,20 @@ def sample_text(count, seed, parity, measures, tol):
     return "\n".join(lines) + "\n"
 
 
+# 3000 states, and the counts on either side of the writer's row-block seam under both pairs.
+SAMPLE_RUNS = [pytest.param("both", 3000, id="both"), pytest.param("linear", 3000, id="linear"),
+               *(pytest.param("both", k, id=f"both-{k}") for k in (4095, 4096, 4097))]
+
+
 @pytest.mark.parametrize("parity", ["even", "odd", "neither"])
 @pytest.mark.parametrize("tol", ["1e-9", "2e-16"])
-@pytest.mark.parametrize("measures", ["both", "linear"])
-def test_sample_bytes_equal_json_dumps(capsys, parity, tol, measures):
-    code, out, err = run(capsys, ["sample", "--count", "3000", "--seed", "5", "--parity", parity,
+@pytest.mark.parametrize("measures, count", SAMPLE_RUNS)
+def test_sample_bytes_equal_json_dumps(capsys, parity, tol, measures, count):
+    code, out, err = run(capsys, ["sample", "--count", str(count), "--seed", "5", "--parity", parity,
                                   "--measures", measures, "--tol", tol])
     assert (code, err) == (0, "")
     # Lists of lines, so that a failure names the first differing line quickly.
-    assert out.split("\n") == sample_text(3000, 5, parity, measures, float(tol)).split("\n")
+    assert out.split("\n") == sample_text(count, 5, parity, measures, float(tol)).split("\n")
 
 
 EDGE_VALUES = [-0.0, 5e-324, 1e-320, 1e300, 0.1 + 0.2]
@@ -67,24 +73,24 @@ def test_writer_edge_values_equal_json_dumps():
     verdicts = rng.random((k, 2)) < 0.5
     doc = {"index": "%d", "values": ["%r", "%r", "%r"], "first": "%s", "second": "%s", "tag": "50% off"}
     template = qstate._row_template(doc)
-    (lines,) = qstate._json_rows([(template, [np.arange(k), *floats, verdicts[:, 0], verdicts[:, 1]])])
+    lines = qstate._fill_rows(template, [np.arange(k), *floats, verdicts[:, 0], verdicts[:, 1]])
     expected = [json.dumps({"index": i, "values": [f[i].item() for f in floats], "first": bool(verdicts[i, 0]),
                             "second": bool(verdicts[i, 1]), "tag": "50% off"}) for i in range(k)]
     assert lines == expected
     assert all("float64" not in line for line in lines)
     # The same rows through an indented template, as the sweep writes them.
     template = qstate._row_template([{"a": "%r", "b": "%r"}], indent=2)[2:-2]
-    (lines,) = qstate._json_rows([(template, floats[:2])])
+    lines = qstate._fill_rows(template, floats[:2])
     rows = [{"a": a, "b": b} for a, b in zip(floats[0].tolist(), floats[1].tolist())]
     assert "[\n" + ",\n".join(lines) + "\n]" == json.dumps(rows, indent=2)
 
 
 def test_writer_checks_every_row_of_every_table():
-    first = [np.zeros(5000), np.ones(5000)]
-    second = [np.zeros(5000), np.ones(5000)]
-    second[1][-1] = math.nan
+    k = 2 * qstate._ROW_BLOCK + 1
+    columns = [np.zeros(k), np.ones(k), np.zeros(k), np.ones(k)]
+    columns[-1][-1] = math.nan
     with pytest.raises(NumericError) as caught:
-        qstate._json_rows([("%r %r", first), ("%r %r", second)])
+        qstate._fill_rows("%r %r %r %r", columns)
     with pytest.raises(NumericError) as direct:
         qstate._dumps(math.nan)
     assert str(caught.value) == str(direct.value)
