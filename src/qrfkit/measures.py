@@ -15,7 +15,6 @@ Mutual information is always the entropic combination S(L) + S(R) - S(LR).
 from __future__ import annotations
 
 import enum
-import math
 
 import numpy as np
 
@@ -41,13 +40,18 @@ def _is_entropic(pair) -> bool:
     return _require_member(pair, MeasurePair, "measure pair") is MeasurePair.ENTROPY
 
 
+def _binary_entropies(p: np.ndarray) -> np.ndarray:
+    """binary_entropy of each entry of a float64 array; a NaN entry raises NumericError."""
+    if np.isnan(p).any():
+        raise NumericError(f"binary entropy of p = {p[np.isnan(p)][0]} is undefined")
+    inside = (p > 0.0) & (p < 1.0)
+    q = np.where(inside, p, 0.5)
+    return np.where(inside, -q * np.log2(q) - (1.0 - q) * np.log2(1.0 - q), 0.0)
+
+
 def binary_entropy(p: float) -> float:
     """H2(p) = -p log2 p - (1-p) log2 (1-p), with 0 log 0 = 0: p <= 0 and p >= 1 give 0, a NaN p raises NumericError."""
-    if p <= 0.0 or p >= 1.0:
-        return 0.0
-    if math.isnan(p):
-        raise NumericError(f"binary entropy of p = {p} is undefined")
-    return float(-p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p))
+    return float(_binary_entropies(np.array([p], dtype=np.float64))[0])
 
 
 def _require_finite(rho: np.ndarray) -> None:

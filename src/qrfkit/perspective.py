@@ -22,12 +22,17 @@ from .errors import DimensionMismatchError, ShapeError, TooFewQubitsError
 from .qstate import PureState, _freeze, _purified, _renormalised, _renormalised_rows
 
 
+def _integer(value, what: str) -> int:
+    """value by operator.index; a non-integer raises ShapeError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ShapeError(f"{what} {value!r} is not an integer") from None
+
+
 def _check_target(n: int, p: int, what: str = "perspective target") -> int:
     """p by operator.index, if it lies in [0, n); a non-integer or an index outside raises ShapeError."""
-    try:
-        p = operator.index(p)
-    except TypeError:
-        raise ShapeError(f"{what} {p!r} is not an integer") from None
+    p = _integer(p, what)
     if not 0 <= p < n:
         raise ShapeError(f"{what} {p} outside register of {n} qubits")
     return p
@@ -91,6 +96,7 @@ def perspective_operator(p: int, n: int) -> np.ndarray:
     Column b holds |b> when the p-bit of b is 0 and the all-qubit complement
     of |b> when it is 1, i.e. |0><0|_p x identity + |0><1|_p x flip-rest.
     """
+    n = _integer(n, "register size")
     p = _check_target(n, p)
     return _matrix_of(_controlled_flip(n, p, (1 << n) - 1))
 
@@ -155,6 +161,7 @@ def z2_operator(n_parties: int, from_label: int, to_label: int) -> QrfOperator:
     identity branch plus a controlled flip of all spectators.  The matrix is
     a permutation, hence unitary, and squares to the identity.
     """
+    n_parties = _integer(n_parties, "party count")
     if n_parties < 2:
         raise TooFewQubitsError("frame change needs at least 2 parties")
     for label in (from_label, to_label):

@@ -116,10 +116,13 @@ def density_matrix(psi: PureState) -> DensityMatrix:
     return DensityMatrix(dim=psi.dim, entries=_freeze(_density_matrices(psi.amplitudes[None])[0]))
 
 
-def _partial_traces(rho: np.ndarray, keep: list[int]) -> np.ndarray:
-    """Reduced states on the sorted qubit list keep of a (..., 2^n, 2^n) stack of n-qubit matrices."""
+def _partial_traces(rho: np.ndarray, keep: list[int], out: np.ndarray | None = None) -> np.ndarray:
+    """Reduced states on the sorted qubit list keep of a (..., 2^n, 2^n) stack of n-qubit matrices.
+
+    With out, a C-contiguous (..., d, d) complex128 array, the reduced states are written into it.
+    """
     n = rho.shape[-1].bit_length() - 1
-    if len(keep) == n:
+    if len(keep) == n and out is None:
         return rho
     lead = rho.shape[:-2]
     t = rho.reshape(lead + (2,) * (2 * n))
@@ -128,9 +131,12 @@ def _partial_traces(rho: np.ndarray, keep: list[int]) -> np.ndarray:
     # The stack axes ride along under the ellipsis.
     row = list(range(n))
     col = [n + i if i in keep else i for i in range(n)]
-    out = [i for i in keep] + [n + i for i in keep]
+    labels = [i for i in keep] + [n + i for i in keep]
+    if out is not None:
+        np.einsum(t, [Ellipsis, *row, *col], [Ellipsis, *labels], out=out.reshape(lead + (2,) * (2 * len(keep))))
+        return out
     d = 1 << len(keep)
-    return np.einsum(t, [Ellipsis, *row, *col], [Ellipsis, *out]).reshape(lead + (d, d))
+    return np.einsum(t, [Ellipsis, *row, *col], [Ellipsis, *labels]).reshape(lead + (d, d))
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
@@ -206,7 +212,11 @@ def _clamped_spectra(rho: np.ndarray) -> np.ndarray:
     Symmetrizing first removes round-off asymmetry; values in [-1e-12, 0) are
     numerical noise on a PSD matrix and are set to 0 before any logarithm.
     """
-    herm = 0.5 * (rho + np.conj(np.swapaxes(rho, -1, -2)))
+    # One C-contiguous copy, then every step in place, so numpy needs no buffers; x + rho is rho + x bit for bit.
+    herm = np.swapaxes(rho, -1, -2).copy()
+    np.conjugate(herm, out=herm)
+    herm += rho
+    herm *= 0.5
     vals = np.linalg.eigvalsh(herm)
     vals[(vals < 0) & (vals > -EIG_CLAMP)] = 0.0
     return vals

@@ -26,10 +26,10 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .errors import DomainError, GridError, NonPositiveInputError, NumericError, _require_member
-from .measures import MeasurePair, _is_entropic, _mutual_informations, binary_entropy
-from .qstate import PureState, _fill_rows, _row_template, state_from_amplitudes
+from .measures import MeasurePair, _binary_entropies, _is_entropic
+from .qstate import _ROW_BLOCK, PureState, _fill_rows, _row_template, state_from_amplitudes
 # oracle_coherence is imported for callers only: qrfkit.rindler.oracle_coherence stays importable.
-from .transference import _Analysis, _density_stacks, oracle_coherence  # noqa: F401
+from .transference import _Analysis, oracle_coherence  # noqa: F401
 
 R_MAX = math.pi / 4.0
 _R_SLACK = 1e-12  # r this far past R_MAX is round-off and clamps to R_MAX
@@ -113,17 +113,18 @@ def perspectival_state(r: float, obs: ObserverLabel) -> PureState:
     return state_from_amplitudes(amps)
 
 
-def _curves(r: float, m: MeasurePair) -> tuple[float, ...]:
-    """The six printed closed forms at a checked r, in Quantity order."""
-    c2 = math.cos(r) ** 2
+def _curves(grid, m: MeasurePair) -> np.ndarray:
+    """The six printed closed forms at each checked r of grid, one (K, 6) row per point in Quantity order."""
+    # Trig and squares stay per point in math: numpy's ** 2 of the same float differs from math's at some r.
     if _is_entropic(m):
-        split = math.sqrt(7.0 + math.cos(4.0 * r)) / (2.0 * math.sqrt(2.0))
-        return (binary_entropy((1.0 + split) / 2.0), binary_entropy((1.0 + math.cos(r)) / 2.0),
-                binary_entropy((1.0 + math.sin(r)) / 2.0), binary_entropy((1.0 + c2) / 2.0),
-                binary_entropy(c2 / 2.0), 1.0)
-    s2 = math.sin(r) ** 2
-    return (math.sin(2.0 * r) ** 2 / 8.0, s2 / 2.0, c2 / 2.0,
-            (s2 / 2.0) * (1.0 + c2), c2 * (1.0 - c2 / 2.0), 0.5)
+        cos, sin, c2, cos4 = np.array([(math.cos(r), math.sin(r), math.cos(r) ** 2, math.cos(4.0 * r)) for r in grid]).T
+        split = np.sqrt(7.0 + cos4) / (2.0 * math.sqrt(2.0))
+        h2 = _binary_entropies(np.column_stack([(1.0 + split) / 2.0, (1.0 + cos) / 2.0, (1.0 + sin) / 2.0,
+                                                (1.0 + c2) / 2.0, c2 / 2.0]))
+        return np.column_stack([h2, np.ones(len(h2))])
+    sin2, s2, c2 = np.array([(math.sin(2.0 * r) ** 2, math.sin(r) ** 2, math.cos(r) ** 2) for r in grid]).T
+    return np.column_stack([sin2 / 8.0, s2 / 2.0, c2 / 2.0, (s2 / 2.0) * (1.0 + c2), c2 * (1.0 - c2 / 2.0),
+                            np.full(len(c2), 0.5)])
 
 
 _COLUMN = {q: i for i, q in enumerate(Quantity)}
@@ -132,7 +133,7 @@ _COLUMN = {q: i for i, q in enumerate(Quantity)}
 def closed_form_entanglement(r: float, quantity: Quantity, m: MeasurePair) -> float:
     """Printed closed form for one of the six entanglement curves."""
     column = _COLUMN[_require_member(quantity, Quantity, "quantity")]
-    return _curves(_check_r(r), m)[column]
+    return float(_curves([_check_r(r)], m)[0, column])
 
 
 def _coherence_columns(alpha: ObserverLabel, beta: ObserverLabel) -> tuple[int, int]:
@@ -154,8 +155,8 @@ def closed_form_coherence(r: float, alpha: ObserverLabel, beta: ObserverLabel, m
     if alpha is beta:
         raise DomainError("coherence subsystem must differ from the perspective holder")
     g, p = _coherence_columns(alpha, beta)
-    curves = _curves(_check_r(r), m)
-    return curves[g] - curves[p]
+    curves = _curves([_check_r(r)], m)[0]
+    return float(curves[g] - curves[p])
 
 
 def _mi_curves(p_a, p_r, p_rbar, e_rbar, e_r, e_a):
@@ -175,7 +176,7 @@ class MiCurves:
 
 def mutual_information_curves(r: float) -> MiCurves:
     """Entropic mutual information, three global cuts and three perspectival."""
-    mi_r_rbar, mi_a_rbar, mi_a_r, *persp = _mi_curves(*_curves(_check_r(r), MeasurePair.ENTROPY))
+    mi_r_rbar, mi_a_rbar, mi_a_r, *persp = _mi_curves(*_curves([_check_r(r)], MeasurePair.ENTROPY)[0].tolist())
     return MiCurves(mi_a_r, mi_a_rbar, mi_r_rbar, *persp)
 
 
@@ -237,7 +238,8 @@ CSV_COLUMNS = (
 def _sweep_pairs(r_grid, pairs) -> list[np.ndarray]:
     """sweep's rows for every measure pair in pairs, each one finite (K, 20) array in SweepRecord field order.
 
-    The whole grid is analysed as one stack.
+    The whole grid is checked first, then analysed _ROW_BLOCK points at a time,
+    so no stack holds more than one block.
     """
     grid = [float(r) for r in r_grid]
     if not grid:
@@ -246,33 +248,31 @@ def _sweep_pairs(r_grid, pairs) -> list[np.ndarray]:
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise GridError("sweep grid must be ascending")
     grid = clamped
-    global_rho, perspective_rho = _density_stacks(_global_amplitudes(grid))
-    a = _Analysis(global_rho, perspective_rho, pairs)
-    mi_oracle = np.column_stack([
-        *(_mutual_informations(global_rho, [i], [j]) for i, j in ((1, 2), (0, 2), (0, 1))),
-        *(_mutual_informations(rho, [0], [1]) for rho in perspective_rho),
-    ])
-    del global_rho, perspective_rho  # the largest arrays go before the rows are built
     observers = list(ObserverLabel)
     ordered_pairs = [(alpha, beta) for alpha in observers for beta in observers if beta is not alpha]
     g_cols, p_cols = np.array([_coherence_columns(alpha, beta) for alpha, beta in ordered_pairs]).T
-    # One (K, 6) table per measure pair; mutual information is entropic under either pair.
-    curves = {m: np.array([_curves(r, m) for r in grid]) for m in {*pairs, MeasurePair.ENTROPY}}
-    mi_closed = np.column_stack(_mi_curves(*curves[MeasurePair.ENTROPY].T))
-    tables = []
-    for m in pairs:
-        t = curves[m]
-        # Both (K, 18) arrays follow the SweepRecord field order, r and max_residual aside;
-        # Quantity order puts the perspectival curves first and the global cuts last, Rbar's first.
-        closed = np.column_stack([t[:, :3], t[:, g_cols] - t[:, p_cols], t[:, 3:], mi_closed])
-        # coh[m] holds each observer's slots in ascending party order, which is ordered_pairs' order.
-        oracle = np.column_stack([*a.persp_ent[m], *a.coh[m].reshape(6, -1), *a.global_ent[m][::-1], mi_oracle])
-        # np.max keeps a NaN wherever it stands, so the finiteness check below sees it.
-        rows = np.column_stack([grid, closed, np.max(np.abs(closed - oracle), axis=1)])
-        if not np.isfinite(rows).all():
-            bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))[0]
+    tables = [np.empty((len(grid), len(CSV_COLUMNS) - 1)) for _ in pairs]
+    for start in range(0, len(grid), _ROW_BLOCK):
+        block = grid[start:start + _ROW_BLOCK]
+        a = _Analysis(_global_amplitudes(block), pairs, mutual_information=True)
+        # One (K, 6) table per measure pair; mutual information is entropic under either pair.
+        curves = {m: _curves(block, m) for m in {*pairs, MeasurePair.ENTROPY}}
+        mi_closed = np.column_stack(_mi_curves(*curves[MeasurePair.ENTROPY].T))
+        for m, table in zip(pairs, tables):
+            t = curves[m]
+            # Both (K, 18) arrays follow the SweepRecord field order, r and max_residual aside;
+            # Quantity order puts the perspectival curves first and the global cuts last, Rbar's first.
+            closed = np.column_stack([t[:, :3], t[:, g_cols] - t[:, p_cols], t[:, 3:], mi_closed])
+            # coh[m] holds each observer's slots in ascending party order, which is ordered_pairs' order.
+            oracle = np.column_stack([*a.persp_ent[m], *a.coh[m].reshape(6, -1), *a.global_ent[m][::-1], *a.mi])
+            rows = table[start:start + len(block)]
+            rows[:, 0], rows[:, 1:-1] = block, closed
+            # np.max keeps a NaN wherever it stands, so the finiteness check below sees it.
+            rows[:, -1] = np.max(np.abs(closed - oracle), axis=1)
+    for table in tables:
+        if not np.isfinite(table).all():
+            bad = np.flatnonzero(~np.isfinite(table).all(axis=1))[0]
             raise NumericError(f"sweep row at r = {grid[bad]!r} holds a non-finite value")
-        tables.append(rows)
     return tables
 
 

@@ -18,10 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import WrongQubitCountError
-from .measures import MeasurePair, _coherences, _entanglements, _is_entropic, binary_entropy, coherence, entanglement
+from .measures import MeasurePair, _coherences, _entanglements, _entropies, _is_entropic, binary_entropy, coherence
+from .measures import entanglement
 from .perspective import _flip_merge, _register_slot, assign_perspective
-from .qstate import PureState, _density_matrices, _partial_traces, density_matrix, partial_trace, permute_qubits
-from .qstate import state_from_amplitudes
+from .qstate import PureState, _density_matrices, _dephased, _partial_traces, density_matrix, partial_trace
+from .qstate import permute_qubits, state_from_amplitudes
 
 SAT_TOL = 1e-9          # default satisfaction tolerance for residuals
 SUPPORT_TOL = 1e-12     # amplitude modulus below this counts as absent
@@ -100,28 +101,68 @@ def oracle_coherence(psi_persp: PureState, slot: int, m: MeasurePair) -> float:
 _PERMUTATIONS = [c.permutation for c in ConstraintId]
 
 
-def _density_stacks(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Density matrices of a (K, 8) amplitude stack, (K, 8, 8), and of its three perspectives, (3, K, 4, 4)."""
-    return _density_matrices(amps), np.stack([_density_matrices(_flip_merge(amps, alpha)) for alpha in range(3)])
-
-
 class _Analysis:
-    """Every ingredient of the constraints on a stack of 3-qubit states, computed at construction.
+    """Every ingredient of the constraints on a (K, 8) amplitude stack of 3-qubit states, computed at construction.
 
-    The arguments are _density_stacks' output.  For each measure pair m,
-    persp_ent[m] is (3, K), each observer's perspectival entanglement;
-    coh[m] is (3, 2, K), the coherence of each slot of each observer's
-    register; global_ent[m] is (3, K), the entanglement across each
-    (q | rest) cut.  Values are those of the per-call functions
-    (assign_perspective, entanglement, oracle_coherence) bit for bit.
+    For each measure pair m, persp_ent[m] is (3, K), each observer's
+    perspectival entanglement; coh[m] is (3, 2, K), the coherence of each
+    slot of each observer's register; global_ent[m] is (3, K), the
+    entanglement across each (q | rest) cut.  With mutual_information, mi
+    is (6, K): I between the two parties other than q for q = 0, 1, 2, then
+    I(slot 0 : slot 1) in each observer's perspective.  Each reduced
+    spectrum is taken once, in one _entropies call per matrix size.  Values
+    are those of the per-call functions (assign_perspective, entanglement,
+    oracle_coherence, mutual_information) bit for bit.
     """
 
-    def __init__(self, global_rho: np.ndarray, perspective_rho: np.ndarray, pairs):
-        slots = np.stack([_partial_traces(perspective_rho, [s]) for s in range(2)], axis=1)
-        cuts = np.stack([_partial_traces(global_rho, [q]) for q in range(3)])
-        self.persp_ent = {m: _entanglements(slots[:, 0], m) for m in pairs}
-        self.coh = {m: _coherences(slots, m) for m in pairs}
-        self.global_ent = {m: _entanglements(cuts, m) for m in pairs}
+    def __init__(self, amps: np.ndarray, pairs, mutual_information: bool = False):
+        k = len(amps)
+        entropic = MeasurePair.ENTROPY in pairs
+        # Every one-qubit reduction sits in one stack: the perspectives' slots (slot-major), the
+        # global pairs' singles, the global cuts, then the dephased slots.  The slots' and singles'
+        # spectra serve mutual information under either pair; the rest serve the entropic pair only.
+        n_mi = 6 + 6 * mutual_information
+        # Each density stack is freed once its reductions are written, before the next is built.
+        rho = _density_matrices(amps)
+        two = np.empty((n_mi + 3 + 6 * entropic, k, 2, 2), np.complex128)
+        slots, cuts = two[:6].reshape(2, 3, k, 2, 2), two[n_mi:n_mi + 3]
+        # The global pairs' joints, then the perspectives themselves.
+        joints = np.empty((6 * mutual_information, k, 4, 4), np.complex128)
+        for q in range(3):
+            _partial_traces(rho, [q], out=cuts[q])
+            if mutual_information:
+                _partial_traces(rho, [i for i in range(3) if i != q], out=joints[q])
+                for side in range(2):
+                    _partial_traces(joints[q], [side], out=two[6 + 2 * q + side])
+        for alpha in range(3):
+            rho = _density_matrices(_flip_merge(amps, alpha))
+            for s in range(2):
+                _partial_traces(rho, [s], out=slots[s, alpha])
+            if mutual_information:
+                joints[3 + alpha] = rho
+        del rho
+        if entropic:
+            two[n_mi + 3:] = _dephased(slots).reshape(6, k, 2, 2)
+        if mutual_information:
+            joint_ent = _entropies(joints)
+            del joints
+        if entropic or mutual_information:
+            ent = _entropies(two if entropic else two[:n_mi])
+            slot_ent = ent[:6].reshape(2, 3, k)
+        self.persp_ent, self.coh, self.global_ent = {}, {}, {}
+        for m in pairs:
+            if _is_entropic(m):
+                self.persp_ent[m] = slot_ent[0]
+                self.coh[m] = (ent[n_mi + 3:].reshape(2, 3, k) - slot_ent).swapaxes(0, 1)
+                self.global_ent[m] = ent[n_mi:n_mi + 3]
+            else:
+                self.persp_ent[m] = _entanglements(slots[0], m)
+                self.coh[m] = _coherences(slots, m).swapaxes(0, 1)
+                self.global_ent[m] = _entanglements(cuts, m)
+        if mutual_information:
+            single_ent = ent[6:12].reshape(3, 2, k)
+            self.mi = np.concatenate([single_ent[:, 0] + single_ent[:, 1] - joint_ent[:3],
+                                      slot_ent[0] + slot_ent[1] - joint_ent[3:]])
 
     def side(self, alpha: int, beta: int, m: MeasurePair) -> np.ndarray:
         """perspectival_side of every analysed state."""
@@ -151,7 +192,7 @@ def _rows(table, k: int):
 
 def _analysis_of(states, pairs) -> _Analysis:
     """The analysis of a sequence of 3-qubit states as one stack; one state is a stack of K = 1."""
-    return _Analysis(*_density_stacks(np.array([_require_three(psi).amplitudes for psi in states])), pairs)
+    return _Analysis(np.array([_require_three(psi).amplitudes for psi in states]), pairs)
 
 
 def perspectival_side(psi: PureState, alpha: int, beta: int, m: MeasurePair) -> float:

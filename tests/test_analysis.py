@@ -42,7 +42,7 @@ from qrfkit import (
 from qrfkit import perspective
 from qrfkit.cli import main
 from qrfkit.rindler import GLOBAL_QUANTITY, PERSP_QUANTITY, R_MAX
-from qrfkit.transference import _analysis_of, _rows, oracle_coherence, perspectival_side
+from qrfkit.transference import _Analysis, _analysis_of, _rows, oracle_coherence, perspectival_side
 
 PAIRS = list(MeasurePair)
 
@@ -78,6 +78,19 @@ def test_constraint_values_equal_per_call_primitives():
                 assert rep.lhs == reference_side(psi, alpha, beta, m)
                 assert rep.rhs == reference_side(psi, beta, alpha, m)
                 assert rep.lhs == perspectival_side(psi, alpha, beta, m)
+
+
+def test_mutual_information_stack_equals_per_call_primitives():
+    states = analysed_states()
+    amps = np.array([psi.amplitudes for psi in states])
+    for pairs in ([MeasurePair.ENTROPY], [MeasurePair.LINEAR], PAIRS):
+        mi = _Analysis(amps, pairs, mutual_information=True).mi
+        for k, psi in enumerate(states):
+            rho = density_matrix(psi)
+            persp = [density_matrix(assign_perspective(psi, alpha)) for alpha in range(3)]
+            expect = [*(mutual_information(rho, [i], [j]) for i, j in ((1, 2), (0, 2), (0, 1))),
+                      *(mutual_information(p, [0], [1]) for p in persp)]
+            assert mi[:, k].tolist() == expect
 
 
 def reference_entanglement(r, quantity, m):

@@ -344,33 +344,53 @@ def test_non_finite_output_is_a_numeric_error(capsys, monkeypatch):
         ["perspective", "--state", "rindler:0.3", "--perspective", "0"],
     ]
     for argv in cases:
-        code, out, err = run(capsys, argv)
-        assert code == 5, argv
-        assert out == ""
-        lines = err.splitlines()
-        assert len(lines) == 1
-        assert json.loads(lines[0])["error"] == "numeric"
+        assert_numeric_exit(capsys, argv)
+
+
+def assert_numeric_exit(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 5, argv
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "numeric"
 
 
 def test_non_finite_sweep_oracle_value_is_a_numeric_error(capsys, monkeypatch):
-    # NaN in one oracle field after the first (C_R_of_A) must surface through max_residual
-    original = transference._coherences
+    # NaN in one oracle field after the first (C_R_of_A) must surface through max_residual.
+    # Both pairs' coherences are set once the analysis has built them, whichever path built them.
+    original = transference._Analysis.__init__
 
-    def one_nan_field(rho, pair):
-        out = original(rho, pair)
-        out[1, 0] = math.nan
-        return out
+    def one_nan_field(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        for coh in self.coh.values():
+            coh[1, 0] = math.nan
 
-    monkeypatch.setattr(transference, "_coherences", one_nan_field)
+    monkeypatch.setattr(transference._Analysis, "__init__", one_nan_field)
     for fmt in ("csv", "json"):
         for measures_arg in ("entropy", "linear", "both"):
-            argv = ["sweep", "--grid", "0:0.5:3", "--measures", measures_arg, "--format", fmt]
-            code, out, err = run(capsys, argv)
-            assert code == 5, argv
-            assert out == ""
-            lines = err.splitlines()
-            assert len(lines) == 1
-            assert json.loads(lines[0])["error"] == "numeric"
+            assert_numeric_exit(capsys, ["sweep", "--grid", "0:0.5:3", "--measures", measures_arg, "--format", fmt])
+
+
+def test_non_finite_slot_entropy_is_a_numeric_error(capsys, monkeypatch):
+    # The first one-qubit spectrum is slot 0 of Alice's perspective at the first point.  Its entropy
+    # is reused as her perspectival entanglement, in her slots' coherences and in her perspectival
+    # mutual information, so a NaN there must exit 5 under either measure pair.
+    original = transference._entropies
+
+    def nan_first_slot(rho):
+        out = original(rho)
+        if rho.shape[-1] == 2:
+            out[0, 0] = math.nan
+        return out
+
+    monkeypatch.setattr(transference, "_entropies", nan_first_slot)
+    for fmt in ("csv", "json"):
+        for measures_arg in ("entropy", "linear", "both"):
+            assert_numeric_exit(capsys, ["sweep", "--grid", "0:0.5:3", "--measures", measures_arg, "--format", fmt])
+    for measures_arg in ("entropy", "both"):
+        assert_numeric_exit(capsys, ["check", "--state", "rindler:0.3", "--measures", measures_arg])
+        assert_numeric_exit(capsys, ["sample", "--count", "3", "--seed", "1", "--measures", measures_arg])
 
 
 def test_integer_amplitude_beyond_float_range_is_an_io_error(capsys, tmp_path):

@@ -329,6 +329,17 @@ def test_non_integer_index_is_a_shape_error(name):
         call(good)
 
 
+def test_non_integer_register_size_is_a_shape_error():
+    for bad in (2.0, 3.0, 2.5, "3", None):
+        with pytest.raises(ShapeError):
+            perspective_operator(0, bad)
+        with pytest.raises(ShapeError):
+            z2_operator(bad, 0, 1)
+    # numpy integers and Python integers give the same operators.
+    assert np.array_equal(perspective_operator(0, np.int64(2)), perspective_operator(0, 2))
+    assert np.array_equal(z2_operator(np.uint8(3), 0, 1).matrix, z2_operator(3, 0, 1).matrix)
+
+
 def test_frame_change_report():
     """Frame changes agree with direct assignment to within 1e-12.
 

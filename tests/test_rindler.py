@@ -372,3 +372,57 @@ def test_mi_curves_match_sweep_oracle_fields():
     mi = mutual_information_curves(0.42)
     assert rec.mi_r_rbar == mi.mi_r_rbar
     assert isinstance(mi, MiCurves)
+
+
+@pytest.mark.parametrize("count", [4095, 4096, 4097, 8193])
+def test_sweep_blocks_equal_one_whole_grid_block(monkeypatch, count):
+    full = np.linspace(0.0, R_MAX, count).tolist()
+    analysed = []
+    original = rindler._Analysis
+
+    def counted(amps, *args, **kwargs):
+        analysed.append(len(amps))
+        return original(amps, *args, **kwargs)
+
+    monkeypatch.setattr(rindler, "_Analysis", counted)
+    for pairs in ([MeasurePair.ENTROPY], [MeasurePair.LINEAR], list(MeasurePair)):
+        blocked = rindler._sweep_pairs(full, pairs)
+        assert analysed == [4096] * (count // 4096) + [count % 4096] * (count % 4096 > 0)
+        analysed.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(rindler, "_ROW_BLOCK", count)
+            whole = rindler._sweep_pairs(full, pairs)
+        assert analysed == [count]
+        analysed.clear()
+        for b, w in zip(blocked, whole, strict=True):
+            assert np.array_equal(b.view(np.int64), w.view(np.int64))
+
+
+def scalar_binary_entropy(p):
+    """H2 of one float, written as a scalar rule."""
+    if p <= 0.0 or p >= 1.0:
+        return 0.0
+    return float(-p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p))
+
+
+def scalar_curves(r, m):
+    """The six closed forms at one r, written per point with math and scalar H2: the reference for the column table."""
+    c2 = math.cos(r) ** 2
+    if m is MeasurePair.ENTROPY:
+        split = math.sqrt(7.0 + math.cos(4.0 * r)) / (2.0 * math.sqrt(2.0))
+        return (scalar_binary_entropy((1.0 + split) / 2.0), scalar_binary_entropy((1.0 + math.cos(r)) / 2.0),
+                scalar_binary_entropy((1.0 + math.sin(r)) / 2.0), scalar_binary_entropy((1.0 + c2) / 2.0),
+                scalar_binary_entropy(c2 / 2.0), 1.0)
+    s2 = math.sin(r) ** 2
+    return (math.sin(2.0 * r) ** 2 / 8.0, s2 / 2.0, c2 / 2.0,
+            (s2 / 2.0) * (1.0 + c2), c2 * (1.0 - c2 / 2.0), 0.5)
+
+
+@pytest.mark.parametrize("count", [1, 201, 2001, 100_000])
+def test_closed_form_table_equals_scalar_formulas(count):
+    points = np.linspace(0.0, R_MAX, count).tolist()
+    for m in MeasurePair:
+        table = rindler._curves(points, m)
+        assert table.shape == (count, 6)
+        expect = np.array([scalar_curves(r, m) for r in points])
+        assert np.array_equal(table.view(np.int64), expect.view(np.int64)), m
