@@ -17,9 +17,11 @@ environment variable (--tol wins).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -40,7 +42,8 @@ DEFAULT_TOL = 1e-9
 MAX_GRID_POINTS = 100_000
 # Largest sample --count.  The states are analysed as one stack and every output
 # line is kept until the end, so peak memory grows by about 4 KiB per state; the
-# cap bounds a run near 0.4 GiB.
+# cap bounds a run near 0.4 GiB.  It also keeps every state index below 2**32, one
+# seed word, which _sample_generators relies on.
 MAX_SAMPLE_COUNT = 100_000
 
 EXIT_CODES = {"io": 2, "shape": 3, "domain": 4, "numeric": 5}
@@ -80,6 +83,25 @@ def build_parser() -> argparse.ArgumentParser:
         command.add_argument("--tol", type=float, default=None)
         command.add_argument("--out", default=None)
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser main uses, built on its first call; parsing leaves it unchanged."""
+    return build_parser()
+
+
+def _sample_generators(seed: int, indices) -> Iterator[np.random.Generator]:
+    """Generator i is default_rng([seed, i]), seeded from one (K, L) uint32 word table
+    and built as it is consumed.
+
+    SeedSequence assembles [seed, i] as the little-endian 32-bit words of seed, then
+    those of i; each index i < 2**32 (MAX_SAMPLE_COUNT keeps it so) is one word."""
+    words = [(seed >> shift) & 0xFFFFFFFF for shift in range(0, max(seed.bit_length(), 1), 32)]
+    table = np.empty((len(indices), len(words) + 1), dtype=np.uint32)
+    table[:, :-1] = words
+    table[:, -1] = indices
+    return (np.random.Generator(np.random.PCG64(np.random.SeedSequence(row))) for row in table)
 
 
 def resolve_tol(arg_tol) -> float:
@@ -234,12 +256,10 @@ def run_sample(args, tol: float) -> str:
         raise DomainError(f"seed must be a nonnegative integer, got {args.seed}")
     cls = ParityClass(args.parity.title())
     pairs = parse_measures(args.measures)
-    # Each state is drawn from its own seed, so the draws stay one at a time; the analysis is one stack.
-    analysis = _Analysis(np.array(
-        [_parity_amplitudes(cls, np.random.default_rng([args.seed, i])) for i in range(args.count)]), pairs)
+    index = np.arange(args.count)
+    analysis = _Analysis(_parity_amplitudes(cls, _sample_generators(args.seed, index)), pairs)
     tables = [analysis.transference(m, tol) for m in pairs]
     passed = [satisfied.all(axis=1) for *_, satisfied in tables]
-    index = np.arange(args.count)
     templates, columns = [], []
     for m, table, ok in zip(pairs, tables, passed):
         doc = {"index": "%d", "parity": args.parity, "measure_pair": m.value,
@@ -269,9 +289,8 @@ def _emit_error(kind: str, message: str) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         text = _RUNNERS[args.command](args, resolve_tol(args.tol))
         if args.out is None:
             sys.stdout.write(text)

@@ -13,6 +13,7 @@ families used in the property checks.
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -283,23 +284,29 @@ def condition_check(psi: PureState, c: ConstraintId, m: MeasurePair, tol: float 
 # which is uniform on the complex sphere of the chosen support.
 # ---------------------------------------------------------------------------
 
-def _unit_gaussian(rng: np.random.Generator, size: int) -> np.ndarray:
-    coeffs = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    return coeffs / np.linalg.norm(coeffs)
+def _unit_gaussian(rngs: Iterable[np.random.Generator], size: int) -> np.ndarray:
+    """(K, size) stack, row k drawn from the k-th generator: one standard_normal(2 * size)
+    gives the real then the imaginary parts, divided by the row's np.linalg.norm."""
+    draws = np.fromiter((rng.standard_normal(2 * size) for rng in rngs), dtype=(np.float64, 2 * size))
+    coeffs = draws[:, :size] + 1j * draws[:, size:]
+    # Per row, so each norm is exactly np.linalg.norm of that state's coefficients.
+    return coeffs / np.array([np.linalg.norm(row) for row in coeffs])[:, None]
 
 
-def _parity_amplitudes(cls: ParityClass, rng: np.random.Generator) -> np.ndarray:
-    """The (8,) amplitudes random_parity_state draws; already unit, so its state holds them unchanged."""
+def _parity_amplitudes(cls: ParityClass, rngs: Iterable[np.random.Generator]) -> np.ndarray:
+    """The (K, 8) amplitudes random_parity_state draws, one row per generator; already unit,
+    so each state holds its row unchanged."""
     if cls is ParityClass.NEITHER:
-        return _unit_gaussian(rng, 8)
-    amps = np.zeros(8, dtype=np.complex128)
-    amps[sorted(EVEN_SUPPORT if cls is ParityClass.EVEN else ODD_SUPPORT)] = _unit_gaussian(rng, 4)
+        return _unit_gaussian(rngs, 8)
+    coeffs = _unit_gaussian(rngs, 4)
+    amps = np.zeros((len(coeffs), 8), dtype=np.complex128)
+    amps[:, sorted(EVEN_SUPPORT if cls is ParityClass.EVEN else ODD_SUPPORT)] = coeffs
     return amps
 
 
 def random_parity_state(cls: ParityClass, rng: np.random.Generator) -> PureState:
-    return state_from_amplitudes(_parity_amplitudes(cls, rng))
+    return state_from_amplitudes(_parity_amplitudes(cls, [rng])[0])
 
 
 def random_state(n_qubits: int, rng: np.random.Generator) -> PureState:
-    return state_from_amplitudes(_unit_gaussian(rng, 1 << n_qubits))
+    return state_from_amplitudes(_unit_gaussian([rng], 1 << n_qubits)[0])

@@ -273,6 +273,58 @@ def test_sample_lines_equal_the_scalar_checks(capsys, parity, measures):
     assert out.splitlines() == expected
 
 
+SAMPLE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**200 + 7]
+
+
+@pytest.mark.parametrize("seed", SAMPLE_SEEDS)
+def test_sample_generators_are_default_rng_of_seed_and_index(seed):
+    # The word table holds seed's 32-bit words then i, as SeedSequence assembles [seed, i].
+    indices = [0, 1, 4095, 99_999]
+    for i, rng in zip(indices, cli._sample_generators(seed, indices)):
+        assert rng.bit_generator.state == np.random.default_rng([seed, i]).bit_generator.state
+
+
+@pytest.mark.parametrize("count", [1, 7, 200])
+@pytest.mark.parametrize("seed", SAMPLE_SEEDS)
+def test_stacked_draws_equal_random_parity_state(seed, count):
+    for cls in ParityClass:
+        stack = transference._parity_amplitudes(cls, cli._sample_generators(seed, np.arange(count)))
+        assert stack.shape == (count, 8)
+        for i in range(count):
+            expected = random_parity_state(cls, np.random.default_rng([seed, i])).amplitudes
+            assert stack[i].tobytes() == expected.tobytes()
+
+
+def test_reused_parser_runs_as_a_fresh_process(capsys, tmp_path):
+    # main parses with one parser per process; every run, after good and bad ones alike,
+    # must give the stdout, stderr, exit code and --out file of a fresh process.
+    runs = [
+        (["sample", "--count", "4", "--seed", "9", "--measures", "entropy", "--out", "{out}"], 0),
+        (["sample", "--count", "4", "--seed", "9"], 0),
+        (["sweep", "--grid", "0:0.7"], 4),
+        (["sample", "--count", "4"], 4),  # argparse: --seed is required
+        (["sweep", "--grid", "0:0.7:3", "--format", "xml"], 4),  # argparse: not a --format choice
+        (["check", "--state", "ghz:0.6", "--measures", "linear", "--tol", "1e-6"], 0),
+        (["sweep", "--grid", "0:0.7:3", "--format", "json", "--out", "{out}"], 0),
+        (["sample", "--count", "4", "--seed", "9", "--parity", "odd"], 0),
+    ]
+    for k, (argv, expected) in enumerate(runs):
+        mine, fresh = tmp_path / f"mine{k}.txt", tmp_path / f"fresh{k}.txt"
+        code, out, err = run(capsys, [a.format(out=mine) for a in argv])
+        proc = subprocess.run([sys.executable, "-m", "qrfkit", *(a.format(out=fresh) for a in argv)],
+                              capture_output=True, text=True, timeout=60)
+        assert code == expected, argv
+        assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr), argv
+        assert mine.exists() == fresh.exists(), argv
+        if mine.exists():
+            assert mine.read_bytes() == fresh.read_bytes(), argv
+        if code != 0:
+            assert out == "" and len(err.splitlines()) == 1, argv
+            assert json.loads(err)["error"] == "domain", argv
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
+
+
 def test_exit_code_io(capsys, tmp_path):
     code, out, err = run(capsys, ["perspective", "--state", str(tmp_path / "missing.json"),
                                   "--perspective", "0"])
