@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
 import os
 import sys
@@ -29,21 +30,16 @@ from . import rindler
 from .errors import DomainError, GridError, IoError, NumericError, QrfError, ShapeError
 from .measures import MeasurePair
 from .perspective import assign_perspective
-from .qstate import PureState, _dumps, _fill_rows, _row_template, state_from_amplitudes, state_from_json, state_to_json
+from .qstate import _ROW_BLOCK, PureState, _dumps, _fill_rows, _row_template, state_from_amplitudes, state_from_json
+from .qstate import state_to_json
 from .transference import ConstraintId, ParityClass, _Analysis, _analysis_of, _parity_amplitudes
 from .transference import _report_dict, _rows, parity_class
 
 DEFAULT_TOL = 1e-9
-# Largest --grid count, 500 times the paper's 201-point grid.  A sweep analyses
-# the grid in blocks of 4096 points, so only its rows and output text grow with
-# the count: about 2 KiB per point with CSV output and 5.5 KiB with JSON.  At the
-# cap, with both measure pairs, a run peaked at 259 MiB (CSV) or 560 MiB (JSON)
-# resident on a 2-CPU x86-64 Linux machine (Python 3.11, numpy 2.4).
+# Largest --grid count, 500 times the paper's 201-point grid.
 MAX_GRID_POINTS = 100_000
-# Largest sample --count.  The states are analysed as one stack and every output
-# line is kept until the end, so peak memory grows by about 4 KiB per state; the
-# cap bounds a run near 0.4 GiB.  It also keeps every state index below 2**32, one
-# seed word, which _sample_generators relies on.
+# Largest sample --count.  It keeps every state index below 2**32, one seed word,
+# which _sample_generators relies on.
 MAX_SAMPLE_COUNT = 100_000
 
 EXIT_CODES = {"io": 2, "shape": 3, "domain": 4, "numeric": 5}
@@ -215,39 +211,31 @@ def parse_grid(text: str) -> list[float]:
     return [float(r) for r in np.linspace(start, stop, count)]
 
 
-def run_perspective(args, tol: float) -> str:
+def run_perspective(args, tol: float) -> list[str]:
     psi = load_state(args.state, tol)
     target = parse_perspective(args.perspective)
-    return state_to_json(assign_perspective(psi, target), perspective_of=target) + "\n"
+    return [state_to_json(assign_perspective(psi, target), perspective_of=target) + "\n"]
 
 
-def run_check(args, tol: float) -> str:
+def run_check(args, tol: float) -> list[str]:
     psi = load_state(args.state, tol)
     pairs = parse_measures(args.measures)
     analysis = _analysis_of([psi], pairs)
-    results = []
-    for m in pairs:
-        results.append(
-            {
-                "measure_pair": m.value,
+    results = [{"measure_pair": m.value,
                 "transference": [_report_dict(*row) for row in _rows(analysis.transference(m, tol), 0)],
-                "corollary": [_report_dict(*row) for row in _rows(analysis.corollary(m, tol), 0)],
-            }
-        )
+                "corollary": [_report_dict(*row) for row in _rows(analysis.corollary(m, tol), 0)]} for m in pairs]
     doc = {"parity": parity_class(psi).value, "tol": tol, "results": results}
-    return _dumps(doc, indent=2) + "\n"
+    return [_dumps(doc, indent=2) + "\n"]
 
 
-def run_sweep(args, tol: float) -> str:
+def run_sweep(args, tol: float) -> Iterator[str]:
     grid = parse_grid(args.grid)
     pairs = parse_measures(args.measures)
     tables = zip(pairs, rindler._sweep_pairs(grid, pairs))
-    if args.format == "json":
-        return rindler._sweep_json(tables) + "\n"
-    return rindler._sweep_csv(tables)
+    return (rindler._sweep_json if args.format == "json" else rindler._sweep_csv)(tables)
 
 
-def run_sample(args, tol: float) -> str:
+def run_sample(args, tol: float) -> Iterator[str]:
     if args.count < 1:
         raise DomainError(f"sample count must be >= 1, got {args.count}")
     if args.count > MAX_SAMPLE_COUNT:
@@ -257,23 +245,23 @@ def run_sample(args, tol: float) -> str:
     cls = ParityClass(args.parity.title())
     pairs = parse_measures(args.measures)
     index = np.arange(args.count)
-    analysis = _Analysis(_parity_amplitudes(cls, _sample_generators(args.seed, index)), pairs)
-    tables = [analysis.transference(m, tol) for m in pairs]
+    # The draws are analysed _ROW_BLOCK states at a time, and only each pair's (K, 3) tables are kept.
+    analyses = (_Analysis(_parity_amplitudes(cls, _sample_generators(args.seed, index[start:start + _ROW_BLOCK])), pairs)
+                for start in range(0, args.count, _ROW_BLOCK))
+    blocks = [[a.transference(m, tol) for m in pairs] for a in analyses]
+    tables = [[np.concatenate(column) for column in zip(*pair_blocks)] for pair_blocks in zip(*blocks)]
     passed = [satisfied.all(axis=1) for *_, satisfied in tables]
-    templates, columns = [], []
+    template, columns = "", []
     for m, table, ok in zip(pairs, tables, passed):
         doc = {"index": "%d", "parity": args.parity, "measure_pair": m.value,
                "constraints": [_report_dict(c, "%r", "%r", "%r", "%s") for c in ConstraintId], "all_satisfied": "%s"}
-        templates.append(_row_template(doc))
+        template += _row_template(doc) + "\n"
         # One column per field in line order: each constraint's lhs, rhs, residual and verdict in turn.
         columns += [index, *(column[:, j] for j in range(3) for column in table), ok]
-    # One template per state: its lines follow one another, one per measure pair.
-    lines = _fill_rows("\n".join(templates), columns)
     pass_counts = {m.value: int(np.count_nonzero(ok)) for m, ok in zip(pairs, passed)}
-    lines.append(
-        _dumps({"summary": {"count": args.count, "parity": args.parity, "seed": args.seed, "pass": pass_counts}})
-    )
-    return "\n".join(lines) + "\n"
+    summary = _dumps({"summary": {"count": args.count, "parity": args.parity, "seed": args.seed, "pass": pass_counts}})
+    # One template per state: its lines follow one another, one per measure pair.
+    return itertools.chain(_fill_rows(template, columns), [summary + "\n"])
 
 
 _RUNNERS = {
@@ -284,24 +272,27 @@ _RUNNERS = {
 }
 
 
-def _emit_error(kind: str, message: str) -> None:
-    sys.stderr.write(_dumps({"error": kind, "message": message}) + "\n")
-
-
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-        text = _RUNNERS[args.command](args, resolve_tol(args.tol))
+        # Each runner checks everything before it returns; its pieces are then formatted as they are written.
+        pieces = _RUNNERS[args.command](args, resolve_tol(args.tol))
         if args.out is None:
-            sys.stdout.write(text)
+            try:
+                sys.stdout.writelines(pieces)
+                sys.stdout.flush()
+            except OSError as e:
+                # A closed pipe: stdout goes to devnull, so the flush at exit has nothing to report (see signal's SIGPIPE note).
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+                raise IoError(f"cannot write output to stdout: {e}") from e
         else:
             try:
                 with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                    fh.write(text)
+                    fh.writelines(pieces)
             except OSError as e:
                 raise IoError(f"cannot write output file {args.out}: {e}") from e
     except QrfError as e:
-        _emit_error(e.kind, str(e))
+        sys.stderr.write(_dumps({"error": e.kind, "message": str(e)}) + "\n")
         return EXIT_CODES[e.kind]
     return 0
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -241,7 +242,7 @@ def _dumps(doc, **kwargs) -> str:
         raise NumericError(f"output holds a non-finite number: {e}") from None
 
 
-_ROW_BLOCK = 4096  # rows turned into Python values at a time, so the writer never holds a whole table of them
+_ROW_BLOCK = 4096  # rows analysed and formatted at a time, so no stacked run holds more than a block of stacks or text
 
 
 def _row_template(doc, **kwargs) -> str:
@@ -252,22 +253,24 @@ def _row_template(doc, **kwargs) -> str:
     return text
 
 
-def _fill_rows(template, columns) -> list[str]:
-    """template % row for each row of the equal-length 1-D columns, _ROW_BLOCK rows at a time.
+def _fill_rows(template, columns) -> Iterator[str]:
+    """template % row for each row of the equal-length 1-D columns, yielded as one text per _ROW_BLOCK rows.
 
     Float columns fill float fields (%r gives json's float form), integer
-    columns %d, and bool columns %s as true/false.  A NaN or infinity in any
-    float column raises _dumps' NumericError before a single row is formatted.
+    columns %d, and bool columns %s as true/false; the template carries each
+    row's separator.  A NaN or infinity in any float column raises _dumps'
+    NumericError here, at the call, before the returned generator formats a row.
     """
     for c in columns:
         if c.dtype.kind == "f" and not np.isfinite(c).all():
             _dumps(float(c[~np.isfinite(c)][0]))  # raises, with the message _dumps gives for it
-    lines = []
-    for start in range(0, len(columns[0]), _ROW_BLOCK):
-        block = [c[start:start + _ROW_BLOCK] for c in columns]
-        values = [(np.where(b, "true", "false") if b.dtype == bool else b).tolist() for b in block]
-        lines.extend(map(template.__mod__, zip(*values)))
-    return lines
+
+    def texts():
+        for start in range(0, len(columns[0]), _ROW_BLOCK):
+            block = [c[start:start + _ROW_BLOCK] for c in columns]
+            values = [(np.where(b, "true", "false") if b.dtype == bool else b).tolist() for b in block]
+            yield "".join(map(template.__mod__, zip(*values)))
+    return texts()
 
 
 def state_to_json(psi: PureState, perspective_of: int | None = None) -> str:

@@ -20,7 +20,9 @@ under either measure pair.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -281,27 +283,27 @@ def sweep(r_grid, m: MeasurePair) -> list[SweepRecord]:
     return [SweepRecord(*row) for row in _sweep_pairs(r_grid, [m])[0].tolist()]
 
 
-def _sweep_csv(tables) -> str:
-    """One CSV_COLUMNS header, then the rows of each (measure pair, (K, 20) array) table in turn."""
-    lines = [",".join(CSV_COLUMNS)]
-    for m, t in tables:
-        lines += _fill_rows(m.value + ",%.12g" * t.shape[1], list(t.T))
-    return "\n".join(lines) + "\n"
+def _sweep_csv(tables) -> Iterator[str]:
+    """The text pieces of one CSV_COLUMNS header, then the rows of each (measure pair, (K, 20) array) table in turn."""
+    rows = [_fill_rows(m.value + ",%.12g" * t.shape[1] + "\n", list(t.T)) for m, t in tables]
+    return itertools.chain([",".join(CSV_COLUMNS) + "\n"], *rows)
 
 
-def _sweep_json(tables) -> str:
-    """json.dumps(sweep_to_dicts rows, indent=2) of (measure pair, (K, 20) array) tables, written by row template."""
-    # The template of one row is that of a one-row document without its "[\n" and "\n]".
-    rows = [_fill_rows(_row_template([dict(zip(CSV_COLUMNS, [m.value, *["%r"] * t.shape[1]]))], indent=2)[2:-2], list(t.T))
-            for m, t in tables]
-    return "[\n" + ",\n".join(line for lines in rows for line in lines) + "\n]"
+def _sweep_json(tables) -> Iterator[str]:
+    """The text pieces of json.dumps(sweep_to_dicts rows, indent=2) + "\\n" of (measure pair, (K, 20) array) tables."""
+    # A row's template is its ",\n" separator, then that of a one-row document without its "[\n" and "\n]";
+    # the first row's separator becomes the "[\n" that opens the list.
+    rows = itertools.chain(*[
+        _fill_rows(",\n" + _row_template([dict(zip(CSV_COLUMNS, [m.value, *["%r"] * t.shape[1]]))], indent=2)[2:-2],
+                   list(t.T)) for m, t in tables])
+    return itertools.chain(["[" + next(rows, ",\n")[1:]], rows, ["\n]\n"])
 
 
 def sweep_to_csv(records, m: MeasurePair) -> str:
     """RFC-4180 CSV, 12 significant digits, LF line endings; a NaN or infinite field raises NumericError."""
     _is_entropic(m)  # refuses a non-member before any row is written
     rows = np.array([astuple(rec) for rec in records], dtype=np.float64).reshape(-1, len(CSV_COLUMNS) - 1)
-    return _sweep_csv([(m, rows)])
+    return "".join(_sweep_csv([(m, rows)]))
 
 
 def sweep_to_dicts(records, m: MeasurePair) -> list[dict]:

@@ -334,11 +334,11 @@ def test_csv_rows_match_per_value_format():
                 1.7976931348623157e308, 0.5, 1.0, 1.2345678901235, 9.9999999999995e-5, 123456789012.5]
     rows.flat[rng.choice(rows.size, (len(specials), 40), replace=False)] = np.array(specials)[:, None]
     tables = [(MeasurePair.ENTROPY, rows), (MeasurePair.LINEAR, rows[::-1])]
-    assert rindler._sweep_csv(tables) == per_value_csv([(m, t.tolist()) for m, t in tables])
+    assert "".join(rindler._sweep_csv(tables)) == per_value_csv([(m, t.tolist()) for m, t in tables])
     full = np.linspace(0.0, R_MAX, 2001).tolist()
     pairs = list(MeasurePair)
     tables = list(zip(pairs, rindler._sweep_pairs(full, pairs)))
-    assert rindler._sweep_csv(tables) == per_value_csv(tables)
+    assert "".join(rindler._sweep_csv(tables)) == per_value_csv(tables)
 
 
 @pytest.mark.parametrize("count", [4095, 4096, 4097])

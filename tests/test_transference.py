@@ -22,7 +22,7 @@ from qrfkit import (
     transference_sides,
     xyl_closed_form,
 )
-from qrfkit.errors import WrongQubitCountError
+from qrfkit.errors import DomainError, WrongQubitCountError
 from qrfkit.transference import _analysis_of, perspectival_side
 
 RT2 = 1.0 / math.sqrt(2.0)
@@ -276,6 +276,22 @@ def test_condition_check_examples():
     for c in ConstraintId:
         for m in MeasurePair:
             assert condition_check(one, c, m)
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1e-9, -math.inf], ids=["nan", "negative", "minus-inf"])
+@pytest.mark.parametrize("m", list(MeasurePair), ids=lambda m: m.value)
+def test_nan_or_negative_tol_is_a_domain_error(tol, m):
+    # The family is even-parity, so it passes every constraint at the default tolerance and above;
+    # a NaN or negative one would mark every constraint violated, so it is refused instead.
+    psi = global_state(0.3)
+    for check in (check_transference, check_corollary):
+        assert all(r.satisfied for r in check(psi, m) + check(psi, m, tol=math.inf))
+        with pytest.raises(DomainError):
+            check(psi, m, tol=tol)
+    for c in ConstraintId:
+        assert condition_check(psi, c, m, tol=1e-9)
+        with pytest.raises(DomainError):
+            condition_check(psi, c, m, tol=tol)
 
 
 def test_corollary_pair_definition():

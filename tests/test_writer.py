@@ -72,17 +72,17 @@ def test_writer_edge_values_equal_json_dumps():
     floats = [np.array(np.roll(EDGE_VALUES * 3, j), dtype=np.float64) for j in range(3)]
     verdicts = rng.random((k, 2)) < 0.5
     doc = {"index": "%d", "values": ["%r", "%r", "%r"], "first": "%s", "second": "%s", "tag": "50% off"}
-    template = qstate._row_template(doc)
-    lines = qstate._fill_rows(template, [np.arange(k), *floats, verdicts[:, 0], verdicts[:, 1]])
+    template = qstate._row_template(doc) + "\n"
+    text = "".join(qstate._fill_rows(template, [np.arange(k), *floats, verdicts[:, 0], verdicts[:, 1]]))
     expected = [json.dumps({"index": i, "values": [f[i].item() for f in floats], "first": bool(verdicts[i, 0]),
                             "second": bool(verdicts[i, 1]), "tag": "50% off"}) for i in range(k)]
-    assert lines == expected
-    assert all("float64" not in line for line in lines)
-    # The same rows through an indented template, as the sweep writes them.
-    template = qstate._row_template([{"a": "%r", "b": "%r"}], indent=2)[2:-2]
-    lines = qstate._fill_rows(template, floats[:2])
+    assert text.split("\n") == [*expected, ""]
+    assert "float64" not in text
+    # The same rows through an indented template after its ",\n" separator, as the sweep writes them.
+    template = ",\n" + qstate._row_template([{"a": "%r", "b": "%r"}], indent=2)[2:-2]
+    text = "".join(qstate._fill_rows(template, floats[:2]))
     rows = [{"a": a, "b": b} for a, b in zip(floats[0].tolist(), floats[1].tolist())]
-    assert "[\n" + ",\n".join(lines) + "\n]" == json.dumps(rows, indent=2)
+    assert "[" + text[1:] + "\n]" == json.dumps(rows, indent=2)
 
 
 def test_writer_checks_every_row_of_every_table():
