@@ -13,15 +13,15 @@ families used in the property checks.
 from __future__ import annotations
 
 import enum
-from collections.abc import Iterable
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, WrongQubitCountError
+from .errors import DomainError, ShapeError, WrongQubitCountError, _require_member
 from .measures import MeasurePair, _coherences, _entanglements, _entropies, _is_entropic, binary_entropy, coherence
 from .measures import entanglement
-from .perspective import _flip_merge, _register_slot, assign_perspective
+from .perspective import _flip_merge, _integer, _register_slot, assign_perspective
 from .qstate import PureState, _density_matrices, _dephased, _partial_traces, density_matrix, partial_trace
 from .qstate import permute_qubits, state_from_amplitudes
 
@@ -288,29 +288,35 @@ def condition_check(psi: PureState, c: ConstraintId, m: MeasurePair, tol: float 
 # which is uniform on the complex sphere of the chosen support.
 # ---------------------------------------------------------------------------
 
-def _unit_gaussian(rngs: Iterable[np.random.Generator], size: int) -> np.ndarray:
-    """(K, size) stack, row k drawn from the k-th generator: one standard_normal(2 * size)
-    gives the real then the imaginary parts, divided by the row's np.linalg.norm."""
-    draws = np.fromiter((rng.standard_normal(2 * size) for rng in rngs), dtype=(np.float64, 2 * size))
+def _unit_gaussian(draws: np.ndarray) -> np.ndarray:
+    """(K, size) stack from a (K, 2 * size) standard-normal stack: each row's first half gives
+    the real parts, its second half the imaginary parts, divided by the row's np.linalg.norm."""
+    size = draws.shape[1] // 2
     coeffs = draws[:, :size] + 1j * draws[:, size:]
-    # Per row, so each norm is exactly np.linalg.norm of that state's coefficients.
-    return coeffs / np.array([np.linalg.norm(row) for row in coeffs])[:, None]
+    re, im = coeffs.real, coeffs.imag
+    # Row by row through the strided BLAS ddot np.linalg.norm takes, so each norm is its value bit for bit.
+    norms = np.sqrt(re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0]
+    return coeffs / norms
 
 
-def _parity_amplitudes(cls: ParityClass, rngs: Iterable[np.random.Generator]) -> np.ndarray:
-    """The (K, 8) amplitudes random_parity_state draws, one row per generator; already unit,
-    so each state holds its row unchanged."""
+def _parity_amplitudes(cls: ParityClass, draw: Callable[[int], np.ndarray]) -> np.ndarray:
+    """The (K, 8) amplitudes random_parity_state draws, from draw(width), a (K, width)
+    standard-normal stack; already unit, so each state holds its row unchanged."""
     if cls is ParityClass.NEITHER:
-        return _unit_gaussian(rngs, 8)
-    coeffs = _unit_gaussian(rngs, 4)
+        return _unit_gaussian(draw(16))
+    coeffs = _unit_gaussian(draw(8))
     amps = np.zeros((len(coeffs), 8), dtype=np.complex128)
     amps[:, sorted(EVEN_SUPPORT if cls is ParityClass.EVEN else ODD_SUPPORT)] = coeffs
     return amps
 
 
 def random_parity_state(cls: ParityClass, rng: np.random.Generator) -> PureState:
-    return state_from_amplitudes(_parity_amplitudes(cls, [rng])[0])
+    _require_member(cls, ParityClass, "parity class")
+    return state_from_amplitudes(_parity_amplitudes(cls, lambda width: rng.standard_normal((1, width)))[0])
 
 
 def random_state(n_qubits: int, rng: np.random.Generator) -> PureState:
-    return state_from_amplitudes(_unit_gaussian([rng], 1 << n_qubits)[0])
+    n_qubits = _integer(n_qubits, "qubit count")
+    if n_qubits < 0:
+        raise ShapeError(f"qubit count must be nonnegative, got {n_qubits}")
+    return state_from_amplitudes(_unit_gaussian(rng.standard_normal((1, 2 << n_qubits)))[0])

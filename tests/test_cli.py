@@ -1,4 +1,5 @@
 import copy
+import functools
 import json
 import math
 import subprocess
@@ -17,6 +18,7 @@ from qrfkit import (
     cli,
     embed,
     measures,
+    qstate,
     random_parity_state,
     rindler,
     state_from_amplitudes,
@@ -273,22 +275,28 @@ def test_sample_lines_equal_the_scalar_checks(capsys, parity, measures):
     assert out.splitlines() == expected
 
 
-SAMPLE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**200 + 7]
+# 2**96 + 1 is the first seed whose word table, its four words and the index, overflows SeedSequence's 4-word pool.
+SAMPLE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**96 + 1, 2**200 + 7]
 
 
 @pytest.mark.parametrize("seed", SAMPLE_SEEDS)
 def test_sample_generators_are_default_rng_of_seed_and_index(seed):
-    # The word table holds seed's 32-bit words then i, as SeedSequence assembles [seed, i].
-    indices = [0, 1, 4095, 99_999]
-    for i, rng in zip(indices, cli._sample_generators(seed, indices)):
-        assert rng.bit_generator.state == np.random.default_rng([seed, i]).bit_generator.state
+    # Row k's PCG64 start state is that of default_rng([seed, indices[k]]), and so are its draws, byte for byte.
+    indices = np.array([0, 1, 4095, 99_999])
+    for i, (state, inc) in zip(indices, cli._pcg64_states(seed, indices)):
+        expected = np.random.default_rng([seed, i]).bit_generator.state
+        assert {"state": state, "inc": inc} == expected["state"]
+    for width in (8, 16):
+        expected = np.array([np.random.default_rng([seed, i]).standard_normal(width) for i in indices])
+        assert cli._sample_draws(seed, indices, width).tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("count", [1, 7, 200])
-@pytest.mark.parametrize("seed", SAMPLE_SEEDS)
+@pytest.mark.parametrize("seed, count", [(seed, count) for seed in SAMPLE_SEEDS for count in (1, 7, 200)]
+                         + [(2**96 + 1, qstate._ROW_BLOCK + 1)])
 def test_stacked_draws_equal_random_parity_state(seed, count):
     for cls in ParityClass:
-        stack = transference._parity_amplitudes(cls, cli._sample_generators(seed, np.arange(count)))
+        draw = functools.partial(cli._sample_draws, seed, np.arange(count))
+        stack = transference._parity_amplitudes(cls, draw)
         assert stack.shape == (count, 8)
         for i in range(count):
             expected = random_parity_state(cls, np.random.default_rng([seed, i])).amplitudes
@@ -501,6 +509,10 @@ EXIT_CODE_TABLE = [
     (["perspective", "--state", "zero.json", "--perspective", "0", "--tol", "2"], 5, True),
     (["check", "--state", "w-even:nan,1,1"], 5, True),
     (["check", "--state", "appc-q:nan"], 5, True),
+    (["check", "--state", "ghz:nan"], 5, True),
+    (["check", "--state", "rindler:nan"], 5, True),
+    (["check", "--state", "ghz:inf"], 4, True),
+    (["check", "--state", "rindler:inf"], 4, True),
     (["perspective", "--state", "undecodable.json", "--perspective", "0"], 2, True),
     (["check", "--state", "deep.json"], 2, True),
     (["perspective", "--state", "ghz", "--perspective", "0"], 2, True),
@@ -717,7 +729,7 @@ def test_tiny_w_even_weights_keep_their_direction(capsys, tiny, plain):
         assert run(capsys, ["perspective", "--state", f"w-even:{tiny}", "--perspective", p]) == expected
 
 
-@pytest.mark.parametrize("spec", ["w-even:nan,1,1", "w-even:1,1,nan", "appc-q:nan"])
+@pytest.mark.parametrize("spec", ["w-even:nan,1,1", "w-even:1,1,nan", "appc-q:nan", "ghz:nan", "rindler:nan"])
 def test_nan_builtin_parameters_name_the_builtin(capsys, spec):
     for tol in ("1e-3", "1e-9"):
         code, out, err = run(capsys, ["check", "--state", spec, "--tol", tol])

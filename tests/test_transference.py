@@ -22,7 +22,7 @@ from qrfkit import (
     transference_sides,
     xyl_closed_form,
 )
-from qrfkit.errors import DomainError, WrongQubitCountError
+from qrfkit.errors import DomainError, NotPowerOfTwoError, ShapeError, UnknownQuantityError, WrongQubitCountError
 from qrfkit.transference import _analysis_of, perspectival_side
 
 RT2 = 1.0 / math.sqrt(2.0)
@@ -342,3 +342,29 @@ def test_samplers_hold_the_unit_gaussian_draw_unchanged():
             expected = np.zeros(8, dtype=np.complex128)
             expected[support] = draw([51, i], 4)
             assert random_parity_state(cls, np.random.default_rng([51, i])).amplitudes.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("cls", ["Even", "even", None, 3, ParityClass])
+def test_random_parity_state_refuses_a_non_member_before_drawing(cls):
+    rng = np.random.default_rng(52)
+    before = rng.bit_generator.state
+    with pytest.raises(UnknownQuantityError, match="parity class"):
+        random_parity_state(cls, rng)
+    assert rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("n_qubits", [-1, -64, 2.5, 3.0, "3", None])
+def test_random_state_refuses_a_bad_qubit_count_before_drawing(n_qubits):
+    rng = np.random.default_rng(53)
+    before = rng.bit_generator.state
+    with pytest.raises(ShapeError, match="qubit count"):
+        random_state(n_qubits, rng)
+    assert rng.bit_generator.state == before
+
+
+def test_random_state_takes_any_integer_qubit_count():
+    expected = random_state(3, np.random.default_rng(54)).amplitudes
+    for n in (np.int64(3), np.uint8(3)):
+        assert random_state(n, np.random.default_rng(54)).amplitudes.tobytes() == expected.tobytes()
+    with pytest.raises(NotPowerOfTwoError):
+        random_state(0, np.random.default_rng(54))
