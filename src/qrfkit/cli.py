@@ -30,16 +30,15 @@ from . import rindler
 from .errors import DomainError, GridError, IoError, NumericError, QrfError, ShapeError
 from .measures import MeasurePair
 from .perspective import assign_perspective
-from .qstate import _ROW_BLOCK, PureState, _dumps, _fill_rows, _row_template, state_from_amplitudes, state_from_json
+from .qstate import PureState, _by_block, _dumps, _fill_rows, _row_template, state_from_amplitudes, state_from_json
 from .qstate import state_to_json
-from .transference import ConstraintId, ParityClass, _Analysis, _analysis_of, _parity_amplitudes
-from .transference import _report_dict, _rows, parity_class
+from .transference import ConstraintId, ParityClass, _analysis_of, _report_dict, _rows, _sample_block, parity_class
 
 DEFAULT_TOL = 1e-9
 # Largest --grid count, 500 times the paper's 201-point grid.
 MAX_GRID_POINTS = 100_000
 # Largest sample --count.  It keeps every state index below 2**32, one seed word,
-# which _pcg64_states relies on.
+# which the stacked seeding in transference relies on.
 MAX_SAMPLE_COUNT = 100_000
 
 EXIT_CODES = {"io": 2, "shape": 3, "domain": 4, "numeric": 5}
@@ -85,83 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
 def _parser() -> argparse.ArgumentParser:
     """The one parser main uses, built on its first call; parsing leaves it unchanged."""
     return build_parser()
-
-
-# numpy.random.SeedSequence's hash constants (numpy/random/bit_generator.pyx) and
-# PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128 in pcg64.h).
-_SEED_INIT_A, _SEED_MULT_A = 0x43B0D7E5, 0x931E8875
-_SEED_INIT_B, _SEED_MULT_B = 0x8B51F9DD, 0x58F38DED
-_SEED_MIX_L, _SEED_MIX_R = 0xCA01F9DD, 0x4973F715
-_SEED_POOL, _SEED_XSHIFT = 4, 16
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
-    """init * mult**j mod 2**32 for j < count: the constants one SeedSequence hash steps through."""
-    return np.array([init * pow(mult, j, 1 << 32) % (1 << 32) for j in range(count)], dtype=np.uint32)
-
-
-def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
-    """SeedSequence's hashmix of each column j of values: xor consts[j], times consts[j + 1], xor-shift."""
-    mixed = (values ^ consts[:-1]) * consts[1:]
-    return mixed ^ (mixed >> _SEED_XSHIFT)
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """SeedSequence's mix of pool words x with hashed words y."""
-    mixed = np.uint32(_SEED_MIX_L) * x - np.uint32(_SEED_MIX_R) * y
-    return mixed ^ (mixed >> _SEED_XSHIFT)
-
-
-def _pcg64_states(seed: int, indices) -> list[tuple[int, int]]:
-    """(state, inc) of default_rng([seed, i]).bit_generator for each index i, seeded in one stacked pass.
-
-    SeedSequence assembles [seed, i] as the little-endian 32-bit words of seed, then
-    those of i; each index i < 2**32 (MAX_SAMPLE_COUNT keeps it so) is one word.  Its
-    pool mixing and generate_state(4, uint64) run over the whole (K, L) word table; the
-    hash constants' sequence depends on L only, not on the row."""
-    words = [(seed >> shift) & 0xFFFFFFFF for shift in range(0, max(seed.bit_length(), 1), 32)]
-    n_words = len(words) + 1
-    # Zero columns pad a table narrower than the pool, as the pool's unfilled words hash 0.
-    table = np.zeros((len(indices), max(n_words, _SEED_POOL)), dtype=np.uint32)
-    table[:, :len(words)] = words
-    table[:, len(words)] = indices
-    extra = max(n_words - _SEED_POOL, 0)
-    # One constant per hashmix call (4 to fill the pool, 12 to cross-mix it, 4 per extra word), and one more.
-    hash_a = _hash_constants(_SEED_INIT_A, _SEED_MULT_A, _SEED_POOL * _SEED_POOL + _SEED_POOL * extra + 1)
-    pool, at = _hashmix(table[:, :_SEED_POOL], hash_a[:_SEED_POOL + 1]), _SEED_POOL
-    for src in range(_SEED_POOL):
-        dst = [d for d in range(_SEED_POOL) if d != src]
-        pool[:, dst] = _mix(pool[:, dst], _hashmix(pool[:, src, None], hash_a[at:at + _SEED_POOL]))
-        at += _SEED_POOL - 1
-    for src in range(_SEED_POOL, n_words):
-        pool = _mix(pool, _hashmix(table[:, src, None], hash_a[at:at + _SEED_POOL + 1]))
-        at += _SEED_POOL
-    # generate_state(4, uint64) hashes 8 words, cycling through the pool twice.
-    state = _hashmix(np.tile(pool, 2), _hash_constants(_SEED_INIT_B, _SEED_MULT_B, 8 + 1))
-    # uint64 j is 32-bit words 2j (low) and 2j + 1 (high); pcg64_set_seed reads uint64s 0, 1
-    # as the 128-bit initial state and uint64s 2, 3 as the sequence, high half first.
-    state = state.astype(np.uint64)
-    columns = ((state[:, 2 * j] | state[:, 2 * j + 1] << np.uint64(32)).tolist() for j in range(4))
-    mask, starts = (1 << 128) - 1, []
-    for init_hi, init_lo, seq_hi, seq_lo in zip(*columns):
-        inc = (((seq_hi << 64) | seq_lo) << 1 | 1) & mask
-        starts.append((((inc + ((init_hi << 64) | init_lo)) * _PCG64_MULT + inc) & mask, inc))
-    return starts
-
-
-def _sample_draws(seed: int, indices, width: int) -> np.ndarray:
-    """(K, width) stack whose row k is default_rng([seed, indices[k]]).standard_normal(width),
-    drawn from one PCG64 set to each row's start state in turn.  Each row is drawn, then copied:
-    standard_normal(width, out=row) checks its out argument at a cost above that of the copy."""
-    bit_generator = np.random.PCG64(0)  # every row sets its own state
-    generator = np.random.Generator(bit_generator)
-    draws = np.empty((len(indices), width))
-    for row, (state, inc) in zip(draws, _pcg64_states(seed, indices)):
-        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                               "has_uint32": 0, "uinteger": 0}
-        row[:] = generator.standard_normal(width)
-    return draws
 
 
 def resolve_tol(arg_tol) -> float:
@@ -311,12 +233,8 @@ def run_sample(args, tol: float) -> Iterator[str]:
     cls = ParityClass(args.parity.title())
     pairs = parse_measures(args.measures)
     index = np.arange(args.count)
-    # The draws are analysed _ROW_BLOCK states at a time, and only each pair's (K, 3) tables are kept.
-    draws = (functools.partial(_sample_draws, args.seed, index[start:start + _ROW_BLOCK])
-             for start in range(0, args.count, _ROW_BLOCK))
-    analyses = (_Analysis(_parity_amplitudes(cls, draw), pairs) for draw in draws)
-    blocks = [[a.transference(m, tol) for m in pairs] for a in analyses]
-    tables = [[np.concatenate(column) for column in zip(*pair_blocks)] for pair_blocks in zip(*blocks)]
+    whole = _by_block(args.count, lambda rows: _sample_block(cls, args.seed, index[rows], pairs, tol))
+    tables = [whole[start:start + 4] for start in range(0, len(whole), 4)]
     passed = [satisfied.all(axis=1) for *_, satisfied in tables]
     template, columns = "", []
     for m, table, ok in zip(pairs, tables, passed):

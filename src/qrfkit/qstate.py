@@ -63,6 +63,15 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _require_shapeable(n_qubits: int) -> None:
+    """ShapeError unless numpy can shape an n_qubits register's 16 * 2**n_qubits bytes of complex128 amplitudes.
+
+    Past that size numpy raises a bare ValueError; a size it can shape but not allocate is a MemoryError.
+    """
+    if (16 << n_qubits) > np.iinfo(np.intp).max:
+        raise ShapeError(f"qubit count {n_qubits} is past the largest register numpy can shape")
+
+
 def _renormalised(vec: np.ndarray) -> np.ndarray:
     """Divide vec by its norm in place, then freeze it as complex128.
 
@@ -245,6 +254,22 @@ def _dumps(doc, **kwargs) -> str:
 _ROW_BLOCK = 4096  # rows analysed and formatted at a time, so no stacked run holds more than a block of stacks or text
 
 
+def _by_block(count: int, block, lazy: bool = False):
+    """block(rows) for each slice rows of _ROW_BLOCK rows of range(count), in turn: where every stacked run's blocks
+    start and end.  Lazy, the results are yielded as computed.  Otherwise each is a list of arrays over rows, written
+    into one array of count rows per entry, allocated from the first block's shapes; those arrays are returned."""
+    blocks = [slice(start, start + _ROW_BLOCK) for start in range(0, count, _ROW_BLOCK)]
+    if lazy:
+        return map(block, blocks)
+    whole = []
+    for rows in blocks:
+        arrays = block(rows)
+        whole = whole or [np.empty((count, *a.shape[1:]), a.dtype) for a in arrays]
+        for column, a in zip(whole, arrays):
+            column[rows] = a
+    return whole
+
+
 def _row_template(doc, **kwargs) -> str:
     """json.dumps(doc, **kwargs) as a % template: each string value "%r", "%d" or "%s" becomes that bare field."""
     text = json.dumps(doc, **kwargs).replace("%", "%%")
@@ -259,18 +284,16 @@ def _fill_rows(template, columns) -> Iterator[str]:
     Float columns fill float fields (%r gives json's float form), integer
     columns %d, and bool columns %s as true/false; the template carries each
     row's separator.  A NaN or infinity in any float column raises _dumps'
-    NumericError here, at the call, before the returned generator formats a row.
+    NumericError here, at the call, before the returned iterator formats a row.
     """
     for c in columns:
         if c.dtype.kind == "f" and not np.isfinite(c).all():
             _dumps(float(c[~np.isfinite(c)][0]))  # raises, with the message _dumps gives for it
 
-    def texts():
-        for start in range(0, len(columns[0]), _ROW_BLOCK):
-            block = [c[start:start + _ROW_BLOCK] for c in columns]
-            values = [(np.where(b, "true", "false") if b.dtype == bool else b).tolist() for b in block]
-            yield "".join(map(template.__mod__, zip(*values)))
-    return texts()
+    def text(rows):
+        values = [(np.where(c[rows], "true", "false") if c.dtype == bool else c[rows]).tolist() for c in columns]
+        return "".join(map(template.__mod__, zip(*values)))
+    return _by_block(len(columns[0]), text, lazy=True)
 
 
 def state_to_json(psi: PureState, perspective_of: int | None = None) -> str:

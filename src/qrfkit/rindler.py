@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DomainError, GridError, NonPositiveInputError, NumericError, _require_member
 from .measures import MeasurePair, _binary_entropies, _is_entropic
-from .qstate import _ROW_BLOCK, PureState, _fill_rows, _row_template, state_from_amplitudes
+from .qstate import PureState, _by_block, _fill_rows, _row_template, state_from_amplitudes
 # oracle_coherence is imported for callers only: qrfkit.rindler.oracle_coherence stays importable.
 from .transference import _Analysis, oracle_coherence  # noqa: F401
 
@@ -240,7 +240,7 @@ CSV_COLUMNS = (
 def _sweep_pairs(r_grid, pairs) -> list[np.ndarray]:
     """sweep's rows for every measure pair in pairs, each one finite (K, 20) array in SweepRecord field order.
 
-    The whole grid is checked first, then analysed _ROW_BLOCK points at a time,
+    The whole grid is checked first, then analysed a block of points at a time,
     so no stack holds more than one block.
     """
     grid = [float(r) for r in r_grid]
@@ -253,24 +253,23 @@ def _sweep_pairs(r_grid, pairs) -> list[np.ndarray]:
     observers = list(ObserverLabel)
     ordered_pairs = [(alpha, beta) for alpha in observers for beta in observers if beta is not alpha]
     g_cols, p_cols = np.array([_coherence_columns(alpha, beta) for alpha, beta in ordered_pairs]).T
-    tables = [np.empty((len(grid), len(CSV_COLUMNS) - 1)) for _ in pairs]
-    for start in range(0, len(grid), _ROW_BLOCK):
-        block = grid[start:start + _ROW_BLOCK]
-        a = _Analysis(_global_amplitudes(block), pairs, mutual_information=True)
+
+    def tables_of(rows):
+        points = grid[rows]
+        a = _Analysis(_global_amplitudes(points), pairs, mutual_information=True)
         # One (K, 6) table per measure pair; mutual information is entropic under either pair.
-        curves = {m: _curves(block, m) for m in {*pairs, MeasurePair.ENTROPY}}
+        curves = {m: _curves(points, m) for m in {*pairs, MeasurePair.ENTROPY}}
         mi_closed = np.column_stack(_mi_curves(*curves[MeasurePair.ENTROPY].T))
-        for m, table in zip(pairs, tables):
+        for m in pairs:
             t = curves[m]
             # Both (K, 18) arrays follow the SweepRecord field order, r and max_residual aside;
             # Quantity order puts the perspectival curves first and the global cuts last, Rbar's first.
             closed = np.column_stack([t[:, :3], t[:, g_cols] - t[:, p_cols], t[:, 3:], mi_closed])
             # coh[m] holds each observer's slots in ascending party order, which is ordered_pairs' order.
             oracle = np.column_stack([*a.persp_ent[m], *a.coh[m].reshape(6, -1), *a.global_ent[m][::-1], *a.mi])
-            rows = table[start:start + len(block)]
-            rows[:, 0], rows[:, 1:-1] = block, closed
             # np.max keeps a NaN wherever it stands, so the finiteness check below sees it.
-            rows[:, -1] = np.max(np.abs(closed - oracle), axis=1)
+            yield np.column_stack([points, closed, np.max(np.abs(closed - oracle), axis=1)])
+    tables = _by_block(len(grid), lambda rows: list(tables_of(rows)))
     for table in tables:
         if not np.isfinite(table).all():
             bad = np.flatnonzero(~np.isfinite(table).all(axis=1))[0]

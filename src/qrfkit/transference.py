@@ -7,7 +7,8 @@ across the (gamma | alpha beta) cut.  Parity states (support entirely on
 even-weight or entirely on odd-weight basis strings) satisfy all three
 permutations for both measure pairs; this module also provides the closed
 X/Y/L coefficient forms that make that manifest, and samplers for the state
-families used in the property checks.
+families used in the property checks; the sampler section also holds the
+CLI's stacked, seeded block sampler.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from .errors import DomainError, ShapeError, WrongQubitCountError, _require_memb
 from .measures import MeasurePair, _coherences, _entanglements, _entropies, _is_entropic, binary_entropy, coherence
 from .measures import entanglement
 from .perspective import _flip_merge, _integer, _register_slot, assign_perspective
-from .qstate import PureState, _density_matrices, _dephased, _partial_traces, density_matrix, partial_trace
-from .qstate import permute_qubits, state_from_amplitudes
+from .qstate import PureState, _density_matrices, _dephased, _partial_traces, _require_shapeable, density_matrix
+from .qstate import partial_trace, permute_qubits, state_from_amplitudes
 
 SAT_TOL = 1e-9          # default satisfaction tolerance for residuals
 SUPPORT_TOL = 1e-12     # amplitude modulus below this counts as absent
@@ -283,10 +284,87 @@ def condition_check(psi: PureState, c: ConstraintId, m: MeasurePair, tol: float 
 
 
 # ---------------------------------------------------------------------------
-# State samplers for the property suites.  Coefficients are drawn with
-# independent standard-normal real and imaginary parts and renormalized,
-# which is uniform on the complex sphere of the chosen support.
+# State samplers for the property suites and the CLI's sample.  Coefficients
+# are drawn with independent standard-normal real and imaginary parts and
+# renormalized, which is uniform on the complex sphere of the chosen support.
 # ---------------------------------------------------------------------------
+
+# numpy.random.SeedSequence's hash constants (numpy/random/bit_generator.pyx) and
+# PCG64's 128-bit LCG multiplier (PCG_DEFAULT_MULTIPLIER_128 in pcg64.h).
+_SEED_INIT_A, _SEED_MULT_A = 0x43B0D7E5, 0x931E8875
+_SEED_INIT_B, _SEED_MULT_B = 0x8B51F9DD, 0x58F38DED
+_SEED_MIX_L, _SEED_MIX_R = 0xCA01F9DD, 0x4973F715
+_SEED_POOL, _SEED_XSHIFT = 4, 16
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """init * mult**j mod 2**32 for j < count: the constants one SeedSequence hash steps through."""
+    return np.array([init * pow(mult, j, 1 << 32) % (1 << 32) for j in range(count)], dtype=np.uint32)
+
+
+def _hashmix(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of each column j of values: xor consts[j], times consts[j + 1], xor-shift."""
+    mixed = (values ^ consts[:-1]) * consts[1:]
+    return mixed ^ (mixed >> _SEED_XSHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of pool words x with hashed words y."""
+    mixed = np.uint32(_SEED_MIX_L) * x - np.uint32(_SEED_MIX_R) * y
+    return mixed ^ (mixed >> _SEED_XSHIFT)
+
+
+def _pcg64_states(seed: int, indices) -> list[tuple[int, int]]:
+    """(state, inc) of default_rng([seed, i]).bit_generator for each index i, seeded in one stacked pass.
+
+    SeedSequence assembles [seed, i] as the little-endian 32-bit words of seed, then
+    those of i; each index i < 2**32 (cli.MAX_SAMPLE_COUNT keeps it so) is one word.  Its
+    pool mixing and generate_state(4, uint64) run over the whole (K, L) word table; the
+    hash constants' sequence depends on L only, not on the row."""
+    words = [(seed >> shift) & 0xFFFFFFFF for shift in range(0, max(seed.bit_length(), 1), 32)]
+    n_words = len(words) + 1
+    # Zero columns pad a table narrower than the pool, as the pool's unfilled words hash 0.
+    table = np.zeros((len(indices), max(n_words, _SEED_POOL)), dtype=np.uint32)
+    table[:, :len(words)] = words
+    table[:, len(words)] = indices
+    extra = max(n_words - _SEED_POOL, 0)
+    # One constant per hashmix call (4 to fill the pool, 12 to cross-mix it, 4 per extra word), and one more.
+    hash_a = _hash_constants(_SEED_INIT_A, _SEED_MULT_A, _SEED_POOL * _SEED_POOL + _SEED_POOL * extra + 1)
+    pool, at = _hashmix(table[:, :_SEED_POOL], hash_a[:_SEED_POOL + 1]), _SEED_POOL
+    for src in range(_SEED_POOL):
+        dst = [d for d in range(_SEED_POOL) if d != src]
+        pool[:, dst] = _mix(pool[:, dst], _hashmix(pool[:, src, None], hash_a[at:at + _SEED_POOL]))
+        at += _SEED_POOL - 1
+    for src in range(_SEED_POOL, n_words):
+        pool = _mix(pool, _hashmix(table[:, src, None], hash_a[at:at + _SEED_POOL + 1]))
+        at += _SEED_POOL
+    # generate_state(4, uint64) hashes 8 words, cycling through the pool twice.
+    state = _hashmix(np.tile(pool, 2), _hash_constants(_SEED_INIT_B, _SEED_MULT_B, 8 + 1))
+    # uint64 j is 32-bit words 2j (low) and 2j + 1 (high); pcg64_set_seed reads uint64s 0, 1
+    # as the 128-bit initial state and uint64s 2, 3 as the sequence, high half first.
+    state = state.astype(np.uint64)
+    columns = ((state[:, 2 * j] | state[:, 2 * j + 1] << np.uint64(32)).tolist() for j in range(4))
+    mask, starts = (1 << 128) - 1, []
+    for init_hi, init_lo, seq_hi, seq_lo in zip(*columns):
+        inc = (((seq_hi << 64) | seq_lo) << 1 | 1) & mask
+        starts.append((((inc + ((init_hi << 64) | init_lo)) * _PCG64_MULT + inc) & mask, inc))
+    return starts
+
+
+def _sample_draws(seed: int, indices, width: int) -> np.ndarray:
+    """(K, width) stack whose row k is default_rng([seed, indices[k]]).standard_normal(width),
+    drawn from one PCG64 set to each row's start state in turn.  Each row is drawn, then copied:
+    standard_normal(width, out=row) checks its out argument at a cost above that of the copy."""
+    bit_generator = np.random.PCG64(0)  # every row sets its own state
+    generator = np.random.Generator(bit_generator)
+    draws = np.empty((len(indices), width))
+    for row, (state, inc) in zip(draws, _pcg64_states(seed, indices)):
+        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+        row[:] = generator.standard_normal(width)
+    return draws
+
 
 def _unit_gaussian(draws: np.ndarray) -> np.ndarray:
     """(K, size) stack from a (K, 2 * size) standard-normal stack: each row's first half gives
@@ -310,6 +388,12 @@ def _parity_amplitudes(cls: ParityClass, draw: Callable[[int], np.ndarray]) -> n
     return amps
 
 
+def _sample_block(cls: ParityClass, seed: int, indices, pairs, tol: float) -> list[np.ndarray]:
+    """Each pair's (lhs, rhs, residual, satisfied) (K, 3) tables in turn, for the states at indices of sample --seed seed."""
+    analysis = _Analysis(_parity_amplitudes(cls, lambda width: _sample_draws(seed, indices, width)), pairs)
+    return [column for m in pairs for column in analysis.transference(m, tol)]
+
+
 def random_parity_state(cls: ParityClass, rng: np.random.Generator) -> PureState:
     _require_member(cls, ParityClass, "parity class")
     return state_from_amplitudes(_parity_amplitudes(cls, lambda width: rng.standard_normal((1, width)))[0])
@@ -319,4 +403,5 @@ def random_state(n_qubits: int, rng: np.random.Generator) -> PureState:
     n_qubits = _integer(n_qubits, "qubit count")
     if n_qubits < 0:
         raise ShapeError(f"qubit count must be nonnegative, got {n_qubits}")
+    _require_shapeable(n_qubits)
     return state_from_amplitudes(_unit_gaussian(rng.standard_normal((1, 2 << n_qubits)))[0])

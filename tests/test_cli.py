@@ -283,19 +283,25 @@ SAMPLE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**96 + 1, 2**200 + 7]
 def test_sample_generators_are_default_rng_of_seed_and_index(seed):
     # Row k's PCG64 start state is that of default_rng([seed, indices[k]]), and so are its draws, byte for byte.
     indices = np.array([0, 1, 4095, 99_999])
-    for i, (state, inc) in zip(indices, cli._pcg64_states(seed, indices)):
+    for i, (state, inc) in zip(indices, transference._pcg64_states(seed, indices)):
         expected = np.random.default_rng([seed, i]).bit_generator.state
         assert {"state": state, "inc": inc} == expected["state"]
     for width in (8, 16):
         expected = np.array([np.random.default_rng([seed, i]).standard_normal(width) for i in indices])
-        assert cli._sample_draws(seed, indices, width).tobytes() == expected.tobytes()
+        assert transference._sample_draws(seed, indices, width).tobytes() == expected.tobytes()
+
+
+def test_sample_count_cap_keeps_each_index_one_seed_word():
+    # _pcg64_states writes each state index into one uint32 column of its word table, where an index
+    # of 2**32 or more wraps silently and would seed [s, i mod 2**32]; indices run below the count.
+    assert cli.MAX_SAMPLE_COUNT <= 2**32
 
 
 @pytest.mark.parametrize("seed, count", [(seed, count) for seed in SAMPLE_SEEDS for count in (1, 7, 200)]
                          + [(2**96 + 1, qstate._ROW_BLOCK + 1)])
 def test_stacked_draws_equal_random_parity_state(seed, count):
     for cls in ParityClass:
-        draw = functools.partial(cli._sample_draws, seed, np.arange(count))
+        draw = functools.partial(transference._sample_draws, seed, np.arange(count))
         stack = transference._parity_amplitudes(cls, draw)
         assert stack.shape == (count, 8)
         for i in range(count):

@@ -25,7 +25,7 @@ from qrfkit import (
     sweep,
     sweep_to_csv,
 )
-from qrfkit import rindler
+from qrfkit import qstate, rindler, transference
 from qrfkit.cli import main, parse_grid
 from qrfkit.errors import DomainError, GridError, NonPositiveInputError, NumericError
 from qrfkit.rindler import (
@@ -375,7 +375,8 @@ def test_mi_curves_match_sweep_oracle_fields():
 
 
 @pytest.mark.parametrize("count", [4095, 4096, 4097, 8193])
-def test_sweep_blocks_equal_one_whole_grid_block(monkeypatch, count):
+def test_sweep_blocks_equal_one_whole_grid_block(monkeypatch, capsys, count):
+    # sweep and sample both step through one block driver: blocks of 4096 rows give the bytes of one whole block.
     full = np.linspace(0.0, R_MAX, count).tolist()
     analysed = []
     original = rindler._Analysis
@@ -384,18 +385,24 @@ def test_sweep_blocks_equal_one_whole_grid_block(monkeypatch, count):
         analysed.append(len(amps))
         return original(amps, *args, **kwargs)
 
+    def sample():
+        assert main(["sample", "--count", str(count), "--seed", "7", "--parity", "neither", "--measures", "both"]) == 0
+        return capsys.readouterr().out.encode()
+
     monkeypatch.setattr(rindler, "_Analysis", counted)
-    for pairs in ([MeasurePair.ENTROPY], [MeasurePair.LINEAR], list(MeasurePair)):
-        blocked = rindler._sweep_pairs(full, pairs)
+    monkeypatch.setattr(transference, "_Analysis", counted)
+    runs = [lambda pairs=pairs: b"".join(t.tobytes() for t in rindler._sweep_pairs(full, pairs))
+            for pairs in ([MeasurePair.ENTROPY], [MeasurePair.LINEAR], list(MeasurePair))]
+    for run in [*runs, sample]:
+        blocked = run()
         assert analysed == [4096] * (count // 4096) + [count % 4096] * (count % 4096 > 0)
         analysed.clear()
         with monkeypatch.context() as patch:
-            patch.setattr(rindler, "_ROW_BLOCK", count)
-            whole = rindler._sweep_pairs(full, pairs)
+            patch.setattr(qstate, "_ROW_BLOCK", count)
+            whole = run()
         assert analysed == [count]
         analysed.clear()
-        for b, w in zip(blocked, whole, strict=True):
-            assert np.array_equal(b.view(np.int64), w.view(np.int64))
+        assert blocked == whole
 
 
 def scalar_binary_entropy(p):

@@ -353,7 +353,8 @@ def test_random_parity_state_refuses_a_non_member_before_drawing(cls):
     assert rng.bit_generator.state == before
 
 
-@pytest.mark.parametrize("n_qubits", [-1, -64, 2.5, 3.0, "3", None])
+# 59 qubits and up need 16 * 2**n bytes past the largest size numpy can shape: a ShapeError, before any allocation.
+@pytest.mark.parametrize("n_qubits", [-1, -64, 2.5, 3.0, "3", None, 59, 62, 64, 100])
 def test_random_state_refuses_a_bad_qubit_count_before_drawing(n_qubits):
     rng = np.random.default_rng(53)
     before = rng.bit_generator.state
