@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, ShapeError, TooFewQubitsError
-from .qstate import PureState, _freeze, _purified, _renormalised, _renormalised_rows
+from .qstate import PureState, _freeze, _purified, _renormalised, _renormalised_rows, _require_shapeable
 
 
 def _integer(value, what: str) -> int:
@@ -98,6 +98,7 @@ def perspective_operator(p: int, n: int) -> np.ndarray:
     """
     n = _integer(n, "register size")
     p = _check_target(n, p)
+    _require_shapeable(n, square=True)
     return _matrix_of(_controlled_flip(n, p, (1 << n) - 1))
 
 
@@ -132,6 +133,7 @@ def embed(psi: PureState, p: int) -> PureState:
     """
     n = psi.n_qubits + 1
     p = _check_target(n, p)
+    _require_shapeable(n)
     a = psi.amplitudes.reshape((2,) * psi.n_qubits)
     out = np.stack([a, np.zeros_like(a)], axis=p).ravel()
     return PureState(n_qubits=n, amplitudes=_freeze(out))
@@ -169,6 +171,7 @@ def z2_operator(n_parties: int, from_label: int, to_label: int) -> QrfOperator:
     if from_label == to_label:
         raise ShapeError("frame change requires two distinct party labels")
     n = n_parties - 1
+    _require_shapeable(n, square=True)
     control = _register_slot(to_label, from_label)
     spectators = ((1 << n) - 1) ^ (1 << (n - 1 - control))
     m = _matrix_of(_controlled_flip(n, control, spectators))

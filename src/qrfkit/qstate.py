@@ -10,6 +10,7 @@ functions, so values are safe to share across threads.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from collections.abc import Iterator
@@ -63,13 +64,15 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _require_shapeable(n_qubits: int) -> None:
-    """ShapeError unless numpy can shape an n_qubits register's 16 * 2**n_qubits bytes of complex128 amplitudes.
+def _require_shapeable(n_qubits: int, square: bool = False) -> None:
+    """ShapeError unless numpy can shape an n_qubits register's 16 * 2**n_qubits bytes of complex128 amplitudes,
+    or, square, the 16 * 4**n_qubits bytes of its dense 2**n_qubits x 2**n_qubits operator.
 
     Past that size numpy raises a bare ValueError; a size it can shape but not allocate is a MemoryError.
     """
-    if (16 << n_qubits) > np.iinfo(np.intp).max:
-        raise ShapeError(f"qubit count {n_qubits} is past the largest register numpy can shape")
+    if (16 << (2 * n_qubits if square else n_qubits)) > np.iinfo(np.intp).max:
+        kind = "operator" if square else "register"
+        raise ShapeError(f"qubit count {n_qubits} is past the largest {kind} numpy can shape")
 
 
 def _renormalised(vec: np.ndarray) -> np.ndarray:
@@ -297,23 +300,30 @@ def _fill_rows(template, columns) -> Iterator[str]:
 
 
 def state_to_json(psi: PureState, perspective_of: int | None = None) -> str:
-    doc = {
-        "n_qubits": psi.n_qubits,
-        "amplitudes": np.ascontiguousarray(psi.amplitudes, np.complex128).view(np.float64).reshape(-1, 2).tolist(),
-    }
+    parts = np.ascontiguousarray(psi.amplitudes, np.complex128).view(np.float64).reshape(-1, 2)
+    rows = _fill_rows(", [%r, %r]", list(parts.T))
+    doc = {"n_qubits": psi.n_qubits, "amplitudes": [["%r", "%r"]]}
     if perspective_of is not None:
         doc["perspective_of"] = int(perspective_of)
-    return _dumps(doc)
+    # The document around its one-pair list holds only integers, so the template's text needs no % unescaping.
+    head, tail = _row_template(doc).split("[%r, %r]")
+    # Each row opens with its ", " separator; the first row's is dropped.
+    return "".join([head, next(rows, "")[2:], *rows, tail])
 
 
 def state_from_json(text: str, tol: float = NORM_TOL) -> PureState:
-    """Parse the JSON state format.  A malformed document raises ValueError, TypeError or KeyError."""
+    """Parse the JSON state format.  A malformed document raises ValueError, TypeError, KeyError or OverflowError."""
     doc = json.loads(text)
     pairs = doc["amplitudes"]
-    # complex() takes booleans as numbers, so it runs only on pairs of JSON numbers.
-    amps = [complex(re, im) for re, im in pairs if type(re) in _JSON_NUMBERS and type(im) in _JSON_NUMBERS]
-    if len(amps) != len(pairs):
+    if not set(map(len, pairs)) <= {2}:
+        raise ValueError("each amplitude must be a pair [re, im] of two JSON numbers")
+    parts = list(itertools.chain.from_iterable(pairs))
+    # float() and numpy take booleans as numbers, so only JSON numbers reach the conversion.
+    if not set(map(type, parts)) <= _JSON_NUMBERS:
         raise ValueError("amplitude parts must be JSON numbers")
+    # Each part converts as float() converts it, so an integer past the float range raises OverflowError here.
+    # np.fromiter converts a flat list in about half the time np.array takes.
+    amps = np.fromiter(parts, dtype=np.float64, count=len(parts)).view(np.complex128)
     declared = doc.get("n_qubits")
     if "n_qubits" in doc and type(declared) is not int:
         raise ValueError(f"declared n_qubits {declared!r} is not an integer")

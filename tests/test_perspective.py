@@ -370,3 +370,14 @@ def test_frame_change_report():
                     worst = max(worst, dev)
     print(f"frame-change vs direct assignment, max deviation: {worst:.3e}")
     assert worst <= 1e-12
+
+
+# Even 1 << n cannot be shaped at n >= 63, so a call that skipped the check would fail fast, allocating nothing.
+@pytest.mark.parametrize("n", [63, 64, 200])
+def test_registers_numpy_cannot_shape_raise_shape_error(n):
+    with pytest.raises(ShapeError, match="qubit count"):
+        perspective_operator(0, n)
+    with pytest.raises(ShapeError, match="qubit count"):
+        z2_operator(n + 1, 0, 1)
+    with pytest.raises(ShapeError, match="qubit count"):
+        embed(PureState(n - 1, np.zeros(2, dtype=np.complex128)), 0)

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -245,7 +246,11 @@ def test_json_roundtrip_exact():
 
 def test_json_writer_matches_per_amplitude_form():
     rng = np.random.default_rng(18)
-    for n in range(1, 13):
+    tiny, big = 5e-324, sys.float_info.max
+    # Subnormal parts and parts near the float maximum, as a hand-built PureState may hold them.
+    extremes = [complex(tiny, -tiny), complex(-2.2250738585072014e-309, 1e-320), complex(big, -big),
+                complex(-big, np.nextafter(big, 0.0)), complex(1.7976931348623155e308, -1e308)]
+    for n in (*range(1, 13), 16):  # 16 qubits span several of _fill_rows' blocks
         v = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
         v /= np.linalg.norm(v)
         # Exact zeros and negative zeros in either part, as assignment and embedding produce them.
@@ -253,6 +258,9 @@ def test_json_writer_matches_per_amplitude_form():
         v.real[1::5] = -0.0
         v.imag[2::7] = -0.0
         v[-1] = complex(-0.0, -0.0)
+        # All four signed-zero pairs, then the extremes, over the first entries.
+        head = [complex(0.0, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), *extremes]
+        v[:len(head)] = head[:v.size]
         psi = PureState(n_qubits=n, amplitudes=v)
         pairs = [[float(a.real), float(a.imag)] for a in v]
         assert state_to_json(psi) == json.dumps({"n_qubits": n, "amplitudes": pairs})
@@ -262,6 +270,18 @@ def test_json_writer_matches_per_amplitude_form():
         assert state_to_json(PureState(n, v.real.copy())) == json.dumps(
             {"n_qubits": n, "amplitudes": [[re, 0.0] for re, _ in pairs]})
         assert state_to_json(PureState(n, np.repeat(v, 2)[::2])) == json.dumps({"n_qubits": n, "amplitudes": pairs})
+
+
+def test_json_writer_refuses_non_finite_parts(monkeypatch):
+    # The parts are checked before the first row is formatted.
+    formatted = []
+    monkeypatch.setattr(qstate, "_by_block", lambda count, block, lazy=False: formatted.append(count) or iter(()))
+    for bad in (math.nan, math.inf, -math.inf):
+        for amps in ([bad, 0.0], [complex(0.0, bad), 1.0], [0.5, 0.5, 0.5, complex(0.5, bad)]):
+            psi = PureState(len(amps).bit_length() - 1, np.array(amps, dtype=np.complex128))
+            with pytest.raises(NumericError):
+                state_to_json(psi)
+    assert formatted == []
 
 
 def test_json_perspective_tag():
@@ -280,11 +300,15 @@ STATE_DOCS = [
     ('{"amplitudes": [[0, 1], [-0.0, -0.0], [3, 4.0], [0.0, -0.0]]}', False),
     ('{"n_qubits": 1, "amplitudes": [[-0.0, 1.0], [5e-324, -2.2250738585072014e-309]]}', True),
     (json.dumps({"n_qubits": 1, "amplitudes": [[2 ** 1000, 0], [1, -(2 ** 1000)]]}), False),
+    # Integers at rounding boundaries: numpy, not complex(), converts them to floats.
+    (json.dumps({"amplitudes": [[2 ** 53 + 1, 2 ** 63 + 1], [2 ** 64 + 3, -(2 ** 63) - 1]]}), False),
+    (json.dumps({"n_qubits": 1, "amplitudes": [[10 ** 308, 0], [-1, -(10 ** 308)]]}), False),
     (state_to_json(state_from_amplitudes(_V16 / np.linalg.norm(_V16))), True),
 ]
 
 
-@pytest.mark.parametrize("text, normalized", STATE_DOCS, ids=["integers", "zeros", "subnormal", "2**1000", "16 qubits"])
+@pytest.mark.parametrize("text, normalized", STATE_DOCS,
+                         ids=["integers", "zeros", "subnormal", "2**1000", "rounded integers", "10**308", "16 qubits"])
 def test_json_reader_converts_each_pair_through_complex(monkeypatch, text, normalized):
     converted = np.array([complex(re, im) for re, im in json.loads(text)["amplitudes"]])
     if normalized:  # the reader's state keeps the converted parts bit for bit
@@ -293,6 +317,19 @@ def test_json_reader_converts_each_pair_through_complex(monkeypatch, text, norma
     monkeypatch.setattr(qstate, "state_from_amplitudes",
                         lambda amps, tol: PureState(len(amps).bit_length() - 1, np.asarray(amps, dtype=np.complex128)))
     assert state_from_json(text).amplitudes.tobytes() == converted.tobytes()
+
+
+def test_json_reader_refuses_integers_past_the_float_range():
+    for pair in ([10 ** 400, 0], [0, -(10 ** 400)]):
+        with pytest.raises(OverflowError):
+            state_from_json(json.dumps({"amplitudes": [pair, [1, 0]]}))
+
+
+def test_json_reader_refuses_pairs_of_other_lengths():
+    # [[1, 0, 0], [0]] holds four parts, which without the length check would read as two amplitudes.
+    for pairs in ([[1, 0, 0], [0]], [[1], [0, 0, 0]], [[1, 0], [0, 0], [0, 0], [0]], [[1, 0], []]):
+        with pytest.raises(ValueError, match="pair"):
+            state_from_json(json.dumps({"amplitudes": pairs}))
 
 
 def test_json_qubit_count_must_match():
