@@ -4,6 +4,8 @@ Every error carries a ``kind`` string ("shape", "domain", "numeric", "io") that
 the command-line layer maps onto its documented exit codes.
 """
 
+import operator
+
 
 class QrfError(Exception):
     """Base class for all toolkit errors."""
@@ -84,3 +86,19 @@ def _require_member(value, kind, what: str):
     if not isinstance(value, kind):
         raise UnknownQuantityError(f"unknown {what} {value!r}")
     return value
+
+
+def _integer(value, what: str) -> int:
+    """value by operator.index; a non-integer raises ShapeError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ShapeError(f"{what} {value!r} is not an integer") from None
+
+
+def _check_target(n: int, p, what: str = "perspective target", error=ShapeError) -> int:
+    """p by operator.index, if it lies in [0, n); a non-integer raises ShapeError, an index outside error."""
+    p = _integer(p, what)
+    if not 0 <= p < n:
+        raise error(f"{what} {p} outside register of {n} qubits")
+    return p

@@ -19,7 +19,7 @@ import enum
 import numpy as np
 
 from .errors import InvalidBipartitionError, NumericError, UnknownQuantityError, _require_member
-from .qstate import DensityMatrix, PureState, _clamped_spectra, _dephased, _partial_traces, density_matrix, partial_trace
+from .qstate import DensityMatrix, PureState, _clamped_spectra, _density_matrices, _dephased, _partial_traces, _qubit_list
 from .qstate import clamped_eigenvalues  # noqa: F401  kept importable from measures for callers
 
 
@@ -101,12 +101,10 @@ def linear_entropy(rho: DensityMatrix) -> float:
 
 
 def _partition(n: int, left) -> tuple[list[int], list[int]]:
-    left = sorted(set(left))
-    if not left or left[0] < 0 or left[-1] >= n:
-        raise InvalidBipartitionError(f"left block {left} is not a proper subset of [0, {n})")
+    left = _qubit_list(left, n, InvalidBipartitionError)
     right = [i for i in range(n) if i not in left]
-    if not right:
-        raise InvalidBipartitionError("left block must leave at least one qubit on the right")
+    if not left or not right:  # each side needs at least one qubit
+        raise InvalidBipartitionError(f"left block {left} is not a nonempty proper subset of [0, {n})")
     return left, right
 
 
@@ -122,7 +120,7 @@ def entanglement(psi: PureState, left, pair: MeasurePair = MeasurePair.ENTROPY) 
     smaller block costs nothing in generality; we always reduce to ``left``.
     """
     left, _ = _partition(psi.n_qubits, left)
-    return float(_entanglements(partial_trace(density_matrix(psi), left).entries[None], pair)[0])
+    return float(_entanglements(_partial_traces(_density_matrices(psi.amplitudes[None]), left), pair)[0])
 
 
 def _coherences(rho: np.ndarray, pair: MeasurePair) -> np.ndarray:
@@ -157,12 +155,7 @@ def mutual_information(rho: DensityMatrix, left, right) -> float:
     ``left`` and ``right`` must be disjoint; together they need not exhaust
     the register, in which case the remainder is traced out first.
     """
-    left = sorted(set(left))
-    right = sorted(set(right))
+    left, right = (_qubit_list(block, rho.n_qubits, InvalidBipartitionError) for block in (left, right))
     if set(left) & set(right):
         raise InvalidBipartitionError(f"blocks {left} and {right} overlap")
-    n = rho.n_qubits
-    for i in left + right:
-        if i < 0 or i >= n:
-            raise InvalidBipartitionError(f"index {i} outside [0, {n})")
     return float(_mutual_informations(rho.entries[None], left, right)[0])

@@ -18,14 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    EmptyKeepSetError,
-    NormToleranceError,
-    NotDiagonalError,
-    NotPowerOfTwoError,
-    NumericError,
-    ShapeError,
-)
+from .errors import DomainError, EmptyKeepSetError, NormToleranceError, NotDiagonalError, NotPowerOfTwoError
+from .errors import NumericError, ShapeError, _check_target
 
 NORM_TOL = 1e-9      # default normalization tolerance for state construction
 ATOL = 1e-10         # default comparison tolerance
@@ -82,7 +76,8 @@ def _renormalised(vec: np.ndarray) -> np.ndarray:
     A zero vector has no direction to keep, so it raises NormToleranceError
     whatever tolerance let it through.
     """
-    norm = float(np.linalg.norm(vec))
+    # np.linalg.norm's own 1-D rule, without its Python dispatch: a complex vector's real and imaginary dots, summed.
+    norm = math.sqrt(vec.real.dot(vec.real) + vec.imag.dot(vec.imag) if vec.dtype.kind == "c" else vec.dot(vec))
     if norm == 0.0:
         raise NormToleranceError("state norm is 0, so the vector cannot be normalized")
     if abs(norm - 1.0) > _UNIT_NORM_BAND:
@@ -152,18 +147,20 @@ def _partial_traces(rho: np.ndarray, keep: list[int], out: np.ndarray | None = N
     return np.einsum(t, [Ellipsis, *row, *col], [Ellipsis, *labels]).reshape(lead + (d, d))
 
 
+def _qubit_list(indices, n: int, error) -> list[int]:
+    """The distinct entries of indices, sorted, each by _check_target: one outside [0, n) raises error."""
+    return sorted({_check_target(n, i, "qubit index", error) for i in indices})
+
+
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Trace out every qubit not in ``keep``.
 
     Kept subsystems retain their original relative order.  ``keep`` is a
-    collection of qubit indices; it must be nonempty.
+    collection of integer qubit indices; it must be nonempty.
     """
-    keep = sorted(set(keep))
+    keep = _qubit_list(keep, rho.n_qubits, EmptyKeepSetError)
     if not keep:
         raise EmptyKeepSetError("keep set must contain at least one subsystem")
-    n = rho.n_qubits
-    if keep[0] < 0 or keep[-1] >= n:
-        raise EmptyKeepSetError(f"keep set {keep} outside [0, {n})")
     reduced = _partial_traces(rho.entries[None], keep)[0]
     return DensityMatrix(dim=reduced.shape[0], entries=_freeze(reduced))
 
@@ -202,8 +199,11 @@ def purify_diagonal(rho: DensityMatrix, tol: float = ATOL) -> PureState:
 
     This is the purification-then-projection step: the canonical purification
     of diag(p_i) followed by projecting the ancilla register onto the
-    uniform-phase subspace leaves exactly sqrt(p_i) amplitudes.
+    uniform-phase subspace leaves exactly sqrt(p_i) amplitudes.  A NaN or
+    negative tol raises DomainError.
     """
+    if not tol >= 0:  # as in condition_check: a NaN would pass every off-diagonal entry
+        raise DomainError(f"diagonality tolerance must be a nonnegative number, got {tol}")
     m = rho.entries
     if not np.isfinite(m).all():  # a NaN would pass the diagonality test below
         raise NumericError("density matrix has non-finite entries, so it has no purification")
@@ -216,7 +216,8 @@ def _purified(probs: np.ndarray) -> np.ndarray:
     """Frozen complex128 amplitudes sqrt(p_i) of a real diagonal, negatives clipped to 0, renormalised."""
     if not np.isfinite(probs).all():
         raise NumericError("diagonal has non-finite entries, so it has no purification")
-    return _renormalised(np.sqrt(np.clip(probs, 0.0, None)))
+    # maximum(probs, 0.0), not maximum(0.0, probs): of two equal arguments it returns the second, so -0.0 becomes +0.0.
+    return _renormalised(np.sqrt(np.maximum(probs, 0.0)))
 
 
 def _clamped_spectra(rho: np.ndarray) -> np.ndarray:

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, WrongQubitCountError, _require_member
+from .errors import DomainError, ShapeError, WrongQubitCountError, _integer, _require_member
 from .measures import MeasurePair, _coherences, _entanglements, _entropies, _is_entropic, binary_entropy, coherence
 from .measures import entanglement
-from .perspective import _flip_merge, _integer, _register_slot, assign_perspective
+from .perspective import _flip_merge, _register_slot, assign_perspective
 from .qstate import PureState, _density_matrices, _dephased, _partial_traces, _require_shapeable, density_matrix
 from .qstate import partial_trace, permute_qubits, state_from_amplitudes
 

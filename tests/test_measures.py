@@ -32,7 +32,7 @@ from qrfkit import (
     state_from_amplitudes,
     von_neumann_entropy,
 )
-from qrfkit.errors import InvalidBipartitionError, NumericError, UnknownQuantityError
+from qrfkit.errors import InvalidBipartitionError, NumericError, ShapeError, UnknownQuantityError
 from qrfkit.measures import _entropies
 from qrfkit.rindler import sweep_to_dicts
 from qrfkit.transference import perspectival_side
@@ -237,6 +237,21 @@ def test_mutual_information_overlap_rejected():
     bell = density_matrix(state_from_amplitudes([RT2, 0.0, 0.0, RT2]))
     with pytest.raises(InvalidBipartitionError):
         mutual_information(bell, [0], [0, 1])
+
+
+def test_qubit_blocks_must_hold_integers():
+    # A float index is refused rather than read as some other qubit.
+    bell = state_from_amplitudes([RT2, 0.0, 0.0, RT2])
+    rho = density_matrix(bell)
+    for bad in ([0.5], [1.0], ["0"]):
+        with pytest.raises(ShapeError, match="is not an integer"):
+            entanglement(bell, bad)
+        with pytest.raises(ShapeError, match="is not an integer"):
+            mutual_information(rho, bad, [0])
+        with pytest.raises(ShapeError, match="is not an integer"):
+            mutual_information(rho, [0], bad)
+    assert entanglement(bell, [np.int64(0)]) == entanglement(bell, [0])
+    assert mutual_information(rho, [np.int64(0)], [np.int32(1)]) == mutual_information(rho, [0], [1])
 
 
 def test_entropy_bounded_by_kept_qubits():

@@ -22,7 +22,7 @@ from qrfkit.errors import (
     TooFewQubitsError,
 )
 from qrfkit.perspective import _controlled_flip
-from qrfkit.qstate import DensityMatrix, PureState, density_matrix, dephase, partial_trace, purify_diagonal
+from qrfkit.qstate import _UNIT_NORM_BAND, DensityMatrix, PureState, density_matrix, dephase, partial_trace, purify_diagonal
 
 RT2 = 1.0 / math.sqrt(2.0)
 
@@ -172,23 +172,29 @@ def dense_channel(s, p):
     return purify_diagonal(partial_trace(shifted, [i for i in range(n) if i != p]))
 
 
+def bit_test_states(n, rng):
+    """Random, sparse, negative, GHZ, product and signed-zero states on n qubits, for the channel's bit tests."""
+    d = 1 << n
+    sparse = np.zeros(d, dtype=complex)
+    sparse[rng.choice(d, size=max(1, d // 8), replace=False)] = rng.standard_normal(max(1, d // 8))
+    negative = -np.abs(rng.standard_normal(d))
+    ghz = np.zeros(d)
+    ghz[[0, d - 1]] = RT2
+    product = reduce(np.kron, [rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(n)])
+    # -0.0 parts guard the sign of zero and the order of the two terms in each sum
+    signed_zeros = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    signed_zeros.real[rng.random(d) < 0.3] = -0.0
+    signed_zeros.imag[rng.random(d) < 0.3] = -0.0
+    signed_zeros[rng.random(d) < 0.2] = complex(-0.0, -0.0)
+    states = [rand_state(n, rng) for _ in range(3)]
+    return states + [state_from_amplitudes(v / np.linalg.norm(v)) for v in (sparse, negative, ghz, product, signed_zeros)]
+
+
 def test_channel_scatter_matches_dense_operator_bit_for_bit():
     rng = np.random.default_rng(37)
     for n in range(2, 9):
         d = 1 << n
-        sparse = np.zeros(d, dtype=complex)
-        sparse[rng.choice(d, size=max(1, d // 8), replace=False)] = rng.standard_normal(max(1, d // 8))
-        negative = -np.abs(rng.standard_normal(d))
-        ghz = np.zeros(d)
-        ghz[[0, d - 1]] = RT2
-        product = reduce(np.kron, [rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(n)])
-        # -0.0 parts guard the sign of zero and the order of the two terms in each sum
-        signed_zeros = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        signed_zeros.real[rng.random(d) < 0.3] = -0.0
-        signed_zeros.imag[rng.random(d) < 0.3] = -0.0
-        signed_zeros[rng.random(d) < 0.2] = complex(-0.0, -0.0)
-        states = [rand_state(n, rng) for _ in range(3)]
-        states += [state_from_amplitudes(v / np.linalg.norm(v)) for v in (sparse, negative, ghz, product, signed_zeros)]
+        states = bit_test_states(n, rng)
         for p in range(n):
             rows = _controlled_flip(n, p, d - 1)
             op = perspective_operator(p, n)
@@ -199,8 +205,44 @@ def test_channel_scatter_matches_dense_operator_bit_for_bit():
                 assert got.tobytes() == dense_channel(s, p).amplitudes.tobytes(), (n, p)
 
 
+def where_flip(n, control, mask):
+    """_controlled_flip's index map by an np.where over the control bit of every column."""
+    cols = np.arange(1 << n)
+    return np.where((cols >> (n - 1 - control)) & 1, cols ^ mask, cols)
+
+
+def add_at_channel(s, p):
+    """The channel's amplitudes by np.where's index map, np.add.at into zeros, a sum over axis p of the (2,) * n
+    reshape, np.clip and np.linalg.norm: every step its own numpy call, none through _purified."""
+    n, a = s.n_qubits, s.amplitudes
+    shifted = np.zeros(a.size)
+    np.add.at(shifted, where_flip(n, p, (1 << n) - 1), (a * a.conj()).real)
+    vec = np.sqrt(np.clip(shifted.reshape((2,) * n).sum(axis=p).ravel(), 0.0, None))
+    norm = float(np.linalg.norm(vec))
+    if abs(norm - 1.0) > _UNIT_NORM_BAND:
+        vec /= norm
+    return vec.astype(np.complex128)
+
+
+def test_channel_matches_add_at_pipeline_bit_for_bit():
+    rng = np.random.default_rng(37)
+    for n in range(2, 11):
+        states = bit_test_states(n, rng)
+        # Off-unit norms make the renormalisation divide, so the norm's own bits reach the output.
+        states += [PureState(n_qubits=n, amplitudes=k * s.amplitudes) for s in states[:2] for k in (3.7, 1e-3)]
+        for p in range(n):
+            for s in states:
+                got = assign_perspective_channel(s, p).amplitudes
+                assert got.tobytes() == add_at_channel(s, p).tobytes(), (n, p)
+    for n in range(1, 13):
+        full = (1 << n) - 1
+        for control in range(n):
+            for mask in (full, full ^ (1 << (n - 1 - control))):
+                assert np.array_equal(_controlled_flip(n, control, mask), where_flip(n, control, mask)), (n, control)
+
+
 def test_channel_memory_is_linear_in_the_amplitude_count():
-    # The dense pipeline peaks at 704 MiB here; the diagonal path needs a few vectors of 2^n entries.
+    # The dense pipeline peaks at 704 MiB here; the diagonal path needs about 40 bytes per amplitude.
     n = 12
     s = rand_state(n, np.random.default_rng(38))
     tracemalloc.start()
@@ -209,7 +251,7 @@ def test_channel_memory_is_linear_in_the_amplitude_count():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 128 << n, peak
+    assert peak <= 48 << n, peak
 
 
 def test_ghz_like_assignment_collapses():

@@ -21,6 +21,7 @@ from qrfkit import (
 )
 from qrfkit import qstate
 from qrfkit.errors import (
+    DomainError,
     EmptyKeepSetError,
     NormToleranceError,
     NotDiagonalError,
@@ -153,6 +154,14 @@ def test_partial_trace_bad_keep_rejected():
         partial_trace(density_matrix(s), [-1, 0])
 
 
+def test_partial_trace_qubit_indices_must_be_integers():
+    rho = density_matrix(state_from_amplitudes(rand_state_vec(2, np.random.default_rng(16))))
+    for keep in ([0.5], [1.0], [0, "1"], [None]):
+        with pytest.raises(ShapeError, match="is not an integer"):
+            partial_trace(rho, keep)
+    assert partial_trace(rho, [np.int64(1)]).entries.tobytes() == partial_trace(rho, [1]).entries.tobytes()
+
+
 def test_dephase():
     plus = state_from_amplitudes([RT2, RT2])
     rho = density_matrix(plus)
@@ -194,6 +203,22 @@ def test_purify_diagonal_rejects_non_finite_entries():
     for entries in (nan_diagonal, nan_off_diagonal):
         with pytest.raises(NumericError):
             purify_diagonal(DensityMatrix(2, entries))
+
+
+def test_purify_diagonal_refuses_nan_and_negative_tolerances():
+    flat = DensityMatrix(2, np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex))
+    for tol in (math.nan, -1e-3, -math.inf):
+        with pytest.raises(DomainError):
+            purify_diagonal(flat, tol)
+    np.testing.assert_allclose(purify_diagonal(flat, math.inf).amplitudes, [RT2, RT2])
+    np.testing.assert_allclose(purify_diagonal(flat, 0.5).amplitudes, [RT2, RT2])
+
+
+def test_purify_diagonal_gives_positive_zeros_for_signed_and_negative_entries():
+    d = DensityMatrix(4, np.diag([0.5, -0.0, 0.5, -1e-17]).astype(complex))
+    amps = purify_diagonal(d).amplitudes
+    assert amps.tobytes() == np.array([math.sqrt(0.5), 0.0, math.sqrt(0.5), 0.0], dtype=complex).tobytes()
+    assert not np.signbit(amps.real).any() and not np.signbit(amps.imag).any()
 
 
 def test_zero_vector_is_rejected_at_any_tolerance():
