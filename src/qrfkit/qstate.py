@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EmptyKeepSetError, NormToleranceError, NotDiagonalError, NotPowerOfTwoError
-from .errors import NumericError, ShapeError, _check_target
+from .errors import NumericError, ShapeError, _check_target, _integer
 
 NORM_TOL = 1e-9      # default normalization tolerance for state construction
 ATOL = 1e-10         # default comparison tolerance
@@ -124,13 +124,10 @@ def density_matrix(psi: PureState) -> DensityMatrix:
     return DensityMatrix(dim=psi.dim, entries=_freeze(_density_matrices(psi.amplitudes[None])[0]))
 
 
-def _partial_traces(rho: np.ndarray, keep: list[int], out: np.ndarray | None = None) -> np.ndarray:
-    """Reduced states on the sorted qubit list keep of a (..., 2^n, 2^n) stack of n-qubit matrices.
-
-    With out, a C-contiguous (..., d, d) complex128 array, the reduced states are written into it.
-    """
+def _partial_traces(rho: np.ndarray, keep: list[int]) -> np.ndarray:
+    """Reduced states on the sorted qubit list keep of a (..., 2^n, 2^n) stack of n-qubit matrices."""
     n = rho.shape[-1].bit_length() - 1
-    if len(keep) == n and out is None:
+    if len(keep) == n:
         return rho
     lead = rho.shape[:-2]
     t = rho.reshape(lead + (2,) * (2 * n))
@@ -140,9 +137,6 @@ def _partial_traces(rho: np.ndarray, keep: list[int], out: np.ndarray | None = N
     row = list(range(n))
     col = [n + i if i in keep else i for i in range(n)]
     labels = [i for i in keep] + [n + i for i in keep]
-    if out is not None:
-        np.einsum(t, [Ellipsis, *row, *col], [Ellipsis, *labels], out=out.reshape(lead + (2,) * (2 * len(keep))))
-        return out
     d = 1 << len(keep)
     return np.einsum(t, [Ellipsis, *row, *col], [Ellipsis, *labels]).reshape(lead + (d, d))
 
@@ -168,7 +162,7 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
 def permute_qubits(psi: PureState, order) -> PureState:
     """Reorder the register so new position i holds the old qubit order[i]."""
     n = psi.n_qubits
-    order = list(order)
+    order = [_integer(i, "qubit order entry") for i in order]
     if sorted(order) != list(range(n)):
         raise ShapeError(f"order {order} is not a permutation of 0..{n - 1}")
     arr = psi.amplitudes.reshape((2,) * n).transpose(order).ravel().copy()
@@ -305,7 +299,7 @@ def state_to_json(psi: PureState, perspective_of: int | None = None) -> str:
     rows = _fill_rows(", [%r, %r]", list(parts.T))
     doc = {"n_qubits": psi.n_qubits, "amplitudes": [["%r", "%r"]]}
     if perspective_of is not None:
-        doc["perspective_of"] = int(perspective_of)
+        doc["perspective_of"] = _check_target(psi.n_qubits + 1, perspective_of, "perspective_of")
     # The document around its one-pair list holds only integers, so the template's text needs no % unescaping.
     head, tail = _row_template(doc).split("[%r, %r]")
     # Each row opens with its ", " separator; the first row's is dropped.

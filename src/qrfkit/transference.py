@@ -111,60 +111,36 @@ class _Analysis:
     slot of each observer's register; global_ent[m] is (3, K), the
     entanglement across each (q | rest) cut.  With mutual_information, mi
     is (6, K): I between the two parties other than q for q = 0, 1, 2, then
-    I(slot 0 : slot 1) in each observer's perspective.  Each reduced
-    spectrum is taken once, in one _entropies call per matrix size.  Values
-    are those of the per-call functions (assign_perspective, entanglement,
-    oracle_coherence, mutual_information) bit for bit.
+    I(slot 0 : slot 1) in each observer's perspective.  Each kind of
+    reduced state is one stack, and each reduced spectrum is taken once per
+    block.  Values are those of the per-call functions (assign_perspective,
+    entanglement, oracle_coherence, mutual_information) bit for bit.
     """
 
     def __init__(self, amps: np.ndarray, pairs, mutual_information: bool = False):
-        k = len(amps)
-        entropic = MeasurePair.ENTROPY in pairs
-        # Every one-qubit reduction sits in one stack: the perspectives' slots (slot-major), the
-        # global pairs' singles, the global cuts, then the dephased slots.  The slots' and singles'
-        # spectra serve mutual information under either pair; the rest serve the entropic pair only.
-        n_mi = 6 + 6 * mutual_information
-        # Each density stack is freed once its reductions are written, before the next is built.
         rho = _density_matrices(amps)
-        two = np.empty((n_mi + 3 + 6 * entropic, k, 2, 2), np.complex128)
-        slots, cuts = two[:6].reshape(2, 3, k, 2, 2), two[n_mi:n_mi + 3]
-        # The global pairs' joints, then the perspectives themselves.
-        joints = np.empty((6 * mutual_information, k, 4, 4), np.complex128)
-        for q in range(3):
-            _partial_traces(rho, [q], out=cuts[q])
-            if mutual_information:
-                _partial_traces(rho, [i for i in range(3) if i != q], out=joints[q])
-                for side in range(2):
-                    _partial_traces(joints[q], [side], out=two[6 + 2 * q + side])
-        for alpha in range(3):
-            rho = _density_matrices(_flip_merge(amps, alpha))
-            for s in range(2):
-                _partial_traces(rho, [s], out=slots[s, alpha])
-            if mutual_information:
-                joints[3 + alpha] = rho
-        del rho
-        if entropic:
-            two[n_mi + 3:] = _dephased(slots).reshape(6, k, 2, 2)
-        if mutual_information:
-            joint_ent = _entropies(joints)
-            del joints
-        if entropic or mutual_information:
-            ent = _entropies(two if entropic else two[:n_mi])
-            slot_ent = ent[:6].reshape(2, 3, k)
+        cuts = np.stack([_partial_traces(rho, [q]) for q in range(3)])
+        persp = np.stack([_density_matrices(_flip_merge(amps, alpha)) for alpha in range(3)])
+        slots = np.stack([_partial_traces(persp, [s]) for s in range(2)], axis=1)
+        # The slots' spectra serve the entropic pair and mutual information under either pair.
+        if MeasurePair.ENTROPY in pairs or mutual_information:
+            slot_ent = _entropies(slots)
         self.persp_ent, self.coh, self.global_ent = {}, {}, {}
         for m in pairs:
             if _is_entropic(m):
-                self.persp_ent[m] = slot_ent[0]
-                self.coh[m] = (ent[n_mi + 3:].reshape(2, 3, k) - slot_ent).swapaxes(0, 1)
-                self.global_ent[m] = ent[n_mi:n_mi + 3]
+                self.persp_ent[m] = slot_ent[:, 0]
+                self.coh[m] = _entropies(_dephased(slots)) - slot_ent
+                self.global_ent[m] = _entropies(cuts)
             else:
-                self.persp_ent[m] = _entanglements(slots[0], m)
-                self.coh[m] = _coherences(slots, m).swapaxes(0, 1)
+                self.persp_ent[m] = _entanglements(slots[:, 0], m)
+                self.coh[m] = _coherences(slots, m)
                 self.global_ent[m] = _entanglements(cuts, m)
         if mutual_information:
-            single_ent = ent[6:12].reshape(3, 2, k)
-            self.mi = np.concatenate([single_ent[:, 0] + single_ent[:, 1] - joint_ent[:3],
-                                      slot_ent[0] + slot_ent[1] - joint_ent[3:]])
+            # The two parties other than q, for q = 0, 1, 2, and each of their one-qubit reductions.
+            joints = np.stack([_partial_traces(rho, [i for i in range(3) if i != q]) for q in range(3)])
+            single_ent = _entropies(np.stack([_partial_traces(joints, [s]) for s in range(2)], axis=1))
+            self.mi = np.concatenate([single_ent[:, 0] + single_ent[:, 1] - _entropies(joints),
+                                      slot_ent[:, 0] + slot_ent[:, 1] - _entropies(persp)])
 
     def side(self, alpha: int, beta: int, m: MeasurePair) -> np.ndarray:
         """perspectival_side of every analysed state."""
@@ -206,7 +182,7 @@ def perspectival_side(psi: PureState, alpha: int, beta: int, m: MeasurePair) -> 
 
 
 def transference_sides(psi: PureState, c: ConstraintId, m: MeasurePair) -> tuple[float, float]:
-    alpha, beta, gamma = c.permutation
+    alpha, beta, gamma = _require_member(c, ConstraintId, "constraint").permutation
     _require_three(psi)
     return perspectival_side(psi, alpha, beta, m), entanglement(psi, [gamma], m)
 
@@ -238,7 +214,7 @@ def xyl_closed_form(psi: PureState, c: ConstraintId, m: MeasurePair) -> XylTripl
     positions 0, 1 and 2.
     """
     _require_three(psi)
-    ordered = permute_qubits(psi, c.permutation)
+    ordered = permute_qubits(psi, _require_member(c, ConstraintId, "constraint").permutation)
     a = ordered.amplitudes
     p2 = np.abs(a) ** 2
     # Merged pair amplitudes of the basis pairs (000, 111), (001, 110), (010, 101), (011, 100).

@@ -93,6 +93,23 @@ def test_mutual_information_stack_equals_per_call_primitives():
             assert mi[:, k].tolist() == expect
 
 
+def test_mutual_information_flag_leaves_the_constraint_fields_unchanged():
+    states = analysed_states()
+    amps = np.array([psi.amplitudes for psi in states])
+    for pairs in ([MeasurePair.ENTROPY], [MeasurePair.LINEAR], PAIRS):
+        with_mi, without = (_Analysis(amps, pairs, mutual_information=flag) for flag in (True, False))
+        for m in pairs:
+            for field in ("persp_ent", "coh", "global_ent"):
+                got, expect = getattr(with_mi, field)[m], getattr(without, field)[m]
+                assert got.shape == expect.shape and got.tobytes() == expect.tobytes(), (m, field)
+            for k, psi in enumerate(states):
+                for alpha in range(3):
+                    assert with_mi.persp_ent[m][alpha, k] == entanglement(assign_perspective(psi, alpha), [0], m)
+                    for beta in (b for b in range(3) if b != alpha):
+                        assert with_mi.side(alpha, beta, m)[k] == perspectival_side(psi, alpha, beta, m)
+                    assert with_mi.global_ent[m][alpha, k] == entanglement(psi, [alpha], m)
+
+
 def reference_entanglement(r, quantity, m):
     """The printed closed forms one quantity at a time, independent of rindler's curve table."""
     r = min(r, R_MAX)

@@ -439,15 +439,16 @@ def test_non_finite_sweep_oracle_value_is_a_numeric_error(capsys, monkeypatch):
 
 
 def test_non_finite_slot_entropy_is_a_numeric_error(capsys, monkeypatch):
-    # The first one-qubit spectrum is slot 0 of Alice's perspective at the first point.  Its entropy
-    # is reused as her perspectival entanglement, in her slots' coherences and in her perspectival
-    # mutual information, so a NaN there must exit 5 under either measure pair.
+    # Each one-qubit stack's first spectrum is made NaN; in the slot stack that is slot 0 of Alice's
+    # perspective at the first point.  Its entropy is reused as her perspectival entanglement, in her
+    # slots' coherences and in her perspectival mutual information, so a NaN there must exit 5 under
+    # either measure pair.
     original = transference._entropies
 
     def nan_first_slot(rho):
         out = original(rho)
         if rho.shape[-1] == 2:
-            out[0, 0] = math.nan
+            out.reshape(-1)[0] = math.nan
         return out
 
     monkeypatch.setattr(transference, "_entropies", nan_first_slot)

@@ -20,6 +20,7 @@ from qrfkit import (
     reconstruct_from_xyl,
     sweep,
     sweep_to_csv,
+    transference_sides,
     xyl_closed_form,
     binary_entropy,
     coherence,
@@ -289,8 +290,8 @@ def test_entropy_sums_positive_eigenvalues_bit_for_bit():
 
 # Every entry point that branches on or writes a measure pair, given a stand-in argument
 # in place of a MeasurePair member (or, for closed_form_entanglement's quantity,
-# in place of a Quantity member, and for the observer entries, in place of an
-# ObserverLabel member).
+# in place of a Quantity member, for the observer entries, in place of an
+# ObserverLabel member, and for the constraint entries, in place of a ConstraintId member).
 MEMBER_ARGUMENTS = {
     "entanglement": lambda bad: entanglement(global_state(0.3), [0], bad),
     "coherence": lambda bad: coherence(partial_trace(density_matrix(global_state(0.3)), [1]), bad),
@@ -300,6 +301,9 @@ MEMBER_ARGUMENTS = {
     "xyl_closed_form": lambda bad: xyl_closed_form(global_state(0.3), ConstraintId.C1, bad),
     "reconstruct_from_xyl": lambda bad: reconstruct_from_xyl(XylTriple(x=0.5, y=0.5, l=0.5), bad),
     "condition_check": lambda bad: condition_check(global_state(0.3), ConstraintId.C1, bad),
+    "xyl_closed_form constraint": lambda bad: xyl_closed_form(global_state(0.3), bad, MeasurePair.ENTROPY),
+    "condition_check constraint": lambda bad: condition_check(global_state(0.3), bad, MeasurePair.ENTROPY),
+    "transference_sides constraint": lambda bad: transference_sides(global_state(0.3), bad, MeasurePair.ENTROPY),
     "closed_form_entanglement": lambda bad: closed_form_entanglement(0.3, Quantity.E_PERSP_R, bad),
     "closed_form_entanglement quantity": lambda bad: closed_form_entanglement(0.3, bad, MeasurePair.ENTROPY),
     "closed_form_coherence": lambda bad: closed_form_coherence(0.3, ObserverLabel.ALICE, ObserverLabel.ROB, bad),

@@ -250,6 +250,8 @@ def test_permute_qubits():
         permute_qubits(s, [0, 0])
     with pytest.raises(ShapeError):
         permute_qubits(s, [0])
+    with pytest.raises(ShapeError):
+        permute_qubits(s, [1.0, 0.0])
 
 
 def test_permute_roundtrip():
@@ -310,10 +312,22 @@ def test_json_writer_refuses_non_finite_parts(monkeypatch):
 
 
 def test_json_perspective_tag():
-    s = state_from_amplitudes([1.0, 0.0])
+    # A 2-qubit perspectival state is the view of one of the 3 parties, so observer 2 is in range.
+    s = state_from_amplitudes([1.0, 0.0, 0.0, 0.0])
     doc = json.loads(state_to_json(s, perspective_of=2))
     assert doc["perspective_of"] == 2
     assert "perspective_of" not in json.loads(state_to_json(s))
+
+
+def test_json_perspective_tag_must_name_an_observer():
+    # An n-qubit perspectival state is the view of one of n + 1 parties; an integer index
+    # in [0, n] is written as given, anything else is refused rather than truncated.
+    s = state_from_amplitudes([1.0, 0.0, 0.0, 0.0])
+    for observer in (0, np.int64(1), 2):
+        assert json.loads(state_to_json(s, perspective_of=observer))["perspective_of"] == observer
+    for bad in (1.5, 1.0, "1", -1, -4, 3):
+        with pytest.raises(ShapeError):
+            state_to_json(s, perspective_of=bad)
 
 
 # State documents with integer parts, negative zeros, subnormals, parts past the square root of the
