@@ -299,7 +299,10 @@ def state_to_json(psi: PureState, perspective_of: int | None = None) -> str:
     rows = _fill_rows(", [%r, %r]", list(parts.T))
     doc = {"n_qubits": psi.n_qubits, "amplitudes": [["%r", "%r"]]}
     if perspective_of is not None:
-        doc["perspective_of"] = _check_target(psi.n_qubits + 1, perspective_of, "perspective_of")
+        p = _integer(perspective_of, "perspective_of")
+        if not 0 <= p <= psi.n_qubits:
+            raise ShapeError(f"perspective_of {p} is not an observer index in [0, {psi.n_qubits}]")
+        doc["perspective_of"] = p
     # The document around its one-pair list holds only integers, so the template's text needs no % unescaping.
     head, tail = _row_template(doc).split("[%r, %r]")
     # Each row opens with its ", " separator; the first row's is dropped.

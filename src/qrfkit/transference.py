@@ -103,6 +103,16 @@ def oracle_coherence(psi_persp: PureState, slot: int, m: MeasurePair) -> float:
 _PERMUTATIONS = [c.permutation for c in ConstraintId]
 
 
+def _global_reductions(amps: np.ndarray, mutual_information: bool):
+    """The (3, K, 2, 2) reductions to each qubit q of a (K, 8) stack and, with mutual_information, the
+    (3, K, 4, 4) reductions to the two parties other than q, else None; the global stack dies here."""
+    rho = _density_matrices(amps)
+    cuts = np.stack([_partial_traces(rho, [q]) for q in range(3)])
+    if not mutual_information:
+        return cuts, None
+    return cuts, np.stack([_partial_traces(rho, [i for i in range(3) if i != q]) for q in range(3)])
+
+
 class _Analysis:
     """Every ingredient of the constraints on a (K, 8) amplitude stack of 3-qubit states, computed at construction.
 
@@ -118,26 +128,24 @@ class _Analysis:
     """
 
     def __init__(self, amps: np.ndarray, pairs, mutual_information: bool = False):
-        rho = _density_matrices(amps)
-        cuts = np.stack([_partial_traces(rho, [q]) for q in range(3)])
-        persp = np.stack([_density_matrices(_flip_merge(amps, alpha)) for alpha in range(3)])
+        cuts, joints = _global_reductions(amps, mutual_information)
+        persp = _density_matrices(np.stack([_flip_merge(amps, alpha) for alpha in range(3)]))
         slots = np.stack([_partial_traces(persp, [s]) for s in range(2)], axis=1)
         # The slots' spectra serve the entropic pair and mutual information under either pair.
-        if MeasurePair.ENTROPY in pairs or mutual_information:
+        if MeasurePair.ENTROPY in pairs:
+            slot_ent, dephased_ent = _entropies(np.stack([slots, _dephased(slots)]))
+        elif mutual_information:
             slot_ent = _entropies(slots)
         self.persp_ent, self.coh, self.global_ent = {}, {}, {}
         for m in pairs:
+            self.global_ent[m] = _entanglements(cuts, m)
             if _is_entropic(m):
                 self.persp_ent[m] = slot_ent[:, 0]
-                self.coh[m] = _entropies(_dephased(slots)) - slot_ent
-                self.global_ent[m] = _entropies(cuts)
+                self.coh[m] = dephased_ent - slot_ent
             else:
                 self.persp_ent[m] = _entanglements(slots[:, 0], m)
                 self.coh[m] = _coherences(slots, m)
-                self.global_ent[m] = _entanglements(cuts, m)
         if mutual_information:
-            # The two parties other than q, for q = 0, 1, 2, and each of their one-qubit reductions.
-            joints = np.stack([_partial_traces(rho, [i for i in range(3) if i != q]) for q in range(3)])
             single_ent = _entropies(np.stack([_partial_traces(joints, [s]) for s in range(2)], axis=1))
             self.mi = np.concatenate([single_ent[:, 0] + single_ent[:, 1] - _entropies(joints),
                                       slot_ent[:, 0] + slot_ent[:, 1] - _entropies(persp)])

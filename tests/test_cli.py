@@ -439,18 +439,26 @@ def test_non_finite_sweep_oracle_value_is_a_numeric_error(capsys, monkeypatch):
 
 
 def test_non_finite_slot_entropy_is_a_numeric_error(capsys, monkeypatch):
-    # Each one-qubit stack's first spectrum is made NaN; in the slot stack that is slot 0 of Alice's
-    # perspective at the first point.  Its entropy is reused as her perspectival entanglement, in her
-    # slots' coherences and in her perspectival mutual information, so a NaN there must exit 5 under
-    # either measure pair.
-    original = transference._entropies
+    # Only the slot stack gets a NaN: the first spectrum of an analysis's first _entropies call,
+    # slot 0 of Alice's perspective at the first point.  Every other stack stays finite, so exit 5
+    # can only come from that entropy, reused as her perspectival entanglement, in her slots'
+    # coherences and in her perspectival mutual information, under either measure pair.
+    original, original_init = transference._entropies, transference._Analysis.__init__
+    calls = [None]  # non-empty outside an analysis, so no other caller's spectrum is touched
+
+    def counted_init(self, *args, **kwargs):
+        calls.clear()
+        original_init(self, *args, **kwargs)
 
     def nan_first_slot(rho):
         out = original(rho)
-        if rho.shape[-1] == 2:
+        if not calls:
+            assert rho.shape[-5:-3] == (3, 2) and rho.shape[-2:] == (2, 2)  # the (..., 3, 2, K, 2, 2) slot stack
             out.reshape(-1)[0] = math.nan
+        calls.append(rho.shape)
         return out
 
+    monkeypatch.setattr(transference._Analysis, "__init__", counted_init)
     monkeypatch.setattr(transference, "_entropies", nan_first_slot)
     for fmt in ("csv", "json"):
         for measures_arg in ("entropy", "linear", "both"):

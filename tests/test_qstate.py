@@ -325,8 +325,11 @@ def test_json_perspective_tag_must_name_an_observer():
     s = state_from_amplitudes([1.0, 0.0, 0.0, 0.0])
     for observer in (0, np.int64(1), 2):
         assert json.loads(state_to_json(s, perspective_of=observer))["perspective_of"] == observer
-    for bad in (1.5, 1.0, "1", -1, -4, 3):
-        with pytest.raises(ShapeError):
+    for bad in (1.5, 1.0, "1"):
+        with pytest.raises(ShapeError, match="is not an integer"):
+            state_to_json(s, perspective_of=bad)
+    for bad in (-1, -4, 3):
+        with pytest.raises(ShapeError, match=rf"^perspective_of {bad} is not an observer index in \[0, 2\]$"):
             state_to_json(s, perspective_of=bad)
 
 
