@@ -25,7 +25,6 @@ NORM_TOL = 1e-9      # default normalization tolerance for state construction
 ATOL = 1e-10         # default comparison tolerance
 EIG_CLAMP = 1e-12    # eigenvalues in [-EIG_CLAMP, 0) are treated as exactly 0
 _UNIT_NORM_BAND = 1e-12      # norms this close to 1 stay undivided, so normalized vectors round-trip bit-stable
-_ROW_NORM_SCREEN = 0.99e-12  # _renormalised_rows' vectorised screen; must sit inside _UNIT_NORM_BAND
 _JSON_NUMBERS = frozenset((int, float))  # the types json.loads gives JSON numbers; bool is neither
 
 
@@ -69,15 +68,16 @@ def _require_shapeable(n_qubits: int, square: bool = False) -> None:
         raise ShapeError(f"qubit count {n_qubits} is past the largest {kind} numpy can shape")
 
 
-def _renormalised(vec: np.ndarray) -> np.ndarray:
-    """Divide vec by its norm in place, then freeze it as complex128.
+def _renormalised(vec: np.ndarray, tol: float = math.inf) -> np.ndarray:
+    """vec divided by its norm in place, then frozen as complex128: the one rule every state's norm goes through.
 
-    The cast comes last: real and complex division can differ in the last bit.
-    A zero vector has no direction to keep, so it raises NormToleranceError
-    whatever tolerance let it through.
+    A NaN, infinite or zero norm, or one further than tol from 1, raises NormToleranceError; one within _UNIT_NORM_BAND
+    of 1 leaves vec undivided.  The cast comes last: real and complex division can differ in the last bit.
     """
-    # np.linalg.norm's own 1-D rule, without its Python dispatch: a complex vector's real and imaginary dots, summed.
+    # numpy's own 1-D norm rule, without its Python dispatch: a complex vector's real and imaginary dots, summed.
     norm = math.sqrt(vec.real.dot(vec.real) + vec.imag.dot(vec.imag) if vec.dtype.kind == "c" else vec.dot(vec))
+    if not abs(norm - 1.0) <= tol or math.isinf(norm):  # also rejects NaN norms, and infinite ones at tol = inf
+        raise NormToleranceError(f"state norm {norm!r} deviates from 1 by more than {tol}")
     if norm == 0.0:
         raise NormToleranceError("state norm is 0, so the vector cannot be normalized")
     if abs(norm - 1.0) > _UNIT_NORM_BAND:
@@ -85,13 +85,17 @@ def _renormalised(vec: np.ndarray) -> np.ndarray:
     return _freeze(vec.astype(np.complex128, copy=False))
 
 
+def _norms(rows: np.ndarray) -> np.ndarray:
+    """The norm of each row of a (K, D) complex stack."""
+    re, im = rows.real, rows.imag
+    # Row by row through the strided BLAS ddot of _renormalised's 1-D rule, so each norm equals it bit for bit.
+    return np.sqrt(re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0, 0]
+
+
 def _renormalised_rows(rows: np.ndarray) -> np.ndarray:
     """_renormalised applied to each row of a (K, D) complex128 stack, in place."""
-    # A vectorised norm passes the rows clearly inside the band that
-    # _renormalised leaves alone; only the others take the 1-D rule, so each
-    # decision and divisor is that of a single vector.
-    screen = np.sqrt(np.sum(np.abs(rows) ** 2, axis=-1))
-    for k in np.flatnonzero(~(np.abs(screen - 1.0) <= _ROW_NORM_SCREEN)):
+    # The exact norms pick the rows _renormalised would divide or refuse; only those take the rule itself.
+    for k in np.flatnonzero(~(np.abs(_norms(rows) - 1.0) <= _UNIT_NORM_BAND)):
         _renormalised(rows[k])
     return _freeze(rows)
 
@@ -101,17 +105,17 @@ def state_from_amplitudes(amps, tol: float = NORM_TOL) -> PureState:
 
     The length must be a power of two >= 2.  The vector is renormalized if its
     norm differs from one by at most ``tol``; a larger deviation signals
-    malformed input and raises NormToleranceError.
+    malformed input and raises NormToleranceError.  A NaN or negative tol
+    raises DomainError.
     """
     vec = np.asarray(amps, dtype=np.complex128).ravel().copy()
     dim = vec.size
     if dim < 2 or dim & (dim - 1):
         raise NotPowerOfTwoError(f"amplitude count {dim} is not a power of two >= 2")
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing norm is inf, rejected below
-        norm = float(np.linalg.norm(vec))
-    if not abs(norm - 1.0) <= tol or math.isinf(norm):  # also rejects NaN norms, and infinite ones at tol = inf
-        raise NormToleranceError(f"state norm {norm!r} deviates from 1 by more than {tol}")
-    return PureState(n_qubits=dim.bit_length() - 1, amplitudes=_renormalised(vec))
+    if not tol >= 0:  # as in purify_diagonal: a NaN would refuse every norm under a misleading message
+        raise DomainError(f"norm tolerance must be a nonnegative number, got {tol}")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing norm is inf, rejected by the rule
+        return PureState(n_qubits=dim.bit_length() - 1, amplitudes=_renormalised(vec, tol))
 
 
 def _density_matrices(amps: np.ndarray) -> np.ndarray:
@@ -203,13 +207,13 @@ def purify_diagonal(rho: DensityMatrix, tol: float = ATOL) -> PureState:
         raise NumericError("density matrix has non-finite entries, so it has no purification")
     if np.max(np.abs(m - _dephased(m))) > tol:
         raise NotDiagonalError("matrix has off-diagonal weight above tolerance")
-    return PureState(n_qubits=rho.n_qubits, amplitudes=_purified(np.diag(m).real))
+    with np.errstate(over="ignore"):  # as in state_from_amplitudes: an overflowing norm is inf, rejected by the rule
+        return PureState(n_qubits=rho.n_qubits, amplitudes=_purified(np.diag(m).real))
 
 
 def _purified(probs: np.ndarray) -> np.ndarray:
-    """Frozen complex128 amplitudes sqrt(p_i) of a real diagonal, negatives clipped to 0, renormalised."""
-    if not np.isfinite(probs).all():
-        raise NumericError("diagonal has non-finite entries, so it has no purification")
+    """Frozen complex128 amplitudes sqrt(p_i) of a real diagonal, negatives clipped to 0, renormalised.
+    A NaN or +inf entry gives a NaN or infinite norm, which _renormalised refuses; no caller passes -inf."""
     # maximum(probs, 0.0), not maximum(0.0, probs): of two equal arguments it returns the second, so -0.0 becomes +0.0.
     return _renormalised(np.sqrt(np.maximum(probs, 0.0)))
 

@@ -24,7 +24,7 @@ from .measures import MeasurePair, _coherences, _entanglements, _entropies, _is_
 from .measures import entanglement
 from .perspective import _flip_merge, _register_slot, assign_perspective
 from .qstate import PureState, _density_matrices, _dephased, _partial_traces, _require_shapeable, density_matrix
-from .qstate import partial_trace, permute_qubits, state_from_amplitudes
+from .qstate import _norms, partial_trace, permute_qubits, state_from_amplitudes
 
 SAT_TOL = 1e-9          # default satisfaction tolerance for residuals
 SUPPORT_TOL = 1e-12     # amplitude modulus below this counts as absent
@@ -352,13 +352,10 @@ def _sample_draws(seed: int, indices, width: int) -> np.ndarray:
 
 def _unit_gaussian(draws: np.ndarray) -> np.ndarray:
     """(K, size) stack from a (K, 2 * size) standard-normal stack: each row's first half gives
-    the real parts, its second half the imaginary parts, divided by the row's np.linalg.norm."""
+    the real parts, its second half the imaginary parts, divided by the row's norm."""
     size = draws.shape[1] // 2
     coeffs = draws[:, :size] + 1j * draws[:, size:]
-    re, im = coeffs.real, coeffs.imag
-    # Row by row through the strided BLAS ddot np.linalg.norm takes, so each norm is its value bit for bit.
-    norms = np.sqrt(re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0]
-    return coeffs / norms
+    return coeffs / _norms(coeffs)[:, None]
 
 
 def _parity_amplitudes(cls: ParityClass, draw: Callable[[int], np.ndarray]) -> np.ndarray:

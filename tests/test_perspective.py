@@ -152,6 +152,17 @@ def test_channel_refuses_nan_amplitudes():
         assign_perspective_channel(psi, 0)
 
 
+def test_direct_forms_refuse_nan_amplitudes():
+    # As the channel does: the flip-merge and the frame change renormalise through the one rule, which refuses NaN.
+    psi = PureState(n_qubits=2, amplitudes=np.array([math.nan, 0.0, 0.0, 1.0], dtype=complex))
+    for p in range(2):
+        with pytest.raises(NumericError):
+            assign_perspective(psi, p)
+    for op in (z2_operator(3, 0, 1), z2_operator(3, 2, 0)):
+        with pytest.raises(NumericError):
+            qrf_transform(op, psi)
+
+
 def test_channel_matches_direct_assignment_randomized():
     rng = np.random.default_rng(32)
     for i in range(600):

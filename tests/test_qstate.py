@@ -28,7 +28,7 @@ from qrfkit.errors import (
     NotPowerOfTwoError,
     NumericError,
 )
-from qrfkit.qstate import _ROW_NORM_SCREEN, _UNIT_NORM_BAND, _renormalised, _renormalised_rows, clamped_eigenvalues
+from qrfkit.qstate import _UNIT_NORM_BAND, _norms, _renormalised, _renormalised_rows, clamped_eigenvalues
 
 RT2 = 1.0 / math.sqrt(2.0)
 
@@ -200,9 +200,14 @@ def test_purify_diagonal_rejects_non_finite_entries():
     # A NaN off-diagonal would pass the diagonality test, since nan > tol is False.
     nan_diagonal = np.diag([math.nan, 1.0]).astype(complex)
     nan_off_diagonal = np.array([[0.5, math.nan], [math.nan, 0.5]], dtype=complex)
-    for entries in (nan_diagonal, nan_off_diagonal):
-        with pytest.raises(NumericError):
-            purify_diagonal(DensityMatrix(2, entries))
+    # A finite diagonal whose purification's norm overflows must not come back as the all-zero "state".
+    overflowing = np.diag([1e308, 1e308]).astype(complex)
+    for entries, error in ((nan_diagonal, NumericError), (nan_off_diagonal, NumericError),
+                           (overflowing, NormToleranceError)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(error):
+                purify_diagonal(DensityMatrix(2, entries))
 
 
 def test_purify_diagonal_refuses_nan_and_negative_tolerances():
@@ -380,20 +385,53 @@ def test_json_qubit_count_must_match():
         state_from_json(text)
 
 
+def _written_out_rule(row):
+    """The renormalisation rule written out: numpy's norm, then a divide unless it is within 1e-12 of 1."""
+    norm = float(np.linalg.norm(row))
+    return row if abs(norm - 1.0) <= 1e-12 else row / norm
+
+
 def test_row_renormalisation_matches_single_vectors():
-    # Rows on both sides of the 1e-12 band, and a NaN row, take the single-vector rule bit for bit.
-    # The vectorised screen sits inside the band, so its round-off passes no row the band would divide.
-    assert 0.0 < _ROW_NORM_SCREEN < _UNIT_NORM_BAND == 1e-12
+    # Rows on both sides of the 1e-12 band give the written-out rule's bytes, from the stack and one by one.
+    assert _UNIT_NORM_BAND == 1e-12
     rng = np.random.default_rng(5)
-    rows = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
-    scales = [1.0, 1.0 + 1e-10, 1.0 - 1e-10, 1.0 + 0.98e-12, 1.0 + 1.02e-12, 1.0 - 1.02e-12, 2.0, math.nan]
-    rows *= np.array(scales)[:, None]
-    expect = [_renormalised(row.copy()) for row in rows]
-    got = _renormalised_rows(rows.copy())
-    assert not got.flags.writeable
-    for k in range(len(rows)):
-        assert got[k].tobytes() == expect[k].tobytes(), scales[k]
+    scales = [1.0, 1.0 + 1e-10, 1.0 - 1e-10, 1.0 + 0.98e-12, 1.0 - 0.98e-12, 1.0 + 1.02e-12, 1.0 - 1.02e-12, 2.0, 0.5]
+    for dim in (2, 4, 8, 64):
+        rows = rng.standard_normal((len(scales), dim)) + 1j * rng.standard_normal((len(scales), dim))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        rows *= np.array(scales)[:, None]
+        expect = [_written_out_rule(row) for row in rows]
+        got = _renormalised_rows(rows.copy())
+        assert not got.flags.writeable
+        for k, scale in enumerate(scales):
+            assert got[k].tobytes() == expect[k].tobytes(), (dim, scale)
+            assert _renormalised(rows[k].copy()).tobytes() == expect[k].tobytes(), (dim, scale)
+
+
+def test_non_finite_and_zero_rows_are_refused():
+    # A NaN, infinite or zero norm has no unit vector to give, as a single vector or as any row of a stack.
+    good = np.full(4, 0.5, dtype=complex)
+    for bad in ([math.nan, 0.0, 0.0, 1.0], [complex(0.5, math.nan), 0.5, 0.5, 0.5], [math.inf, 0.0, 0.0, 0.0],
+                [complex(0.0, -math.inf), 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]):
+        bad = np.array(bad, dtype=complex)
+        with pytest.raises(NormToleranceError):
+            _renormalised(bad.copy())
+        for rows in (bad[None], np.stack([good, bad]), np.stack([bad, good, good])):
+            with pytest.raises(NormToleranceError):
+                _renormalised_rows(rows)
+
+
+def test_row_norms_equal_numpy_norm():
+    # Each stacked norm is np.linalg.norm of its row, bit for bit, so the band decides a row as it does a vector.
+    rng = np.random.default_rng(6)
+    for n in range(1, 17):
+        rows = rng.standard_normal((3, 1 << n)) + 1j * rng.standard_normal((3, 1 << n))
+        rows[1] *= 1e-150
+        rows[2] *= 1e150
+        got = _norms(rows)
+        assert got.shape == (3,)
+        for k in range(3):
+            assert got[k].tobytes() == np.float64(np.linalg.norm(rows[k])).tobytes(), (n, k)
 
 
 def test_infinite_norm_is_rejected_at_any_tolerance():
@@ -405,3 +443,14 @@ def test_infinite_norm_is_rejected_at_any_tolerance():
                 state_from_amplitudes([1e308, 1e308], tol=tol)
             with pytest.raises(NormToleranceError):
                 state_from_amplitudes([math.inf, 0.0], tol=tol)
+
+
+def test_state_tolerance_must_be_a_nonnegative_number():
+    # As every other tolerance: a NaN or negative one is refused, not read as a norm deviation.
+    for tol in (math.nan, -1.0, -1e-9, -math.inf):
+        with pytest.raises(DomainError):
+            state_from_amplitudes([RT2, RT2], tol=tol)
+        with pytest.raises(DomainError):
+            state_from_json(json.dumps({"amplitudes": [[RT2, 0.0], [RT2, 0.0]]}), tol=tol)
+    for tol in (0.0, math.inf):
+        assert state_from_amplitudes([1.0, 0.0], tol=tol).amplitudes.tobytes() == np.array([1.0, 0.0], complex).tobytes()
