@@ -71,12 +71,14 @@ def _require_shapeable(n_qubits: int, square: bool = False) -> None:
 def _renormalised(vec: np.ndarray, tol: float = math.inf) -> np.ndarray:
     """vec divided by its norm in place, then frozen as complex128: the one rule every state's norm goes through.
 
-    A NaN, infinite or zero norm, or one further than tol from 1, raises NormToleranceError; one within _UNIT_NORM_BAND
-    of 1 leaves vec undivided.  The cast comes last: real and complex division can differ in the last bit.
+    A NaN or infinite norm (named as such, at any tol), a zero norm, or one further than tol from 1, raises
+    NormToleranceError; one within _UNIT_NORM_BAND of 1 leaves vec undivided.  The cast comes last: real and complex division can differ in the last bit.
     """
     # numpy's own 1-D norm rule, without its Python dispatch: a complex vector's real and imaginary dots, summed.
     norm = math.sqrt(vec.real.dot(vec.real) + vec.imag.dot(vec.imag) if vec.dtype.kind == "c" else vec.dot(vec))
-    if not abs(norm - 1.0) <= tol or math.isinf(norm):  # also rejects NaN norms, and infinite ones at tol = inf
+    if not math.isfinite(norm):  # a NaN or infinite part, or a norm that overflowed: no tolerance is involved
+        raise NormToleranceError(f"state norm is {norm!r}, not a finite number, so the vector cannot be normalized")
+    if not abs(norm - 1.0) <= tol:
         raise NormToleranceError(f"state norm {norm!r} deviates from 1 by more than {tol}")
     if norm == 0.0:
         raise NormToleranceError("state norm is 0, so the vector cannot be normalized")

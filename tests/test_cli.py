@@ -563,6 +563,19 @@ def test_exit_codes(capsys, tmp_path, argv, expected, stdout_empty):
         assert cli.EXIT_CODES[json.loads(lines[0])["error"]] == expected
 
 
+@pytest.mark.parametrize("command", [["perspective", "--perspective", "0"], ["check"]], ids=lambda c: c[0])
+@pytest.mark.parametrize("name, norm", [("nan.json", "nan"), ("inf.json", "inf"), ("huge.json", "inf")])
+def test_non_finite_state_file_names_its_norm(capsys, tmp_path, command, name, norm):
+    # A NaN or infinite norm is not a tolerance breach, so its message names no tolerance, at any --tol.
+    for tol in ([], ["--tol", "2"]):
+        code, out, err = run(capsys, with_state_files(tmp_path, command + ["--state", name] + tol))
+        assert (code, out) == (5, "")
+        assert json.loads(err) == {
+            "error": "numeric",
+            "message": f"state norm is {norm}, not a finite number, so the vector cannot be normalized",
+        }
+
+
 # (argv, expected exit code, error kind) for inputs whose arithmetic overflows; run in a
 # child process, where no warning filter hides a numpy RuntimeWarning from stderr.
 NON_FINITE_TABLE = [

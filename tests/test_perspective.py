@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from functools import reduce
 
 import numpy as np
@@ -17,11 +18,12 @@ from qrfkit import (
 )
 from qrfkit.errors import (
     DimensionMismatchError,
+    NormToleranceError,
     NumericError,
     ShapeError,
     TooFewQubitsError,
 )
-from qrfkit.perspective import _controlled_flip
+from qrfkit.perspective import _MAP_CACHE_QUBITS, _cached_trace_map, _controlled_flip, _trace_map
 from qrfkit.qstate import _UNIT_NORM_BAND, DensityMatrix, PureState, density_matrix, dephase, partial_trace, purify_diagonal
 
 RT2 = 1.0 / math.sqrt(2.0)
@@ -253,16 +255,107 @@ def test_channel_matches_add_at_pipeline_bit_for_bit():
 
 
 def test_channel_memory_is_linear_in_the_amplitude_count():
-    # The dense pipeline peaks at 704 MiB here; the diagonal path needs about 40 bytes per amplitude.
-    n = 12
-    s = rand_state(n, np.random.default_rng(38))
-    tracemalloc.start()
-    try:
-        assign_perspective_channel(s, 5)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 48 << n, peak
+    # The dense pipeline peaks at 704 MiB at 12 qubits; the diagonal path needs about 44 bytes per amplitude with its
+    # composite map built, both below the cache's size gate (the map is cached) and above it (built per call).
+    for n in (12, 16):
+        s = rand_state(n, np.random.default_rng(38))
+        _cached_trace_map.cache_clear()
+        tracemalloc.start()
+        try:
+            assign_perspective_channel(s, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48 << n, (n, peak)
+
+
+def test_trace_map_is_the_operator_map_with_bit_p_dropped():
+    for n in range(2, 13):
+        for p in range(n):
+            rows = _controlled_flip(n, p, (1 << n) - 1)
+            low = n - 1 - p  # bits below p
+            assert not (rows >> low & 1).any(), (n, p)  # every row of the operator has p-bit 0
+            dropped = (rows >> (low + 1) << low) | (rows & ((1 << low) - 1))
+            assert np.array_equal(_trace_map(n, p), dropped), (n, p)
+
+
+def test_cached_trace_map_is_read_only():
+    rows = _cached_trace_map(5, 2)
+    assert not rows.flags.writeable
+    with pytest.raises(ValueError):
+        rows[0] = 1
+    assert _cached_trace_map(5, 2) is rows
+
+
+def test_channel_cold_and_cached_calls_give_equal_bytes():
+    rng = np.random.default_rng(39)
+    for n in range(2, 11):
+        for s in bit_test_states(n, rng)[2:5]:
+            for p in range(n):
+                _cached_trace_map.cache_clear()
+                cold = assign_perspective_channel(s, p).amplitudes
+                assert _cached_trace_map.cache_info().currsize == 1
+                assert assign_perspective_channel(s, p).amplitudes.tobytes() == cold.tobytes(), (n, p)
+
+
+def test_register_above_the_gate_leaves_the_cache_alone():
+    n = _MAP_CACHE_QUBITS + 1
+    s = rand_state(n, np.random.default_rng(40))
+    before = _cached_trace_map.cache_info().currsize
+    for p in (0, n - 1):
+        out = assign_perspective_channel(s, p)
+        assert np.max(np.abs(out.amplitudes - assign_perspective(s, p).amplitudes)) <= 1e-12
+    assert _cached_trace_map.cache_info().currsize == before
+
+
+def test_trace_map_cache_stays_within_its_documented_bound():
+    # 3.25 MiB, the figure the perspective module documents for every (n, p) with n at most the gate.
+    _cached_trace_map.cache_clear()
+    maps = [_cached_trace_map(n, p) for n in range(2, _MAP_CACHE_QUBITS + 1) for p in range(n)]
+    assert _cached_trace_map.cache_info().currsize == len(maps)
+    assert _cached_trace_map(_MAP_CACHE_QUBITS, 0).nbytes <= 128 << 10
+    assert sum(rows.nbytes for rows in maps) <= 3_407_872
+
+
+# Real or imaginary parts that overflow a square (1e200), underflow it (1e-200), are not finite, or are a signed zero.
+EXTREME_PARTS = [1e200, -1e200, 1e-200, math.nan, math.inf, -math.inf, -0.0]
+
+
+@pytest.mark.parametrize("part", EXTREME_PARTS, ids=repr)
+def test_entry_points_raise_no_runtime_warning(part):
+    base = rand_state(3, np.random.default_rng(41)).amplitudes
+    calls = [lambda psi, p=p: assign_perspective(psi, p) for p in range(3)]
+    calls += [lambda psi, p=p: assign_perspective_channel(psi, p) for p in range(3)]
+    calls += [lambda psi, op=op: qrf_transform(op, psi) for op in (z2_operator(4, 0, 1), z2_operator(4, 3, 0))]
+    for index in (0, 5):
+        for imaginary in (False, True):
+            amps = base.copy()
+            if imaginary:
+                amps.imag[index] = part
+            else:
+                amps.real[index] = part
+            psi = PureState(n_qubits=3, amplitudes=amps)
+            for call in calls:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    if math.isfinite(part) and abs(part) < 1.0:
+                        assert np.isfinite(call(psi).amplitudes).all()
+                    else:
+                        with pytest.raises(NormToleranceError, match="not a finite number"):
+                            call(psi)
+
+
+@pytest.mark.parametrize("part", [math.nan, math.inf, 1e200])
+def test_non_finite_norm_has_its_own_message(part):
+    amps = np.array([part, 0.0, 0.0, 1.0], dtype=complex)
+    name = "nan" if math.isnan(part) else "inf"
+    for call in (lambda: assign_perspective(PureState(n_qubits=2, amplitudes=amps.copy()), 0),
+                 lambda: assign_perspective_channel(PureState(n_qubits=2, amplitudes=amps.copy()), 1),
+                 lambda: state_from_amplitudes(amps),
+                 lambda: state_from_amplitudes(amps, tol=math.inf)):
+        with pytest.raises(NormToleranceError) as info:
+            call()
+        assert str(info.value) == f"state norm is {name}, not a finite number, so the vector cannot be normalized"
 
 
 def test_ghz_like_assignment_collapses():
