@@ -30,8 +30,8 @@ from . import rindler
 from .errors import DomainError, GridError, IoError, NumericError, QrfError, ShapeError
 from .measures import MeasurePair
 from .perspective import assign_perspective
-from .qstate import PureState, _by_block, _dumps, _fill_rows, _row_template, state_from_amplitudes, state_from_json
-from .qstate import state_to_json
+from .qstate import PureState, _by_block, _dumps, _fill_rows, _nonfinite_refused, _row_template, state_from_amplitudes
+from .qstate import state_from_json, state_to_json
 from .transference import ConstraintId, ParityClass, _analysis_of, _report_dict, _rows, _sample_block, parity_class
 
 DEFAULT_TOL = 1e-9
@@ -132,7 +132,7 @@ def load_state(spec: str, tol: float) -> PureState:
             if len(parts) != 3:
                 raise DomainError("w-even expects three comma-separated weights")
             w = np.array([_builtin_param(p, "w-even") for p in parts])
-            with np.errstate(over="ignore"):  # an overflowing norm is inf, refused below
+            with _nonfinite_refused():  # an overflowing norm is inf, refused below
                 norm = float(np.linalg.norm(w))
             if norm < math.sqrt(sys.float_info.min) and w.any():  # w.w lost bits below the normal range
                 w = w / np.abs(w).max()

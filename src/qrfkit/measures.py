@@ -19,7 +19,8 @@ import enum
 import numpy as np
 
 from .errors import InvalidBipartitionError, NumericError, UnknownQuantityError, _require_member
-from .qstate import DensityMatrix, PureState, _clamped_spectra, _density_matrices, _dephased, _partial_traces, _qubit_list
+from .qstate import DensityMatrix, PureState, _clamped_spectra, _density_matrices, _dephased, _nonfinite_refused
+from .qstate import _partial_traces, _qubit_list, _require_finite
 from .qstate import clamped_eigenvalues  # noqa: F401  kept importable from measures for callers
 
 
@@ -54,19 +55,8 @@ def binary_entropy(p: float) -> float:
     return float(_binary_entropies(np.array([p], dtype=np.float64))[0])
 
 
-def _require_finite(rho: np.ndarray) -> None:
-    """Raise NumericError unless every entry of a stack of matrices is finite.
-
-    The entries are checked, not a result: LAPACK can return a finite
-    spectrum for a NaN diagonal.
-    """
-    if not np.isfinite(rho).all():
-        raise NumericError("density matrix has non-finite entries, so its measures are not finite")
-
-
 def _entropies(rho: np.ndarray) -> np.ndarray:
     """-sum_i lambda_i log2 lambda_i over the clamped spectrum of each matrix in a (..., d, d) stack."""
-    _require_finite(rho)
     spectra = _clamped_spectra(rho)
     flat = spectra.reshape(-1, spectra.shape[-1])
     counts = (flat > 0.0).sum(axis=-1)
@@ -90,14 +80,16 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 
 
 def _linear_entropies(rho: np.ndarray) -> np.ndarray:
-    """1 - Tr(rho^2) of each matrix in a (..., d, d) stack."""
-    _require_finite(rho)
-    return 1.0 - np.trace(rho @ rho, axis1=-2, axis2=-1).real
+    """1 - Tr(rho^2) of each matrix in a (..., d, d) stack; every entry reaches the trace, so a NaN or infinite
+    entry, or a square that overflows, gives a non-finite value, which raises NumericError."""
+    return _require_finite(1.0 - np.trace(rho @ rho, axis1=-2, axis2=-1).real, "linear entropy is not finite")
 
 
 def linear_entropy(rho: DensityMatrix) -> float:
-    """1 - Tr(rho^2); zero exactly on pure states.  A NaN or infinite entry raises NumericError."""
-    return float(_linear_entropies(rho.entries[None])[0])
+    """1 - Tr(rho^2); zero exactly on pure states.  A NaN or infinite entry, or one whose square overflows, raises
+    NumericError."""
+    with _nonfinite_refused():
+        return float(_linear_entropies(rho.entries[None])[0])
 
 
 def _partition(n: int, left) -> tuple[list[int], list[int]]:
@@ -120,15 +112,16 @@ def entanglement(psi: PureState, left, pair: MeasurePair = MeasurePair.ENTROPY) 
     smaller block costs nothing in generality; we always reduce to ``left``.
     """
     left, _ = _partition(psi.n_qubits, left)
-    return float(_entanglements(_partial_traces(_density_matrices(psi.amplitudes[None]), left), pair)[0])
+    with _nonfinite_refused():
+        return float(_entanglements(_partial_traces(_density_matrices(psi.amplitudes[None]), left), pair)[0])
 
 
 def _coherences(rho: np.ndarray, pair: MeasurePair) -> np.ndarray:
-    """Basis coherence of each matrix in a (..., d, d) stack; a NaN or infinite entry raises NumericError."""
+    """Basis coherence of each matrix in a (..., d, d) stack; a NaN or infinite entry raises NumericError, and so does
+    an l2 coherence that overflows."""
     if _is_entropic(pair):
         return _entropies(_dephased(rho)) - _entropies(rho)
-    _require_finite(rho)
-    return np.sum(np.abs(rho - _dephased(rho)) ** 2, axis=(-2, -1))
+    return _require_finite(np.sum(np.abs(rho - _dephased(rho)) ** 2, axis=(-2, -1)), "l2 coherence is not finite")
 
 
 def coherence(rho: DensityMatrix, pair: MeasurePair = MeasurePair.ENTROPY) -> float:
@@ -136,7 +129,8 @@ def coherence(rho: DensityMatrix, pair: MeasurePair = MeasurePair.ENTROPY) -> fl
 
     A NaN or infinite entry raises NumericError under either measure pair.
     """
-    return float(_coherences(rho.entries[None], pair)[0])
+    with _nonfinite_refused():
+        return float(_coherences(rho.entries[None], pair)[0])
 
 
 def _mutual_informations(rho: np.ndarray, left: list[int], right: list[int]) -> np.ndarray:

@@ -22,16 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, ShapeError, TooFewQubitsError, _check_target, _integer
-from .qstate import PureState, _freeze, _purified, _renormalised, _renormalised_rows, _require_shapeable
+from .qstate import PureState, _freeze, _nonfinite_refused, _purified, _renormalised, _renormalised_rows
+from .qstate import _require_shapeable
 
 
 # The channel's composite maps are cached up to this register size: 8 * 2^n bytes each, 128 KiB at 14 qubits, and
 # 3 407 872 bytes (3.25 MiB) for every (n, p) with n <= 14 together.  A larger register builds its map per call.
 _MAP_CACHE_QUBITS = 14
-
-# Overflow and inf - inf give an inf or NaN norm, which _renormalised refuses with NormToleranceError; this keeps
-# numpy's RuntimeWarning from coming first, or instead under -W error.
-_nonfinite_refused = functools.partial(np.errstate, over="ignore", invalid="ignore")
 
 
 def _register_slot(party: int, observer: int) -> int:

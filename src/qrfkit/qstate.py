@@ -10,6 +10,7 @@ functions, so values are safe to share across threads.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -26,6 +27,10 @@ ATOL = 1e-10         # default comparison tolerance
 EIG_CLAMP = 1e-12    # eigenvalues in [-EIG_CLAMP, 0) are treated as exactly 0
 _UNIT_NORM_BAND = 1e-12      # norms this close to 1 stay undivided, so normalized vectors round-trip bit-stable
 _JSON_NUMBERS = frozenset((int, float))  # the types json.loads gives JSON numbers; bool is neither
+
+# The one numeric guard of the public entry points.  Overflow and inf - inf give an inf or NaN, which the entry point
+# then refuses with a typed error; this keeps numpy's RuntimeWarning from coming first, or instead under -W error.
+_nonfinite_refused = functools.partial(np.errstate, over="ignore", invalid="ignore")
 
 
 @dataclass(frozen=True)
@@ -66,6 +71,13 @@ def _require_shapeable(n_qubits: int, square: bool = False) -> None:
     if (16 << (2 * n_qubits if square else n_qubits)) > np.iinfo(np.intp).max:
         kind = "operator" if square else "register"
         raise ShapeError(f"qubit count {n_qubits} is past the largest {kind} numpy can shape")
+
+
+def _require_finite(values: np.ndarray, message: str) -> np.ndarray:
+    """values, unless one of them is NaN or infinite: then NumericError(message)."""
+    if not np.isfinite(values).all():
+        raise NumericError(message)
+    return values
 
 
 def _renormalised(vec: np.ndarray, tol: float = math.inf) -> np.ndarray:
@@ -116,7 +128,7 @@ def state_from_amplitudes(amps, tol: float = NORM_TOL) -> PureState:
         raise NotPowerOfTwoError(f"amplitude count {dim} is not a power of two >= 2")
     if not tol >= 0:  # as in purify_diagonal: a NaN would refuse every norm under a misleading message
         raise DomainError(f"norm tolerance must be a nonnegative number, got {tol}")
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing norm is inf, rejected by the rule
+    with _nonfinite_refused():
         return PureState(n_qubits=dim.bit_length() - 1, amplitudes=_renormalised(vec, tol))
 
 
@@ -126,8 +138,12 @@ def _density_matrices(amps: np.ndarray) -> np.ndarray:
 
 
 def density_matrix(psi: PureState) -> DensityMatrix:
-    """Outer product |psi><psi|: unit-trace, rank-1, Hermitian."""
-    return DensityMatrix(dim=psi.dim, entries=_freeze(_density_matrices(psi.amplitudes[None])[0]))
+    """Outer product |psi><psi|: unit-trace, rank-1, Hermitian; a NaN or infinite amplitude, or one whose products
+    overflow, raises NumericError."""
+    with _nonfinite_refused():
+        entries = _density_matrices(psi.amplitudes[None])[0]
+    _require_finite(entries, "state has a non-finite or overflowing amplitude, so its density matrix is not finite")
+    return DensityMatrix(dim=psi.dim, entries=_freeze(entries))
 
 
 def _partial_traces(rho: np.ndarray, keep: list[int]) -> np.ndarray:
@@ -205,11 +221,11 @@ def purify_diagonal(rho: DensityMatrix, tol: float = ATOL) -> PureState:
     if not tol >= 0:  # as in condition_check: a NaN would pass every off-diagonal entry
         raise DomainError(f"diagonality tolerance must be a nonnegative number, got {tol}")
     m = rho.entries
-    if not np.isfinite(m).all():  # a NaN would pass the diagonality test below
-        raise NumericError("density matrix has non-finite entries, so it has no purification")
+    # A NaN would pass the diagonality test below.
+    _require_finite(m, "density matrix has non-finite entries, so it has no purification")
     if np.max(np.abs(m - _dephased(m))) > tol:
         raise NotDiagonalError("matrix has off-diagonal weight above tolerance")
-    with np.errstate(over="ignore"):  # as in state_from_amplitudes: an overflowing norm is inf, rejected by the rule
+    with _nonfinite_refused():  # an overflowing norm is inf, which the rule refuses
         return PureState(n_qubits=rho.n_qubits, amplitudes=_purified(np.diag(m).real))
 
 
@@ -225,7 +241,10 @@ def _clamped_spectra(rho: np.ndarray) -> np.ndarray:
 
     Symmetrizing first removes round-off asymmetry; values in [-1e-12, 0) are
     numerical noise on a PSD matrix and are set to 0 before any logarithm.
+    A NaN or infinite entry raises NumericError: the entries are checked, not
+    the spectrum, since LAPACK can return a finite spectrum for a NaN diagonal.
     """
+    _require_finite(rho, "density matrix has non-finite entries, so its spectrum is not finite")
     # One C-contiguous copy, then every step in place, so numpy needs no buffers; x + rho is rho + x bit for bit.
     herm = np.swapaxes(rho, -1, -2).copy()
     np.conjugate(herm, out=herm)
@@ -237,7 +256,7 @@ def _clamped_spectra(rho: np.ndarray) -> np.ndarray:
 
 
 def clamped_eigenvalues(rho: DensityMatrix) -> np.ndarray:
-    """Eigenvalues of the Hermitian part (M + M*)/2, tiny negatives clamped to 0."""
+    """Eigenvalues of the Hermitian part, tiny negatives clamped to 0; a NaN or infinite entry raises NumericError."""
     return _clamped_spectra(rho.entries[None])[0]
 
 

@@ -23,7 +23,8 @@ from .errors import DomainError, ShapeError, WrongQubitCountError, _integer, _re
 from .measures import MeasurePair, _coherences, _entanglements, _entropies, _is_entropic, binary_entropy, coherence
 from .measures import entanglement
 from .perspective import _flip_merge, _register_slot, assign_perspective
-from .qstate import PureState, _density_matrices, _dephased, _partial_traces, _require_shapeable, density_matrix
+from .qstate import PureState, _density_matrices, _dephased, _nonfinite_refused, _partial_traces, _require_finite
+from .qstate import _require_shapeable, density_matrix
 from .qstate import _norms, partial_trace, permute_qubits, state_from_amplitudes
 
 SAT_TOL = 1e-9          # default satisfaction tolerance for residuals
@@ -180,7 +181,8 @@ def _rows(table, k: int):
 
 def _analysis_of(states, pairs) -> _Analysis:
     """The analysis of a sequence of 3-qubit states as one stack; one state is a stack of K = 1."""
-    return _Analysis(np.array([_require_three(psi).amplitudes for psi in states]), pairs)
+    with _nonfinite_refused():
+        return _Analysis(np.array([_require_three(psi).amplitudes for psi in states]), pairs)
 
 
 def perspectival_side(psi: PureState, alpha: int, beta: int, m: MeasurePair) -> float:
@@ -224,23 +226,26 @@ def xyl_closed_form(psi: PureState, c: ConstraintId, m: MeasurePair) -> XylTripl
     _require_three(psi)
     ordered = permute_qubits(psi, _require_member(c, ConstraintId, "constraint").permutation)
     a = ordered.amplitudes
-    p2 = np.abs(a) ** 2
-    # Merged pair amplitudes of the basis pairs (000, 111), (001, 110), (010, 101), (011, 100).
-    u, v, w, x = assign_perspective(ordered, 0).amplitudes.real
-    u2, v2, w2, x2 = u * u, v * v, w * w, x * x
-    # gamma is the last qubit: even indices b have gamma = 0, and b + 1 is b with gamma flipped.
-    p0 = p2[::2].sum()
-    s = np.vdot(a[1::2], a[::2])
-    p1 = 1.0 - p0
-    l_ent = u2 + v2
-    if _is_entropic(m):
-        xv = float(np.sqrt((p0 - p1) ** 2 + 4.0 * abs(s) ** 2))
-        yv = float(np.sqrt(max(1.0 - 4.0 * (u2 * x2 + v2 * w2) + 8.0 * u * v * w * x, 0.0)))
-        lv = float(l_ent)
-    else:
-        xv = float(p0 * p0 + p1 * p1 + 2.0 * abs(s) ** 2)
-        yv = float((u * w + v * x) ** 2)
-        lv = float(l_ent * l_ent + (1.0 - l_ent) ** 2)
+    # A state whose squares overflow is refused: by assign_perspective, or as a non-finite form below.
+    with _nonfinite_refused():
+        p2 = np.abs(a) ** 2
+        # Merged pair amplitudes of the basis pairs (000, 111), (001, 110), (010, 101), (011, 100).
+        u, v, w, x = assign_perspective(ordered, 0).amplitudes.real
+        u2, v2, w2, x2 = u * u, v * v, w * w, x * x
+        # gamma is the last qubit: even indices b have gamma = 0, and b + 1 is b with gamma flipped.
+        p0 = p2[::2].sum()
+        s = np.vdot(a[1::2], a[::2])
+        p1 = 1.0 - p0
+        l_ent = u2 + v2
+        if _is_entropic(m):
+            xv = float(np.sqrt((p0 - p1) ** 2 + 4.0 * abs(s) ** 2))
+            yv = float(np.sqrt(max(1.0 - 4.0 * (u2 * x2 + v2 * w2) + 8.0 * u * v * w * x, 0.0)))
+            lv = float(l_ent)
+        else:
+            xv = float(p0 * p0 + p1 * p1 + 2.0 * abs(s) ** 2)
+            yv = float((u * w + v * x) ** 2)
+            lv = float(l_ent * l_ent + (1.0 - l_ent) ** 2)
+    _require_finite(np.array([xv, yv, lv]), "the state's closed-form coefficients are not finite")
     return XylTriple(x=xv, y=yv, l=lv)
 
 

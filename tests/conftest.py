@@ -1,10 +1,20 @@
-"""Shared reporting for the acceptance gate.
+"""Shared reporting for the acceptance gate, and the in-process CLI runner of the CLI tests.
 
 The acceptance tests record one verdict per criterion; printing happens here
 in the terminal summary, where pytest's output capture cannot swallow it.
 """
 
+from qrfkit.cli import main
+
 ACCEPTANCE_VERDICTS = {}
+R_MAX_TEXT = "0.7853981633974483"  # repr(math.pi / 4), the grid's upper bound
+
+
+def run(capsys, argv):
+    """The exit code, stdout and stderr of one in-process CLI run."""
+    code = main(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

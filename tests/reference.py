@@ -1,0 +1,120 @@
+"""Written-out references, and the checks against them that run at two sizes, for the tier-1 tests and full_size.py.
+
+Each reference computes what a qrfkit kernel computes with one numpy call per step and none of the kernel's private
+helpers, so the two are independent computations.  The perspective operator is Giacomini, Castro-Ruiz & Brukner's
+(Nat. Commun. 10, 494, 2019) for Z2; the measures are Baumgratz, Cramer & Plenio's (PRL 113, 140401, 2014).
+"""
+
+import json
+
+import numpy as np
+
+from qrfkit import DensityMatrix, ParityClass, assign_perspective, assign_perspective_channel, dephase, density_matrix
+from qrfkit import partial_trace, perspective_operator, purify_diagonal, random_parity_state, state_from_amplitudes
+from qrfkit.transference import _Analysis, _parity_amplitudes, _sample_draws
+
+ANALYSIS_FIELDS = ("persp_ent", "coh", "global_ent")
+
+
+def unit_amplitudes(n, rng):
+    """2^n amplitudes with standard-normal real parts, then imaginary parts, divided by numpy's norm."""
+    v = rng.standard_normal(2 ** n) + 1j * rng.standard_normal(2 ** n)
+    return v / np.linalg.norm(v)
+
+
+def unit_state(n, rng):
+    """The state of unit_amplitudes(n, rng), which it holds bit for bit: a norm within 1e-12 of 1 is left undivided."""
+    return state_from_amplitudes(unit_amplitudes(n, rng))
+
+
+def state_document(amps, **fields):
+    """The state document json.dumps writes for amplitudes amps, as [float(re), float(im)] pairs, then fields."""
+    pairs = [[float(a.real), float(a.imag)] for a in amps]
+    return json.dumps({"n_qubits": len(amps).bit_length() - 1, "amplitudes": pairs, **fields})
+
+
+def renormalised(vec):
+    """The renormalisation rule written out: numpy's norm, then a divide unless it is within 1e-12 of 1."""
+    norm = float(np.linalg.norm(vec))
+    return vec if abs(norm - 1.0) <= 1e-12 else vec / norm
+
+
+def flip_merge(amps, p, n):
+    """The perspective of qubit p by the scalar flip-merge rule, one basis string at a time."""
+    full = (1 << n) - 1
+    shift = n - 1 - p
+    out = np.zeros(1 << (n - 1), dtype=np.complex128)
+    for b in range(1 << n):
+        if (b >> shift) & 1 == 0:
+            w = abs(amps[b]) ** 2 + abs(amps[b ^ full]) ** 2
+            out[((b >> (shift + 1)) << shift) | (b & ((1 << shift) - 1))] = np.sqrt(w)
+    return renormalised(out)
+
+
+def dense_channel(s, p):
+    """The channel's amplitudes with the perspective operator applied as two dense matmuls."""
+    n = s.n_qubits
+    rho = dephase(density_matrix(s))
+    op = perspective_operator(p, n)
+    shifted = DensityMatrix(dim=rho.dim, entries=op @ rho.entries @ op.conj().T)
+    return purify_diagonal(partial_trace(shifted, [i for i in range(n) if i != p])).amplitudes
+
+
+def where_flip(n, control, mask):
+    """The index map of the controlled flip by an np.where over the control bit of every column."""
+    cols = np.arange(1 << n)
+    return np.where((cols >> (n - 1 - control)) & 1, cols ^ mask, cols)
+
+
+def add_at_channel(s, p):
+    """The channel's amplitudes by where_flip's index map, np.add.at into zeros, a sum over axis p of the (2,) * n
+    reshape, np.clip and the written-out renormalisation rule."""
+    n, a = s.n_qubits, s.amplitudes
+    shifted = np.zeros(a.size)
+    np.add.at(shifted, where_flip(n, p, (1 << n) - 1), (a * a.conj()).real)
+    reduced = np.clip(shifted.reshape((2,) * n).sum(axis=p).ravel(), 0.0, None)
+    return renormalised(np.sqrt(reduced)).astype(np.complex128)
+
+
+def check_channel_bytes(pipeline, states):
+    """The channel's amplitudes must equal pipeline(s, p)'s byte for byte, for each state s and each of its qubits p."""
+    for s in states:
+        for p in range(s.n_qubits):
+            assert assign_perspective_channel(s, p).amplitudes.tobytes() == pipeline(s, p).tobytes(), (
+                f"channel differs from {pipeline.__name__} at n={s.n_qubits}, p={p}")
+
+
+def channel_deviation(psi, p):
+    """The largest distance between the channel's amplitudes and the direct rule's."""
+    return float(np.max(np.abs(assign_perspective_channel(psi, p).amplitudes - assign_perspective(psi, p).amplitudes)))
+
+
+def stacked_draws(seed, count):
+    """sample's stacked states of each parity for seed, after checking them and their draws against
+    default_rng([seed, i]) byte for byte; each row's generator is reset to its start state before each draw."""
+    draws = {width: _sample_draws(seed, np.arange(count), width) for width in (8, 16)}
+    states = {cls: _parity_amplitudes(cls, lambda width: draws[width]) for cls in ParityClass}
+    for i in range(count):
+        rng = np.random.default_rng([seed, i])
+        start = rng.bit_generator.state
+        for width, stack in draws.items():
+            rng.bit_generator.state = start
+            assert stack[i].tobytes() == rng.standard_normal(width).tobytes(), (
+                f"stacked draw {i} differs from default_rng for seed {seed}, width {width}")
+        for cls, stack in states.items():
+            rng.bit_generator.state = start
+            assert stack[i].tobytes() == random_parity_state(cls, rng).amplitudes.tobytes(), (
+                f"stacked state {i} differs from random_parity_state for seed {seed}, parity {cls.value}")
+    return states
+
+
+def analysis_with_mutual_information(amps, pairs):
+    """The _Analysis of amps with mutual information, after checking that its constraint fields are those of the
+    analysis without it, byte for byte."""
+    with_mi, without = (_Analysis(amps, pairs, mutual_information=flag) for flag in (True, False))
+    for m in pairs:
+        for field in ANALYSIS_FIELDS:
+            got, expect = getattr(with_mi, field)[m], getattr(without, field)[m]
+            assert got.shape == expect.shape and got.tobytes() == expect.tobytes(), (
+                f"{field} under {m.value} differs with mutual information")
+    return with_mi

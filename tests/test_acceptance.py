@@ -19,8 +19,6 @@ from qrfkit import (
     MeasurePair,
     ObserverLabel,
     ParityClass,
-    assign_perspective,
-    assign_perspective_channel,
     check_corollary,
     check_transference,
     entanglement,
@@ -38,6 +36,7 @@ from qrfkit import (
 )
 from qrfkit.cli import main
 from qrfkit.rindler import R_MAX, oracle_coherence
+from reference import channel_deviation, state_document
 
 RT2 = 1.0 / math.sqrt(2.0)
 GRID = np.linspace(0.0, R_MAX, 201)
@@ -61,10 +60,7 @@ def criterion(num):
 @criterion(1)
 def test_criterion_01_worked_example_via_cli(tmp_path):
     state = tmp_path / "state.json"
-    state.write_text(json.dumps({
-        "n_qubits": 3,
-        "amplitudes": [[a, 0.0] for a in WORKED],
-    }), encoding="utf-8")
+    state.write_text(state_document(WORKED), encoding="utf-8")
     out = tmp_path / "persp.json"
     started = time.perf_counter()
     code = main(["perspective", "--state", str(state), "--perspective", "1",
@@ -85,9 +81,7 @@ def test_criterion_02_formulation_equivalence():
         for i in range(1000):
             psi = random_state(n, np.random.default_rng([2, n, i]))
             for p in range(n):
-                direct = assign_perspective(psi, p)
-                channel = assign_perspective_channel(psi, p)
-                assert np.max(np.abs(direct.amplitudes - channel.amplitudes)) <= 1e-12
+                assert channel_deviation(psi, p) <= 1e-12
     assert time.perf_counter() - started < 10.0
 
 
@@ -219,9 +213,7 @@ def test_criterion_10_full_run_budget():
         for i in range(1000):
             psi = random_state(n, np.random.default_rng([10, n, i]))
             for p in range(n):
-                a = assign_perspective(psi, p)
-                b = assign_perspective_channel(psi, p)
-                assert np.max(np.abs(a.amplitudes - b.amplitudes)) <= 1e-12
+                assert channel_deviation(psi, p) <= 1e-12
 
     for i in range(1000):
         for offset, cls in ((0, ParityClass.EVEN), (1, ParityClass.ODD)):

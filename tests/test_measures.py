@@ -38,6 +38,7 @@ from qrfkit.measures import _entropies
 from qrfkit.rindler import sweep_to_dicts
 from qrfkit.transference import perspectival_side
 from qrfkit.qstate import clamped_eigenvalues
+from reference import unit_state
 
 RT2 = 1.0 / math.sqrt(2.0)
 
@@ -46,11 +47,6 @@ RT2 = 1.0 / math.sqrt(2.0)
 H2_QUARTER = 0.8112781244591328
 # (3/2) * (2 - log2(3))
 MI_PLATEAU = 0.6225562489182659
-
-
-def rand_state(n, rng):
-    v = rng.standard_normal(2 ** n) + 1j * rng.standard_normal(2 ** n)
-    return state_from_amplitudes(v / np.linalg.norm(v))
 
 
 def diag_density(probs):
@@ -109,6 +105,8 @@ def test_entropy_rejects_non_finite_matrices():
             von_neumann_entropy(rho)
         with pytest.raises(NumericError):
             coherence(rho, MeasurePair.ENTROPY)
+        with pytest.raises(NumericError):  # not numpy's LinAlgError, nor a spectrum holding NaN
+            clamped_eigenvalues(rho)
 
 
 @pytest.mark.parametrize("pair", list(MeasurePair))
@@ -122,6 +120,11 @@ def test_measures_reject_non_finite_matrices_under_both_pairs(pair):
             entropy = von_neumann_entropy if pair is MeasurePair.ENTROPY else linear_entropy
             with pytest.raises(NumericError):
                 entropy(rho)
+    if pair is MeasurePair.LINEAR:  # a 1e200 coherence's square overflows: -inf once; its entropic spectrum is finite
+        rho = DensityMatrix(2, np.array([[0.5, 1e200], [1e200, 0.5]], dtype=complex))
+        for call in (linear_entropy, lambda r: coherence(r, pair)):
+            with pytest.raises(NumericError):
+                call(rho)
 
 
 def test_linear_entropy_examples():
@@ -147,7 +150,7 @@ def test_entanglement_side_symmetry():
     rng = np.random.default_rng(21)
     for i in range(100):
         n = int(rng.integers(2, 5))
-        s = rand_state(n, rng)
+        s = unit_state(n, rng)
         k = int(rng.integers(1, n))
         left = sorted(rng.choice(n, size=k, replace=False).tolist())
         right = [q for q in range(n) if q not in left]
@@ -182,7 +185,7 @@ def test_coherence_vanishes_on_diagonal():
 def test_coherence_nonnegative_and_detects_offdiagonals():
     rng = np.random.default_rng(22)
     for i in range(100):
-        s = rand_state(2, rng)
+        s = unit_state(2, rng)
         rho = partial_trace(density_matrix(s), [0])
         for pair in MeasurePair:
             c = coherence(rho, pair)
@@ -207,7 +210,7 @@ def test_mutual_information_bell():
 def test_mutual_information_is_twice_entanglement_for_pure():
     rng = np.random.default_rng(23)
     for i in range(50):
-        s = rand_state(3, rng)
+        s = unit_state(3, rng)
         rho = density_matrix(s)
         mi = mutual_information(rho, [0], [1, 2])
         e = entanglement(s, [0], MeasurePair.ENTROPY)
@@ -217,7 +220,7 @@ def test_mutual_information_is_twice_entanglement_for_pure():
 def test_mutual_information_reduces_joint_first():
     # left+right need not exhaust the register
     rng = np.random.default_rng(24)
-    s = rand_state(3, rng)
+    s = unit_state(3, rng)
     rho = density_matrix(s)
     direct = mutual_information(rho, [0], [2])
     via_joint = mutual_information(partial_trace(rho, [0, 2]), [0], [1])
@@ -258,7 +261,7 @@ def test_qubit_blocks_must_hold_integers():
 def test_entropy_bounded_by_kept_qubits():
     rng = np.random.default_rng(25)
     for i in range(50):
-        s = rand_state(4, rng)
+        s = unit_state(4, rng)
         red = partial_trace(density_matrix(s), [0, 2])
         v = von_neumann_entropy(red)
         assert -1e-12 <= v <= 2.0 + 1e-12
@@ -267,7 +270,7 @@ def test_entropy_bounded_by_kept_qubits():
 def low_rank_density(n, rank, rng):
     """A random density matrix of the given rank: an equal mixture of random pure states."""
     d = 2 ** n
-    m = sum(density_matrix(rand_state(n, rng)).entries for _ in range(rank)) / rank
+    m = sum(density_matrix(unit_state(n, rng)).entries for _ in range(rank)) / rank
     return DensityMatrix(d, m)
 
 

@@ -1,19 +1,29 @@
 import math
 import tracemalloc
 import warnings
+from dataclasses import astuple
 from functools import reduce
 
 import numpy as np
 import pytest
 
 from qrfkit import (
+    ConstraintId,
+    MeasurePair,
     assign_perspective,
     assign_perspective_channel,
+    check_corollary,
+    check_transference,
+    coherence,
+    condition_check,
     embed,
+    entanglement,
+    linear_entropy,
     permute_qubits,
     perspective_operator,
     qrf_transform,
     state_from_amplitudes,
+    xyl_closed_form,
     z2_operator,
 )
 from qrfkit.errors import (
@@ -24,14 +34,12 @@ from qrfkit.errors import (
     TooFewQubitsError,
 )
 from qrfkit.perspective import _MAP_CACHE_QUBITS, _cached_trace_map, _controlled_flip, _trace_map
-from qrfkit.qstate import _UNIT_NORM_BAND, DensityMatrix, PureState, density_matrix, dephase, partial_trace, purify_diagonal
+from qrfkit.qstate import DensityMatrix, PureState, clamped_eigenvalues, density_matrix
+from qrfkit.transference import oracle_coherence
+from reference import add_at_channel, channel_deviation, check_channel_bytes, dense_channel, flip_merge, unit_state
+from reference import where_flip
 
 RT2 = 1.0 / math.sqrt(2.0)
-
-
-def rand_state(n, rng):
-    v = rng.standard_normal(2 ** n) + 1j * rng.standard_normal(2 ** n)
-    return state_from_amplitudes(v / np.linalg.norm(v))
 
 
 def test_assignment_worked_example():
@@ -63,7 +71,7 @@ def test_assignment_output_is_real_nonnegative():
     rng = np.random.default_rng(31)
     for i in range(200):
         n = int(rng.integers(2, 5))
-        s = rand_state(n, rng)
+        s = unit_state(n, rng)
         p = int(rng.integers(0, n))
         out = assign_perspective(s, p)
         assert out.n_qubits == n - 1
@@ -72,28 +80,13 @@ def test_assignment_output_is_real_nonnegative():
         assert abs(np.linalg.norm(out.amplitudes) - 1.0) <= 1e-12
 
 
-def reference_assignment(amps, p, n):
-    """Scalar flip-merge rule, one basis string at a time."""
-    full = (1 << n) - 1
-    shift = n - 1 - p
-    out = np.zeros(1 << (n - 1), dtype=np.complex128)
-    for b in range(1 << n):
-        if (b >> shift) & 1 == 0:
-            w = abs(amps[b]) ** 2 + abs(amps[b ^ full]) ** 2
-            out[((b >> (shift + 1)) << shift) | (b & ((1 << shift) - 1))] = np.sqrt(w)
-    norm = float(np.linalg.norm(out))
-    if abs(norm - 1.0) > 1e-12:
-        out /= norm
-    return out
-
-
 def test_assignment_matches_scalar_reference_bit_for_bit():
     rng = np.random.default_rng(36)
     for n in range(2, 9):
         for trial in range(3):
-            s = rand_state(n, rng)
+            s = unit_state(n, rng)
             for p in range(n):
-                expect = reference_assignment(s.amplitudes, p, n)
+                expect = flip_merge(s.amplitudes, p, n)
                 assert np.array_equal(assign_perspective(s, p).amplitudes, expect), (n, p)
 
 
@@ -142,9 +135,7 @@ def test_perspective_operator_middle_target():
 def test_channel_matches_direct_assignment_on_examples():
     s = state_from_amplitudes([0.5, 0.5, 0.5, 0.0, 0.0, 0.0, 0.0, 0.5])
     for p in range(3):
-        a = assign_perspective(s, p)
-        b = assign_perspective_channel(s, p)
-        assert np.max(np.abs(a.amplitudes - b.amplitudes)) <= 1e-12
+        assert channel_deviation(s, p) <= 1e-12
 
 
 def test_channel_refuses_nan_amplitudes():
@@ -169,20 +160,9 @@ def test_channel_matches_direct_assignment_randomized():
     rng = np.random.default_rng(32)
     for i in range(600):
         n = int(rng.integers(2, 9))
-        s = rand_state(n, rng)
+        s = unit_state(n, rng)
         for p in range(n):
-            a = assign_perspective(s, p)
-            b = assign_perspective_channel(s, p)
-            assert np.max(np.abs(a.amplitudes - b.amplitudes)) <= 1e-12
-
-
-def dense_channel(s, p):
-    """The channel with the perspective operator applied as two dense matmuls."""
-    n = s.n_qubits
-    rho = dephase(density_matrix(s))
-    op = perspective_operator(p, n)
-    shifted = DensityMatrix(dim=rho.dim, entries=op @ rho.entries @ op.conj().T)
-    return purify_diagonal(partial_trace(shifted, [i for i in range(n) if i != p]))
+            assert channel_deviation(s, p) <= 1e-12
 
 
 def bit_test_states(n, rng):
@@ -199,7 +179,7 @@ def bit_test_states(n, rng):
     signed_zeros.real[rng.random(d) < 0.3] = -0.0
     signed_zeros.imag[rng.random(d) < 0.3] = -0.0
     signed_zeros[rng.random(d) < 0.2] = complex(-0.0, -0.0)
-    states = [rand_state(n, rng) for _ in range(3)]
+    states = [unit_state(n, rng) for _ in range(3)]
     return states + [state_from_amplitudes(v / np.linalg.norm(v)) for v in (sparse, negative, ghz, product, signed_zeros)]
 
 
@@ -207,34 +187,12 @@ def test_channel_scatter_matches_dense_operator_bit_for_bit():
     rng = np.random.default_rng(37)
     for n in range(2, 9):
         d = 1 << n
-        states = bit_test_states(n, rng)
         for p in range(n):
             rows = _controlled_flip(n, p, d - 1)
             op = perspective_operator(p, n)
             assert np.array_equal(np.count_nonzero(op, axis=0), np.ones(d))
             assert np.array_equal(op[rows, np.arange(d)], np.ones(d))
-            for s in states:
-                got = assign_perspective_channel(s, p).amplitudes
-                assert got.tobytes() == dense_channel(s, p).amplitudes.tobytes(), (n, p)
-
-
-def where_flip(n, control, mask):
-    """_controlled_flip's index map by an np.where over the control bit of every column."""
-    cols = np.arange(1 << n)
-    return np.where((cols >> (n - 1 - control)) & 1, cols ^ mask, cols)
-
-
-def add_at_channel(s, p):
-    """The channel's amplitudes by np.where's index map, np.add.at into zeros, a sum over axis p of the (2,) * n
-    reshape, np.clip and np.linalg.norm: every step its own numpy call, none through _purified."""
-    n, a = s.n_qubits, s.amplitudes
-    shifted = np.zeros(a.size)
-    np.add.at(shifted, where_flip(n, p, (1 << n) - 1), (a * a.conj()).real)
-    vec = np.sqrt(np.clip(shifted.reshape((2,) * n).sum(axis=p).ravel(), 0.0, None))
-    norm = float(np.linalg.norm(vec))
-    if abs(norm - 1.0) > _UNIT_NORM_BAND:
-        vec /= norm
-    return vec.astype(np.complex128)
+        check_channel_bytes(dense_channel, bit_test_states(n, rng))
 
 
 def test_channel_matches_add_at_pipeline_bit_for_bit():
@@ -243,10 +201,7 @@ def test_channel_matches_add_at_pipeline_bit_for_bit():
         states = bit_test_states(n, rng)
         # Off-unit norms make the renormalisation divide, so the norm's own bits reach the output.
         states += [PureState(n_qubits=n, amplitudes=k * s.amplitudes) for s in states[:2] for k in (3.7, 1e-3)]
-        for p in range(n):
-            for s in states:
-                got = assign_perspective_channel(s, p).amplitudes
-                assert got.tobytes() == add_at_channel(s, p).tobytes(), (n, p)
+        check_channel_bytes(add_at_channel, states)
     for n in range(1, 13):
         full = (1 << n) - 1
         for control in range(n):
@@ -258,7 +213,7 @@ def test_channel_memory_is_linear_in_the_amplitude_count():
     # The dense pipeline peaks at 704 MiB at 12 qubits; the diagonal path needs about 44 bytes per amplitude with its
     # composite map built, both below the cache's size gate (the map is cached) and above it (built per call).
     for n in (12, 16):
-        s = rand_state(n, np.random.default_rng(38))
+        s = unit_state(n, np.random.default_rng(38))
         _cached_trace_map.cache_clear()
         tracemalloc.start()
         try:
@@ -300,11 +255,10 @@ def test_channel_cold_and_cached_calls_give_equal_bytes():
 
 def test_register_above_the_gate_leaves_the_cache_alone():
     n = _MAP_CACHE_QUBITS + 1
-    s = rand_state(n, np.random.default_rng(40))
+    s = unit_state(n, np.random.default_rng(40))
     before = _cached_trace_map.cache_info().currsize
     for p in (0, n - 1):
-        out = assign_perspective_channel(s, p)
-        assert np.max(np.abs(out.amplitudes - assign_perspective(s, p).amplitudes)) <= 1e-12
+        assert channel_deviation(s, p) <= 1e-12
     assert _cached_trace_map.cache_info().currsize == before
 
 
@@ -317,32 +271,53 @@ def test_trace_map_cache_stays_within_its_documented_bound():
     assert sum(rows.nbytes for rows in maps) <= 3_407_872
 
 
-# Real or imaginary parts that overflow a square (1e200), underflow it (1e-200), are not finite, or are a signed zero.
-EXTREME_PARTS = [1e200, -1e200, 1e-200, math.nan, math.inf, -math.inf, -0.0]
+# Real or imaginary parts that overflow a square (1e200), a fourth power (1e80), underflow a square (1e-200), are not
+# finite, or are a signed zero.
+EXTREME_PARTS = [1e200, -1e200, 1e80, 1e-200, math.nan, math.inf, -math.inf, -0.0]
+
+
+# The public functions of a hand-built 3-qubit state, each giving its numbers as an array; NORM_CALLS take its norm.
+NORM_CALLS = [lambda psi, p=p, assign=assign: assign(psi, p).amplitudes
+              for p in range(3) for assign in (assign_perspective, assign_perspective_channel)]
+NORM_CALLS += [lambda psi, op=op: qrf_transform(op, psi).amplitudes for op in (z2_operator(4, 0, 1), z2_operator(4, 3, 0))]
+MEASURE_CALLS = [lambda psi: density_matrix(psi).entries]
+MEASURE_CALLS += [lambda psi, m=m, f=f: np.array(f(psi, m), dtype=float) for m in MeasurePair for f in (
+    lambda psi, m: entanglement(psi, [0], m), lambda psi, m: entanglement(psi, [1, 2], m),
+    lambda psi, m: oracle_coherence(psi, 1, m), lambda psi, m: condition_check(psi, ConstraintId.C2, m),
+    lambda psi, m: astuple(xyl_closed_form(psi, ConstraintId.C1, m)),
+    lambda psi, m: [[r.lhs, r.rhs, r.residual] for r in check_transference(psi, m)],
+    lambda psi, m: [[r.lhs, r.rhs, r.residual] for r in check_corollary(psi, m)])]
+MATRIX_CALLS = [linear_entropy, lambda rho: coherence(rho, MeasurePair.LINEAR), clamped_eigenvalues]  # of a 2-qubit rho
 
 
 @pytest.mark.parametrize("part", EXTREME_PARTS, ids=repr)
 def test_entry_points_raise_no_runtime_warning(part):
-    base = rand_state(3, np.random.default_rng(41)).amplitudes
-    calls = [lambda psi, p=p: assign_perspective(psi, p) for p in range(3)]
-    calls += [lambda psi, p=p: assign_perspective_channel(psi, p) for p in range(3)]
-    calls += [lambda psi, op=op: qrf_transform(op, psi) for op in (z2_operator(4, 0, 1), z2_operator(4, 3, 0))]
+    # Each call gives finite numbers or a typed error, never a numpy RuntimeWarning.
+    base = unit_state(3, np.random.default_rng(41)).amplitudes
+    small = math.isfinite(part) and abs(part) < 1.0
     for index in (0, 5):
         for imaginary in (False, True):
             amps = base.copy()
-            if imaginary:
-                amps.imag[index] = part
-            else:
-                amps.real[index] = part
-            psi = PureState(n_qubits=3, amplitudes=amps)
-            for call in calls:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("error")
-                    if math.isfinite(part) and abs(part) < 1.0:
-                        assert np.isfinite(call(psi).amplitudes).all()
-                    else:
-                        with pytest.raises(NormToleranceError, match="not a finite number"):
-                            call(psi)
+            entries = density_matrix(unit_state(2, np.random.default_rng(42))).entries.copy()
+            for a, at in ((amps, index), (entries, (index % 4, 3 - index % 4))):
+                (a.imag if imaginary else a.real)[at] = part
+            psi, rho = PureState(n_qubits=3, amplitudes=amps), DensityMatrix(dim=4, entries=entries)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for calls, arg, error, match in ((NORM_CALLS, psi, NormToleranceError, "not a finite number"),
+                                                 (MEASURE_CALLS, psi, NumericError, None),
+                                                 (MATRIX_CALLS, rho, NumericError, None)):
+                    for call in calls:
+                        if small:
+                            assert np.isfinite(call(arg)).all()
+                        elif not math.isfinite(part) or (arg is psi and abs(part) > 1e154):
+                            with pytest.raises(error, match=match):
+                                call(arg)
+                        else:  # finite numbers, or a refusal where a square or a fourth power overflows
+                            try:
+                                assert np.isfinite(call(arg)).all()
+                            except NumericError:
+                                pass
 
 
 @pytest.mark.parametrize("part", [math.nan, math.inf, 1e200])
@@ -381,7 +356,7 @@ def test_assignment_stable_under_reembedding():
     rng = np.random.default_rng(33)
     for i in range(100):
         n = int(rng.integers(2, 5))
-        s = rand_state(n, rng)
+        s = unit_state(n, rng)
         p = int(rng.integers(0, n))
         once = assign_perspective(s, p)
         again = assign_perspective(embed(once, p), p)
@@ -434,7 +409,7 @@ def test_qrf_transform_applies_matrix():
     np.testing.assert_allclose(out.amplitudes, [0.0, 0.0, 0.0, 1.0], atol=0)
     # involution: applying the same operator twice restores the input
     rng = np.random.default_rng(34)
-    s = rand_state(2, rng)
+    s = unit_state(2, rng)
     twice = qrf_transform(op, qrf_transform(op, s))
     assert np.max(np.abs(twice.amplitudes - s.amplitudes)) <= 1e-12
 
@@ -498,7 +473,7 @@ def test_frame_change_report():
     worst = 0.0
     for n_parties in (3, 4):
         for i in range(50):
-            s = rand_state(n_parties, rng)
+            s = unit_state(n_parties, rng)
             for from_label in range(n_parties):
                 for to_label in range(n_parties):
                     if to_label == from_label:

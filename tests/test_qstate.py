@@ -29,13 +29,9 @@ from qrfkit.errors import (
     NumericError,
 )
 from qrfkit.qstate import _UNIT_NORM_BAND, _norms, _renormalised, _renormalised_rows, clamped_eigenvalues
+from reference import renormalised, state_document, unit_amplitudes, unit_state
 
 RT2 = 1.0 / math.sqrt(2.0)
-
-
-def rand_state_vec(n, rng):
-    v = rng.standard_normal(2 ** n) + 1j * rng.standard_normal(2 ** n)
-    return v / np.linalg.norm(v)
 
 
 def test_state_from_amplitudes_basic():
@@ -97,7 +93,7 @@ def test_density_matrix_properties():
     rng = np.random.default_rng(11)
     for i in range(50):
         n = int(rng.integers(1, 4))
-        s = state_from_amplitudes(rand_state_vec(n, rng))
+        s = unit_state(n, rng)
         rho = density_matrix(s)
         m = rho.entries
         np.testing.assert_allclose(m, m.conj().T, atol=1e-12)
@@ -125,7 +121,7 @@ def test_partial_trace_product_state():
 def test_partial_trace_keep_is_canonicalized():
     # kept qubits come back in register order regardless of how keep is listed
     rng = np.random.default_rng(12)
-    s = state_from_amplitudes(rand_state_vec(3, rng))
+    s = unit_state(3, rng)
     rho = density_matrix(s)
     a = partial_trace(rho, [0, 2]).entries
     b = partial_trace(rho, [2, 0]).entries
@@ -137,7 +133,7 @@ def test_partial_trace_keep_is_canonicalized():
 def test_partial_trace_disjoint_order_independence():
     rng = np.random.default_rng(13)
     for i in range(50):
-        s = state_from_amplitudes(rand_state_vec(4, rng))
+        s = unit_state(4, rng)
         rho = density_matrix(s)
         one_shot = partial_trace(rho, [0, 3]).entries
         staged = partial_trace(partial_trace(rho, [0, 1, 3]), [0, 2]).entries
@@ -155,7 +151,7 @@ def test_partial_trace_bad_keep_rejected():
 
 
 def test_partial_trace_qubit_indices_must_be_integers():
-    rho = density_matrix(state_from_amplitudes(rand_state_vec(2, np.random.default_rng(16))))
+    rho = density_matrix(unit_state(2, np.random.default_rng(16)))
     for keep in ([0.5], [1.0], [0, "1"], [None]):
         with pytest.raises(ShapeError, match="is not an integer"):
             partial_trace(rho, keep)
@@ -175,7 +171,7 @@ def test_dephase():
 def test_dephase_keeps_diagonal():
     rng = np.random.default_rng(14)
     for i in range(20):
-        s = state_from_amplitudes(rand_state_vec(3, rng))
+        s = unit_state(3, rng)
         rho = density_matrix(s)
         np.testing.assert_allclose(np.diag(dephase(rho).entries),
                                    np.diag(rho.entries), atol=1e-15)
@@ -242,7 +238,7 @@ def test_purify_of_dephased_density_gives_moduli():
     rng = np.random.default_rng(15)
     for i in range(100):
         n = int(rng.integers(1, 4))
-        s = state_from_amplitudes(rand_state_vec(n, rng))
+        s = unit_state(n, rng)
         out = purify_diagonal(dephase(density_matrix(s)))
         assert np.max(np.abs(out.amplitudes - np.abs(s.amplitudes))) <= 1e-12
 
@@ -261,7 +257,7 @@ def test_permute_qubits():
 
 def test_permute_roundtrip():
     rng = np.random.default_rng(16)
-    s = state_from_amplitudes(rand_state_vec(3, rng))
+    s = unit_state(3, rng)
     fwd = permute_qubits(s, [2, 0, 1])
     # inverse permutation restores the original layout
     back = permute_qubits(fwd, [1, 2, 0])
@@ -270,7 +266,7 @@ def test_permute_roundtrip():
 
 def test_json_roundtrip_exact():
     rng = np.random.default_rng(17)
-    s = state_from_amplitudes(rand_state_vec(3, rng))
+    s = unit_state(3, rng)
     back = state_from_json(state_to_json(s))
     assert back.n_qubits == s.n_qubits
     assert np.all(back.amplitudes == s.amplitudes)
@@ -283,8 +279,7 @@ def test_json_writer_matches_per_amplitude_form():
     extremes = [complex(tiny, -tiny), complex(-2.2250738585072014e-309, 1e-320), complex(big, -big),
                 complex(-big, np.nextafter(big, 0.0)), complex(1.7976931348623155e308, -1e308)]
     for n in (*range(1, 13), 16):  # 16 qubits span several of _fill_rows' blocks
-        v = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
-        v /= np.linalg.norm(v)
+        v = unit_amplitudes(n, rng)
         # Exact zeros and negative zeros in either part, as assignment and embedding produce them.
         v[::3] = 0.0
         v.real[1::5] = -0.0
@@ -293,15 +288,10 @@ def test_json_writer_matches_per_amplitude_form():
         # All four signed-zero pairs, then the extremes, over the first entries.
         head = [complex(0.0, 0.0), complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), *extremes]
         v[:len(head)] = head[:v.size]
-        psi = PureState(n_qubits=n, amplitudes=v)
-        pairs = [[float(a.real), float(a.imag)] for a in v]
-        assert state_to_json(psi) == json.dumps({"n_qubits": n, "amplitudes": pairs})
-        assert state_to_json(psi, perspective_of=0) == json.dumps(
-            {"n_qubits": n, "amplitudes": pairs, "perspective_of": 0})
+        assert state_to_json(PureState(n, v), perspective_of=0) == state_document(v, perspective_of=0)
         # A PureState built by hand may hold real or strided amplitudes; they are written as complex.
-        assert state_to_json(PureState(n, v.real.copy())) == json.dumps(
-            {"n_qubits": n, "amplitudes": [[re, 0.0] for re, _ in pairs]})
-        assert state_to_json(PureState(n, np.repeat(v, 2)[::2])) == json.dumps({"n_qubits": n, "amplitudes": pairs})
+        for amps in (v, v.real.copy(), np.repeat(v, 2)[::2]):
+            assert state_to_json(PureState(n, amps)) == state_document(amps)
 
 
 def test_json_writer_refuses_non_finite_parts(monkeypatch):
@@ -340,8 +330,6 @@ def test_json_perspective_tag_must_name_an_observer():
 
 # State documents with integer parts, negative zeros, subnormals, parts past the square root of the
 # float range, and a seeded 16-qubit state, each with whether its norm is within tolerance of 1.
-_RNG = np.random.default_rng(19)
-_V16 = _RNG.standard_normal(1 << 16) + 1j * _RNG.standard_normal(1 << 16)
 STATE_DOCS = [
     ('{"n_qubits": 1, "amplitudes": [[1, 0], [0, 0]]}', True),
     ('{"amplitudes": [[0, 1], [-0.0, -0.0], [3, 4.0], [0.0, -0.0]]}', False),
@@ -350,7 +338,7 @@ STATE_DOCS = [
     # Integers at rounding boundaries: numpy, not complex(), converts them to floats.
     (json.dumps({"amplitudes": [[2 ** 53 + 1, 2 ** 63 + 1], [2 ** 64 + 3, -(2 ** 63) - 1]]}), False),
     (json.dumps({"n_qubits": 1, "amplitudes": [[10 ** 308, 0], [-1, -(10 ** 308)]]}), False),
-    (state_to_json(state_from_amplitudes(_V16 / np.linalg.norm(_V16))), True),
+    (state_to_json(unit_state(16, np.random.default_rng(19))), True),
 ]
 
 
@@ -385,12 +373,6 @@ def test_json_qubit_count_must_match():
         state_from_json(text)
 
 
-def _written_out_rule(row):
-    """The renormalisation rule written out: numpy's norm, then a divide unless it is within 1e-12 of 1."""
-    norm = float(np.linalg.norm(row))
-    return row if abs(norm - 1.0) <= 1e-12 else row / norm
-
-
 def test_row_renormalisation_matches_single_vectors():
     # Rows on both sides of the 1e-12 band give the written-out rule's bytes, from the stack and one by one.
     assert _UNIT_NORM_BAND == 1e-12
@@ -400,7 +382,7 @@ def test_row_renormalisation_matches_single_vectors():
         rows = rng.standard_normal((len(scales), dim)) + 1j * rng.standard_normal((len(scales), dim))
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)
         rows *= np.array(scales)[:, None]
-        expect = [_written_out_rule(row) for row in rows]
+        expect = [renormalised(row) for row in rows]
         got = _renormalised_rows(rows.copy())
         assert not got.flags.writeable
         for k, scale in enumerate(scales):

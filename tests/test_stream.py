@@ -16,18 +16,11 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import R_MAX_TEXT, run
 from qrfkit import MeasurePair, ParityClass, qstate, random_parity_state, rindler, transference
-from qrfkit.cli import main
 from qrfkit.errors import NumericError
 
-R_MAX_TEXT = repr(math.pi / 4)
 SEAMS = [qstate._ROW_BLOCK - 1, qstate._ROW_BLOCK, qstate._ROW_BLOCK + 1]
-
-
-def run(capsys, argv):
-    code = main(argv)
-    out, err = capsys.readouterr()
-    return code, out, err
 
 
 def nan_in_last_sample_state(monkeypatch, count, seed):

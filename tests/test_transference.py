@@ -24,6 +24,7 @@ from qrfkit import (
 )
 from qrfkit.errors import DomainError, NotPowerOfTwoError, ShapeError, UnknownQuantityError, WrongQubitCountError
 from qrfkit.transference import _analysis_of, perspectival_side
+from reference import unit_amplitudes
 
 RT2 = 1.0 / math.sqrt(2.0)
 
@@ -112,8 +113,8 @@ def random_qubit(rng):
     """One normalised qubit: random complex, random real or a basis state, in equal shares."""
     kind = rng.integers(3)
     if kind == 0:
-        v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-    elif kind == 1:
+        return unit_amplitudes(1, rng)
+    if kind == 1:
         v = rng.standard_normal(2)
     else:
         v = np.eye(2)[rng.integers(2)]
@@ -327,20 +328,14 @@ def test_samplers():
 def test_samplers_hold_the_unit_gaussian_draw_unchanged():
     # Both samplers divide standard-normal real and imaginary parts by their norm;
     # the state keeps that vector bit for bit, with the parity supports' other entries 0.
-    def draw(seed, size):
-        rng = np.random.default_rng(seed)
-        v = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-        v /= np.linalg.norm(v)
-        return v
-
     for n in range(1, 13):
-        assert random_state(n, np.random.default_rng([50, n])).amplitudes.tobytes() == draw([50, n], 1 << n).tobytes()
+        assert random_state(n, np.random.default_rng([50, n])).amplitudes.tobytes() == unit_amplitudes(n, np.random.default_rng([50, n])).tobytes()
     for i in range(20):
         neither = random_parity_state(ParityClass.NEITHER, np.random.default_rng([51, i]))
-        assert neither.amplitudes.tobytes() == draw([51, i], 8).tobytes()
+        assert neither.amplitudes.tobytes() == unit_amplitudes(3, np.random.default_rng([51, i])).tobytes()
         for cls, support in ((ParityClass.EVEN, [0, 3, 5, 6]), (ParityClass.ODD, [1, 2, 4, 7])):
             expected = np.zeros(8, dtype=np.complex128)
-            expected[support] = draw([51, i], 4)
+            expected[support] = unit_amplitudes(2, np.random.default_rng([51, i]))
             assert random_parity_state(cls, np.random.default_rng([51, i])).amplitudes.tobytes() == expected.tobytes()
 
 

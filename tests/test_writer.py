@@ -13,19 +13,12 @@ import math
 import numpy as np
 import pytest
 
+from conftest import R_MAX_TEXT, run
 from qrfkit import ParityClass, qstate, random_parity_state, sweep, transference
-from qrfkit.cli import main, parse_grid, parse_measures
+from qrfkit.cli import parse_grid, parse_measures
 from qrfkit.errors import NumericError
 from qrfkit.rindler import sweep_to_dicts
 from qrfkit.transference import _analysis_of, _report_dict, _rows
-
-R_MAX_TEXT = "0.7853981633974483"
-
-
-def run(capsys, argv):
-    code = main(argv)
-    out, err = capsys.readouterr()
-    return code, out, err
 
 
 def sample_text(count, seed, parity, measures, tol):
