@@ -141,6 +141,8 @@ def load_state(spec: str, tol: float) -> PureState:
                 raise NumericError(f"w-even weights {arg} have no finite norm")
             if norm == 0.0:
                 raise DomainError("w-even weights must not all vanish")
+            # Not _renormalised: it leaves a norm within 1e-12 of 1 undivided, and on about a third of weight triples
+            # already that close to unit the amplitudes, and so the check output, would change in the last bit.
             a, b, c = w / norm
             return state_from_amplitudes([0, 0, 0, a, 0, b, c, 0])
         case ("appc-q", ":", arg):

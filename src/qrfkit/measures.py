@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InvalidBipartitionError, NumericError, UnknownQuantityError, _require_member
 from .qstate import DensityMatrix, PureState, _clamped_spectra, _density_matrices, _dephased, _nonfinite_refused
-from .qstate import _partial_traces, _qubit_list, _require_finite
+from .qstate import _partial_traces, _qubit_list, _require_finite, _require_unit
 from .qstate import clamped_eigenvalues  # noqa: F401  kept importable from measures for callers
 
 
@@ -112,8 +112,8 @@ def entanglement(psi: PureState, left, pair: MeasurePair = MeasurePair.ENTROPY) 
     smaller block costs nothing in generality; we always reduce to ``left``.
     """
     left, _ = _partition(psi.n_qubits, left)
-    with _nonfinite_refused():
-        return float(_entanglements(_partial_traces(_density_matrices(psi.amplitudes[None]), left), pair)[0])
+    amps = _require_unit(psi).amplitudes
+    return float(_entanglements(_partial_traces(_density_matrices(amps[None]), left), pair)[0])
 
 
 def _coherences(rho: np.ndarray, pair: MeasurePair) -> np.ndarray:

@@ -6,17 +6,15 @@ itself as |0>.  Two equivalent formulations are provided: the direct
 flip-merge rule over complement-related basis pairs, and a five-step channel
 pipeline (density matrix, dephase, perspective operator, trace, purify).
 After dephasing only the diagonal of |psi><psi| is left, so the channel runs
-every step on that length-2^n vector, in O(2^n) time and about 44 bytes per
-amplitude of memory: the operator and the trace over p are one bincount over
-a composite index map, cached per (n, p) for registers of at most 14 qubits
-(3.25 MiB for all of them together).  The frame-change operator switches
-between two already-assigned perspectives for the group Z2 acting by bit
-flip.
+every step on that length-2^n vector, in O(2^n) time and about 32 bytes per
+amplitude of memory: every row of the operator has p-bit 0, so the operator
+and the trace over p are one sum of two strided halves of the diagonal, with
+no index map.  The frame-change operator switches between two
+already-assigned perspectives for the group Z2 acting by bit flip.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,11 +22,6 @@ import numpy as np
 from .errors import DimensionMismatchError, ShapeError, TooFewQubitsError, _check_target, _integer
 from .qstate import PureState, _freeze, _nonfinite_refused, _purified, _renormalised, _renormalised_rows
 from .qstate import _require_shapeable
-
-
-# The channel's composite maps are cached up to this register size: 8 * 2^n bytes each, 128 KiB at 14 qubits, and
-# 3 407 872 bytes (3.25 MiB) for every (n, p) with n <= 14 together.  A larger register builds its map per call.
-_MAP_CACHE_QUBITS = 14
 
 
 def _register_slot(party: int, observer: int) -> int:
@@ -44,24 +37,6 @@ def _controlled_flip(n: int, control: int, mask: int) -> np.ndarray:
     rows = np.arange(1 << n)
     rows.reshape(1 << control, 2, -1)[:, 1] ^= mask  # axis 1 is the control bit
     return rows
-
-
-def _trace_map(n: int, p: int) -> np.ndarray:
-    """Frozen index map of the shift-to-p operator and the trace over p: entry b is _controlled_flip(n, p, 2^n - 1)[b]
-    with bit p dropped.
-
-    Every row of the operator has p-bit 0, so the map has two halves: b with p-bit 0 goes to its own p-deleted
-    string, and b with p-bit 1, whose row is its complement, goes to the complement of that string.
-    """
-    half = np.arange(1 << (n - 1)).reshape(1 << p, -1)
-    rows = np.empty(1 << n, dtype=half.dtype)
-    pairs = rows.reshape(1 << p, 2, -1)  # axis 1 is bit p
-    pairs[:, 0] = half
-    np.subtract(half.size - 1, half, out=pairs[:, 1])
-    return _freeze(rows)
-
-
-_cached_trace_map = functools.lru_cache(maxsize=None)(_trace_map)
 
 
 def _matrix_of(rows: np.ndarray) -> np.ndarray:
@@ -121,16 +96,17 @@ def assign_perspective_channel(psi: PureState, p: int) -> PureState:
     Pipeline: density matrix, maximal dephasing, conjugation by the
     perspective operator, partial trace over p, purification of the
     resulting diagonal state.  Dephasing leaves only the diagonal of
-    |psi><psi|, so every step runs on that length-2^n vector: op @ rho @ op^T
-    followed by the trace over p is one bincount of it over a composite index
-    map, whose entry b is the operator's row for column b with bit p dropped.
-    Every operator row has p-bit 0, so each output entry receives the same
-    two terms, in the same order and with the same bits, as a scatter over
-    the operator's map followed by the trace would give it.  The map
-    is cached per (n, p) up to _MAP_CACHE_QUBITS qubits (3.25 MiB for all of
-    them) and built per call above.  O(2^n) time, about 44 bytes per amplitude
-    of working memory with the map built (tracemalloc at 12 and 16 qubits);
-    perspective_operator still returns the dense matrix.
+    |psi><psi|, so every step runs on that length-2^n vector.  Every row of
+    the operator has p-bit 0, so op @ rho @ op^T followed by the trace over
+    p sends b with p-bit 0 to its own p-deleted string, and b with p-bit 1
+    to the complement of its p-deleted string.  In the (2^p, 2, 2^(n-1-p))
+    view of the diagonal, whose axis 1 is bit p, that is the first half plus
+    the second half reversed along both other axes.  Each output entry gets
+    the two terms a scatter over the operator's rows and the trace would
+    give it; the diagonal is never negative and a sum of two floats
+    commutes, so the bits are the same.  O(2^n) time and about 32 bytes per
+    amplitude of working memory (tracemalloc at 12 and 16 qubits), with no
+    index map; perspective_operator still returns the dense matrix.
     """
     n = psi.n_qubits
     p = _check_target(n, p)
@@ -139,8 +115,8 @@ def assign_perspective_channel(psi: PureState, p: int) -> PureState:
     a = psi.amplitudes
     with _nonfinite_refused():
         diagonal = (a * a.conj()).real  # the diagonal of _density_matrices, entry by entry
-        rows = _cached_trace_map(n, p) if n <= _MAP_CACHE_QUBITS else _trace_map(n, p)
-        reduced = np.bincount(rows, weights=diagonal, minlength=a.size >> 1)
+        halves = diagonal.reshape(1 << p, 2, -1)  # axis 1 is bit p
+        reduced = (halves[:, 0] + halves[::-1, 1, ::-1]).ravel()
         return PureState(n_qubits=n - 1, amplitudes=_purified(reduced))
 
 

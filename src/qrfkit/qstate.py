@@ -80,18 +80,36 @@ def _require_finite(values: np.ndarray, message: str) -> np.ndarray:
     return values
 
 
-def _renormalised(vec: np.ndarray, tol: float = math.inf) -> np.ndarray:
-    """vec divided by its norm in place, then frozen as complex128: the one rule every state's norm goes through.
-
-    A NaN or infinite norm (named as such, at any tol), a zero norm, or one further than tol from 1, raises
-    NormToleranceError; one within _UNIT_NORM_BAND of 1 leaves vec undivided.  The cast comes last: real and complex division can differ in the last bit.
-    """
+def _checked_norm(vec: np.ndarray, tol: float) -> float:
+    """The norm of vec; a NaN or infinite norm (named as such, at any tol), or one further than tol from 1, raises
+    NormToleranceError."""
     # numpy's own 1-D norm rule, without its Python dispatch: a complex vector's real and imaginary dots, summed.
     norm = math.sqrt(vec.real.dot(vec.real) + vec.imag.dot(vec.imag) if vec.dtype.kind == "c" else vec.dot(vec))
     if not math.isfinite(norm):  # a NaN or infinite part, or a norm that overflowed: no tolerance is involved
         raise NormToleranceError(f"state norm is {norm!r}, not a finite number, so the vector cannot be normalized")
     if not abs(norm - 1.0) <= tol:
         raise NormToleranceError(f"state norm {norm!r} deviates from 1 by more than {tol}")
+    return norm
+
+
+def _require_unit(psi: PureState) -> PureState:
+    """psi, unless its norm is not finite or is further than NORM_TOL from 1: then NormToleranceError.
+
+    Past this check every amplitude is finite and of modulus at most 1 + NORM_TOL, so no product, sum or power of
+    them that a measure takes can overflow."""
+    with _nonfinite_refused():
+        _checked_norm(psi.amplitudes, NORM_TOL)
+    return psi
+
+
+def _renormalised(vec: np.ndarray, tol: float = math.inf) -> np.ndarray:
+    """vec divided by its norm in place, then frozen as complex128: the one rule every state's norm goes through.
+
+    A NaN or infinite norm (named as such, at any tol), a zero norm, or one further than tol from 1, raises
+    NormToleranceError; one within _UNIT_NORM_BAND of 1 leaves vec undivided.  The cast comes last: real and complex
+    division can differ in the last bit.
+    """
+    norm = _checked_norm(vec, tol)
     if norm == 0.0:
         raise NormToleranceError("state norm is 0, so the vector cannot be normalized")
     if abs(norm - 1.0) > _UNIT_NORM_BAND:
@@ -138,11 +156,9 @@ def _density_matrices(amps: np.ndarray) -> np.ndarray:
 
 
 def density_matrix(psi: PureState) -> DensityMatrix:
-    """Outer product |psi><psi|: unit-trace, rank-1, Hermitian; a NaN or infinite amplitude, or one whose products
-    overflow, raises NumericError."""
-    with _nonfinite_refused():
-        entries = _density_matrices(psi.amplitudes[None])[0]
-    _require_finite(entries, "state has a non-finite or overflowing amplitude, so its density matrix is not finite")
+    """Outer product |psi><psi|: unit-trace, rank-1, Hermitian; a state whose norm is not finite, or is further than
+    NORM_TOL from 1, raises NormToleranceError."""
+    entries = _density_matrices(_require_unit(psi).amplitudes[None])[0]
     return DensityMatrix(dim=psi.dim, entries=_freeze(entries))
 
 

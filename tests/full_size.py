@@ -19,10 +19,9 @@ import warnings
 
 import numpy as np
 
-from qrfkit import (MeasurePair, ParityClass, PureState, assign_perspective, assign_perspective_channel, cli, rindler,
-                    state_from_amplitudes, state_from_json, state_to_json)
+from qrfkit import (MeasurePair, ParityClass, PureState, assign_perspective, cli, rindler, state_from_amplitudes,
+                    state_from_json, state_to_json)
 from qrfkit.errors import NormToleranceError
-from qrfkit.perspective import _MAP_CACHE_QUBITS, _cached_trace_map
 from qrfkit.qstate import _renormalised, _renormalised_rows
 from qrfkit.transference import _Analysis, _analysis_of, _parity_amplitudes
 from reference import (ANALYSIS_FIELDS, add_at_channel, analysis_with_mutual_information, channel_deviation,
@@ -89,9 +88,10 @@ def batched_kernels_at_full_size():
 
 @step("Channel at 11 qubits")
 def channel_at_11_qubits():
-    """The channel applies the perspective operator as an index-map scatter, so a register the dense 2^n x 2^n operator
-    could not afford runs in seconds.  Any output further than 1e-12 from the direct rule fails the run.  At 9 and 10
-    qubits, the benchmark's size, the channel's bytes must also equal the pipeline with the dense operator."""
+    """The channel applies the perspective operator and the trace as a sum of two strided halves of the diagonal, so
+    a register the dense 2^n x 2^n operator could not afford runs in seconds.  Any output further than 1e-12 from
+    the direct rule fails the run.  At 9 and 10 qubits, the benchmark's size, the channel's bytes must also equal
+    the pipeline with the dense operator."""
     psi = unit_state(11, np.random.default_rng(11))
     for p in range(psi.n_qubits):
         err = channel_deviation(psi, p)
@@ -105,8 +105,8 @@ def channel_at_11_qubits():
 
 @step("Channel bytes against the add.at pipeline")
 def channel_bytes_against_the_add_at_pipeline():
-    """The channel's index map, bincount scatter, trace and purification must give the bytes of the pipeline
-    written out step by step: an np.where index map, np.add.at into zeros, a sum over axis p of the (2,) * n
+    """The channel's sum of two strided halves of the diagonal and its purification must give the bytes of the
+    pipeline written out step by step: an np.where index map, np.add.at into zeros, a sum over axis p of the (2,) * n
     reshape, np.clip and np.linalg.norm.  At 10 and 16 qubits, for every p, on a unit state and on one scaled by
     3.7 (so the norm's bits reach the output)."""
     rng = np.random.default_rng(16)
@@ -131,28 +131,18 @@ def channel_at_20_qubits():
     assert maxrss_mib < 256, f"max RSS {maxrss_mib:.1f} MiB is not below 256 MiB"
 
 
-@step("Channel map cache")
-def channel_map_cache():
-    """The channel caches its composite index map per (n, p) for registers of at most 14 qubits.  For every (n, p)
-    with n = 2 to 16, a cold call and a second call must give equal bytes, within 1e-12 of the direct rule.  The
-    cache's total bytes must stay within the 3 407 872 bytes (3.25 MiB) that the perspective module documents."""
+@step("Channel bytes at every size to 16 qubits")
+def channel_bytes_at_every_size_to_16_qubits():
+    """The channel adds two strided halves of the diagonal at every register size, with no index map.  For every
+    (n, p) with n = 2 to 16, its bytes must equal the add.at pipeline's, within 1e-12 of the direct rule."""
     rng = np.random.default_rng(14)
-    _cached_trace_map.cache_clear()
     for n in range(2, 17):
         psi = unit_state(n, rng)
+        check_channel_bytes(add_at_channel, [psi])
         for p in range(n):
-            cold = assign_perspective_channel(psi, p).amplitudes
-            cached = assign_perspective_channel(psi, p).amplitudes
-            assert cold.tobytes() == cached.tobytes(), f"cold and cached channel calls differ at n={n}, p={p}"
-            err = float(np.max(np.abs(cached - assign_perspective(psi, p).amplitudes)))
+            err = channel_deviation(psi, p)
             assert err <= 1e-12, f"channel differs from assign_perspective at n={n}, p={p} by {err}"
-        print(f"n={n}: cold and cached calls equal for every p")
-    keys = [(n, p) for n in range(2, _MAP_CACHE_QUBITS + 1) for p in range(n)]
-    size = _cached_trace_map.cache_info().currsize
-    assert size == len(keys), f"cache holds {size} maps, not {len(keys)}"
-    total = sum(_cached_trace_map(n, p).nbytes for n, p in keys)
-    print(f"map cache: {len(keys)} maps, {total} bytes")
-    assert total <= 3407872, f"map cache holds {total} bytes, above 3407872"
+        print(f"n={n}: channel bytes equal the add.at pipeline for every p")
 
 
 @step("Sweep at the grid cap")

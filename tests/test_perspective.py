@@ -18,11 +18,13 @@ from qrfkit import (
     condition_check,
     embed,
     entanglement,
+    global_state,
     linear_entropy,
     permute_qubits,
     perspective_operator,
     qrf_transform,
     state_from_amplitudes,
+    transference_sides,
     xyl_closed_form,
     z2_operator,
 )
@@ -33,7 +35,7 @@ from qrfkit.errors import (
     ShapeError,
     TooFewQubitsError,
 )
-from qrfkit.perspective import _MAP_CACHE_QUBITS, _cached_trace_map, _controlled_flip, _trace_map
+from qrfkit.perspective import _controlled_flip
 from qrfkit.qstate import DensityMatrix, PureState, clamped_eigenvalues, density_matrix
 from qrfkit.transference import oracle_coherence
 from reference import add_at_channel, channel_deviation, check_channel_bytes, dense_channel, flip_merge, unit_state
@@ -163,6 +165,9 @@ def test_channel_matches_direct_assignment_randomized():
         s = unit_state(n, rng)
         for p in range(n):
             assert channel_deviation(s, p) <= 1e-12
+    s = unit_state(15, np.random.default_rng(40))
+    for p in (0, 14):
+        assert channel_deviation(s, p) <= 1e-12
 
 
 def bit_test_states(n, rng):
@@ -205,70 +210,24 @@ def test_channel_matches_add_at_pipeline_bit_for_bit():
     for n in range(1, 13):
         full = (1 << n) - 1
         for control in range(n):
+            # every row of the operator has p-bit 0, the fact the channel's two halves rest on
+            assert not (_controlled_flip(n, control, full) >> (n - 1 - control) & 1).any(), (n, control)
             for mask in (full, full ^ (1 << (n - 1 - control))):
                 assert np.array_equal(_controlled_flip(n, control, mask), where_flip(n, control, mask)), (n, control)
 
 
 def test_channel_memory_is_linear_in_the_amplitude_count():
-    # The dense pipeline peaks at 704 MiB at 12 qubits; the diagonal path needs about 44 bytes per amplitude with its
-    # composite map built, both below the cache's size gate (the map is cached) and above it (built per call).
+    # The dense pipeline peaks at 704 MiB at 12 qubits; the diagonal path peaks at about 32 bytes per amplitude, the
+    # complex product a * conj(a) and its conjugate operand, with no index map.
     for n in (12, 16):
         s = unit_state(n, np.random.default_rng(38))
-        _cached_trace_map.cache_clear()
         tracemalloc.start()
         try:
             assign_perspective_channel(s, 5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 48 << n, (n, peak)
-
-
-def test_trace_map_is_the_operator_map_with_bit_p_dropped():
-    for n in range(2, 13):
-        for p in range(n):
-            rows = _controlled_flip(n, p, (1 << n) - 1)
-            low = n - 1 - p  # bits below p
-            assert not (rows >> low & 1).any(), (n, p)  # every row of the operator has p-bit 0
-            dropped = (rows >> (low + 1) << low) | (rows & ((1 << low) - 1))
-            assert np.array_equal(_trace_map(n, p), dropped), (n, p)
-
-
-def test_cached_trace_map_is_read_only():
-    rows = _cached_trace_map(5, 2)
-    assert not rows.flags.writeable
-    with pytest.raises(ValueError):
-        rows[0] = 1
-    assert _cached_trace_map(5, 2) is rows
-
-
-def test_channel_cold_and_cached_calls_give_equal_bytes():
-    rng = np.random.default_rng(39)
-    for n in range(2, 11):
-        for s in bit_test_states(n, rng)[2:5]:
-            for p in range(n):
-                _cached_trace_map.cache_clear()
-                cold = assign_perspective_channel(s, p).amplitudes
-                assert _cached_trace_map.cache_info().currsize == 1
-                assert assign_perspective_channel(s, p).amplitudes.tobytes() == cold.tobytes(), (n, p)
-
-
-def test_register_above_the_gate_leaves_the_cache_alone():
-    n = _MAP_CACHE_QUBITS + 1
-    s = unit_state(n, np.random.default_rng(40))
-    before = _cached_trace_map.cache_info().currsize
-    for p in (0, n - 1):
-        assert channel_deviation(s, p) <= 1e-12
-    assert _cached_trace_map.cache_info().currsize == before
-
-
-def test_trace_map_cache_stays_within_its_documented_bound():
-    # 3.25 MiB, the figure the perspective module documents for every (n, p) with n at most the gate.
-    _cached_trace_map.cache_clear()
-    maps = [_cached_trace_map(n, p) for n in range(2, _MAP_CACHE_QUBITS + 1) for p in range(n)]
-    assert _cached_trace_map.cache_info().currsize == len(maps)
-    assert _cached_trace_map(_MAP_CACHE_QUBITS, 0).nbytes <= 128 << 10
-    assert sum(rows.nbytes for rows in maps) <= 3_407_872
+        assert peak <= 36 << n, (n, peak)
 
 
 # Real or imaginary parts that overflow a square (1e200), a fourth power (1e80), underflow a square (1e-200), are not
@@ -276,7 +235,8 @@ def test_trace_map_cache_stays_within_its_documented_bound():
 EXTREME_PARTS = [1e200, -1e200, 1e80, 1e-200, math.nan, math.inf, -math.inf, -0.0]
 
 
-# The public functions of a hand-built 3-qubit state, each giving its numbers as an array; NORM_CALLS take its norm.
+# The public functions of a hand-built 3-qubit state, each giving its numbers as an array; NORM_CALLS take its norm,
+# and MEASURE_CALLS refuse it unless its norm is within NORM_TOL of 1.
 NORM_CALLS = [lambda psi, p=p, assign=assign: assign(psi, p).amplitudes
               for p in range(3) for assign in (assign_perspective, assign_perspective_channel)]
 NORM_CALLS += [lambda psi, op=op: qrf_transform(op, psi).amplitudes for op in (z2_operator(4, 0, 1), z2_operator(4, 3, 0))]
@@ -285,6 +245,7 @@ MEASURE_CALLS += [lambda psi, m=m, f=f: np.array(f(psi, m), dtype=float) for m i
     lambda psi, m: entanglement(psi, [0], m), lambda psi, m: entanglement(psi, [1, 2], m),
     lambda psi, m: oracle_coherence(psi, 1, m), lambda psi, m: condition_check(psi, ConstraintId.C2, m),
     lambda psi, m: astuple(xyl_closed_form(psi, ConstraintId.C1, m)),
+    lambda psi, m: transference_sides(psi, ConstraintId.C3, m),
     lambda psi, m: [[r.lhs, r.rhs, r.residual] for r in check_transference(psi, m)],
     lambda psi, m: [[r.lhs, r.rhs, r.residual] for r in check_corollary(psi, m)])]
 MATRIX_CALLS = [linear_entropy, lambda rho: coherence(rho, MeasurePair.LINEAR), clamped_eigenvalues]  # of a 2-qubit rho
@@ -292,9 +253,11 @@ MATRIX_CALLS = [linear_entropy, lambda rho: coherence(rho, MeasurePair.LINEAR), 
 
 @pytest.mark.parametrize("part", EXTREME_PARTS, ids=repr)
 def test_entry_points_raise_no_runtime_warning(part):
-    # Each call gives finite numbers or a typed error, never a numpy RuntimeWarning.
+    # Each call gives finite numbers or a typed error, never a numpy RuntimeWarning.  The measure calls refuse every
+    # state off unit, 2 * global_state(0.4) too, and give finite numbers on the unit rescaling of a finite one.
     base = unit_state(3, np.random.default_rng(41)).amplitudes
     small = math.isfinite(part) and abs(part) < 1.0
+    scaled = PureState(n_qubits=3, amplitudes=2 * global_state(0.4).amplitudes)
     for index in (0, 5):
         for imaginary in (False, True):
             amps = base.copy()
@@ -302,10 +265,15 @@ def test_entry_points_raise_no_runtime_warning(part):
             for a, at in ((amps, index), (entries, (index % 4, 3 - index % 4))):
                 (a.imag if imaginary else a.real)[at] = part
             psi, rho = PureState(n_qubits=3, amplitudes=amps), DensityMatrix(dim=4, entries=entries)
+            unit = state_from_amplitudes(amps / np.abs(amps).max(), tol=math.inf) if math.isfinite(part) else None
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
+                for call in MEASURE_CALLS:
+                    for off_unit in (psi, scaled):
+                        with pytest.raises(NormToleranceError):
+                            call(off_unit)
+                    assert unit is None or np.isfinite(call(unit)).all()
                 for calls, arg, error, match in ((NORM_CALLS, psi, NormToleranceError, "not a finite number"),
-                                                 (MEASURE_CALLS, psi, NumericError, None),
                                                  (MATRIX_CALLS, rho, NumericError, None)):
                     for call in calls:
                         if small:
