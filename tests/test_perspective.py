@@ -165,9 +165,6 @@ def test_channel_matches_direct_assignment_randomized():
         s = unit_state(n, rng)
         for p in range(n):
             assert channel_deviation(s, p) <= 1e-12
-    s = unit_state(15, np.random.default_rng(40))
-    for p in (0, 14):
-        assert channel_deviation(s, p) <= 1e-12
 
 
 def bit_test_states(n, rng):
@@ -210,8 +207,6 @@ def test_channel_matches_add_at_pipeline_bit_for_bit():
     for n in range(1, 13):
         full = (1 << n) - 1
         for control in range(n):
-            # every row of the operator has p-bit 0, the fact the channel's two halves rest on
-            assert not (_controlled_flip(n, control, full) >> (n - 1 - control) & 1).any(), (n, control)
             for mask in (full, full ^ (1 << (n - 1 - control))):
                 assert np.array_equal(_controlled_flip(n, control, mask), where_flip(n, control, mask)), (n, control)
 
@@ -229,6 +224,37 @@ def test_channel_memory_is_linear_in_the_amplitude_count():
             tracemalloc.stop()
         assert peak <= 36 << n, (n, peak)
 
+
+
+def test_trace_map_is_the_operator_map_with_bit_p_dropped():
+    # The operator's map with bit p dropped is the map the channel's two strided halves of the diagonal apply.
+    for n in range(2, 13):
+        for p in range(n):
+            rows = _controlled_flip(n, p, (1 << n) - 1)
+            low = n - 1 - p  # bits below p
+            assert not (rows >> low & 1).any(), (n, p)  # every row of the operator has p-bit 0
+            dropped = (rows >> (low + 1) << low) | (rows & ((1 << low) - 1))
+            halves = np.arange(1 << n).reshape(1 << p, 2, -1)
+            halves_map = np.empty(1 << n, dtype=np.int64)
+            for half in (halves[:, 0], halves[::-1, 1, ::-1]):
+                halves_map[half.ravel()] = np.arange(1 << (n - 1))
+            assert np.array_equal(halves_map, dropped), (n, p)
+
+
+def test_register_above_the_gate_leaves_the_cache_alone():
+    # 15 qubits, above the former 14-qubit map cache: the channel agrees with the direct rule and keeps nothing
+    # between calls (a cached index map would hold 8 bytes per amplitude).
+    n = 15
+    s = unit_state(n, np.random.default_rng(40))
+    for p in (0, n - 1):
+        assert channel_deviation(s, p) <= 1e-12
+        tracemalloc.start()
+        try:
+            assign_perspective_channel(s, p)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 1 << n, (p, held)
 
 # Real or imaginary parts that overflow a square (1e200), a fourth power (1e80), underflow a square (1e-200), are not
 # finite, or are a signed zero.
