@@ -96,9 +96,18 @@ def _integer(value, what: str) -> int:
         raise ShapeError(f"{what} {value!r} is not an integer") from None
 
 
-def _check_target(n: int, p, what: str = "perspective target", error=ShapeError) -> int:
-    """p by operator.index, if it lies in [0, n); a non-integer raises ShapeError, an index outside error."""
+def _check_target(n: int, p, what: str = "perspective target", error=ShapeError, needs: str = "") -> int:
+    """p by operator.index if in [0, n), else ShapeError or error; with needs, n < 2 raises TooFewQubitsError(needs)."""
     p = _integer(p, what)
     if not 0 <= p < n:
         raise error(f"{what} {p} outside register of {n} qubits")
+    if needs and n < 2:
+        raise TooFewQubitsError(needs)
     return p
+
+
+def _check_tolerance(tol, what: str):
+    """tol, unless it is NaN or negative, which would pass or refuse every value: then DomainError."""
+    if not tol >= 0:
+        raise DomainError(f"{what} tolerance must be a nonnegative number, got {tol}")
+    return tol

@@ -10,6 +10,11 @@ Two internally consistent measure pairs are supported:
   magnitude of the off-diagonal entries.
 
 Mutual information is always the entropic combination S(L) + S(R) - S(LR).
+
+The measures of a pure state refuse one whose norm is further than NORM_TOL
+from 1, and those of a density matrix one whose finite trace is further from 1
+than the reductions of such a state reach, with NormToleranceError, so no
+measure returns a number that describes no state.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import numpy as np
 
 from .errors import InvalidBipartitionError, NumericError, UnknownQuantityError, _require_member
 from .qstate import DensityMatrix, PureState, _clamped_spectra, _density_matrices, _dephased, _nonfinite_refused
-from .qstate import _partial_traces, _qubit_list, _require_finite, _require_unit
+from .qstate import _partial_traces, _qubit_list, _require_finite, _require_unit, _require_unit_trace
 from .qstate import clamped_eigenvalues  # noqa: F401  kept importable from measures for callers
 
 
@@ -74,9 +79,9 @@ def _entropies(rho: np.ndarray) -> np.ndarray:
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """S(rho) = -sum_i lambda_i log2 lambda_i over the clamped spectrum.
 
-    A NaN or infinite entry raises NumericError.
+    A NaN or infinite entry raises NumericError, and a finite trace off 1 NormToleranceError.
     """
-    return float(_entropies(rho.entries[None])[0])
+    return float(_entropies(_require_unit_trace(rho)[None])[0])
 
 
 def _linear_entropies(rho: np.ndarray) -> np.ndarray:
@@ -87,17 +92,9 @@ def _linear_entropies(rho: np.ndarray) -> np.ndarray:
 
 def linear_entropy(rho: DensityMatrix) -> float:
     """1 - Tr(rho^2); zero exactly on pure states.  A NaN or infinite entry, or one whose square overflows, raises
-    NumericError."""
+    NumericError, and a finite trace off 1 NormToleranceError."""
     with _nonfinite_refused():
-        return float(_linear_entropies(rho.entries[None])[0])
-
-
-def _partition(n: int, left) -> tuple[list[int], list[int]]:
-    left = _qubit_list(left, n, InvalidBipartitionError)
-    right = [i for i in range(n) if i not in left]
-    if not left or not right:  # each side needs at least one qubit
-        raise InvalidBipartitionError(f"left block {left} is not a nonempty proper subset of [0, {n})")
-    return left, right
+        return float(_linear_entropies(_require_unit_trace(rho)[None])[0])
 
 
 def _entanglements(reduced: np.ndarray, pair: MeasurePair) -> np.ndarray:
@@ -111,7 +108,9 @@ def entanglement(psi: PureState, left, pair: MeasurePair = MeasurePair.ENTROPY) 
     For a pure global state the two reduced spectra agree, so reducing to the
     smaller block costs nothing in generality; we always reduce to ``left``.
     """
-    left, _ = _partition(psi.n_qubits, left)
+    left = _qubit_list(left, psi.n_qubits, InvalidBipartitionError)
+    if not 0 < len(left) < psi.n_qubits:  # each side needs at least one qubit
+        raise InvalidBipartitionError(f"left block {left} is not a nonempty proper subset of [0, {psi.n_qubits})")
     amps = _require_unit(psi).amplitudes
     return float(_entanglements(_partial_traces(_density_matrices(amps[None]), left), pair)[0])
 
@@ -127,29 +126,26 @@ def _coherences(rho: np.ndarray, pair: MeasurePair) -> np.ndarray:
 def coherence(rho: DensityMatrix, pair: MeasurePair = MeasurePair.ENTROPY) -> float:
     """Basis coherence of a (possibly reduced) state in the computational basis.
 
-    A NaN or infinite entry raises NumericError under either measure pair.
+    A NaN or infinite entry raises NumericError under either measure pair, and a finite trace off 1
+    NormToleranceError.
     """
     with _nonfinite_refused():
-        return float(_coherences(rho.entries[None], pair)[0])
-
-
-def _mutual_informations(rho: np.ndarray, left: list[int], right: list[int]) -> np.ndarray:
-    """I(L:R) of each matrix in a stack, for disjoint sorted qubit lists left and right."""
-    order = sorted(left + right)
-    joint = _partial_traces(rho, order)
-    # After the joint reduction, positions renumber to 0..k-1 in sorted order.
-    s_l = _entropies(_partial_traces(joint, [order.index(i) for i in left]))
-    s_r = _entropies(_partial_traces(joint, [order.index(i) for i in right]))
-    return s_l + s_r - _entropies(joint)
+        return float(_coherences(_require_unit_trace(rho)[None], pair)[0])
 
 
 def mutual_information(rho: DensityMatrix, left, right) -> float:
     """I(L:R) = S(L) + S(R) - S(LR) on a state of the joint register.
 
     ``left`` and ``right`` must be disjoint; together they need not exhaust
-    the register, in which case the remainder is traced out first.
+    the register, in which case the remainder is traced out first.  A NaN
+    or infinite entry raises NumericError, and a finite trace off 1
+    NormToleranceError.
     """
     left, right = (_qubit_list(block, rho.n_qubits, InvalidBipartitionError) for block in (left, right))
     if set(left) & set(right):
         raise InvalidBipartitionError(f"blocks {left} and {right} overlap")
-    return float(_mutual_informations(rho.entries[None], left, right)[0])
+    order = sorted(left + right)
+    joint = _partial_traces(_require_unit_trace(rho), order)
+    # After the joint reduction, positions renumber to 0..k-1 in sorted order.
+    s_l, s_r = (_entropies(_partial_traces(joint, [order.index(i) for i in block])) for block in (left, right))
+    return float(s_l + s_r - _entropies(joint))

@@ -19,9 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ShapeError, TooFewQubitsError, _check_target, _integer
+from .errors import DimensionMismatchError, ShapeError, _check_target, _integer
 from .qstate import PureState, _freeze, _nonfinite_refused, _purified, _renormalised, _renormalised_rows
-from .qstate import _require_shapeable
+from .qstate import _require_register, _require_shapeable
+
+_ASSIGNMENT_NEEDS = "perspective assignment needs at least 2 qubits"
 
 
 def _register_slot(party: int, observer: int) -> int:
@@ -70,12 +72,9 @@ def assign_perspective(psi: PureState, p: int) -> PureState:
     sqrt(|c1|^2 + |c2|^2).  The merge phase is fixed to zero, so the output
     is real and nonnegative regardless of input phases.
     """
-    n = psi.n_qubits
-    p = _check_target(n, p)
-    if n < 2:
-        raise TooFewQubitsError("perspective assignment needs at least 2 qubits")
+    p = _check_target(psi.n_qubits, p, needs=_ASSIGNMENT_NEEDS)
     with _nonfinite_refused():
-        return PureState(n_qubits=n - 1, amplitudes=_flip_merge(psi.amplitudes[None], p)[0])
+        return PureState(n_qubits=psi.n_qubits - 1, amplitudes=_flip_merge(psi.amplitudes[None], p)[0])
 
 
 def perspective_operator(p: int, n: int) -> np.ndarray:
@@ -108,16 +107,13 @@ def assign_perspective_channel(psi: PureState, p: int) -> PureState:
     amplitude of working memory (tracemalloc at 12 and 16 qubits), with no
     index map; perspective_operator still returns the dense matrix.
     """
-    n = psi.n_qubits
-    p = _check_target(n, p)
-    if n < 2:
-        raise TooFewQubitsError("perspective assignment needs at least 2 qubits")
+    p = _check_target(psi.n_qubits, p, needs=_ASSIGNMENT_NEEDS)
     a = psi.amplitudes
     with _nonfinite_refused():
         diagonal = (a * a.conj()).real  # the diagonal of _density_matrices, entry by entry
         halves = diagonal.reshape(1 << p, 2, -1)  # axis 1 is bit p
         reduced = (halves[:, 0] + halves[::-1, 1, ::-1]).ravel()
-        return PureState(n_qubits=n - 1, amplitudes=_purified(reduced))
+        return PureState(n_qubits=psi.n_qubits - 1, amplitudes=_purified(reduced))
 
 
 def embed(psi: PureState, p: int) -> PureState:
@@ -128,7 +124,6 @@ def embed(psi: PureState, p: int) -> PureState:
     """
     n = psi.n_qubits + 1
     p = _check_target(n, p)
-    _require_shapeable(n)
     a = psi.amplitudes.reshape((2,) * psi.n_qubits)
     out = np.stack([a, np.zeros_like(a)], axis=p).ravel()
     return PureState(n_qubits=n, amplitudes=_freeze(out))
@@ -141,13 +136,17 @@ class QrfOperator:
     The matrix acts on the n_qubits-sized perspectival register of a system
     of n_qubits + 1 parties.  from_label and to_label are party indices in
     the global numbering; the control slot is to_label's position inside
-    from_label's register.
+    from_label's register.  A matrix of any shape but (2**n_qubits, 2**n_qubits)
+    raises ShapeError.
     """
 
     n_qubits: int
     from_label: int
     to_label: int
     matrix: np.ndarray
+
+    def __post_init__(self):
+        _require_register(self.matrix, self.n_qubits, 2, "frame-change matrix")
 
 
 def z2_operator(n_parties: int, from_label: int, to_label: int) -> QrfOperator:
@@ -159,10 +158,8 @@ def z2_operator(n_parties: int, from_label: int, to_label: int) -> QrfOperator:
     a permutation, hence unitary, and squares to the identity.
     """
     n_parties = _integer(n_parties, "party count")
-    if n_parties < 2:
-        raise TooFewQubitsError("frame change needs at least 2 parties")
     for label in (from_label, to_label):
-        _check_target(n_parties, label, "party label")
+        _check_target(n_parties, label, "party label", needs="frame change needs at least 2 parties")
     if from_label == to_label:
         raise ShapeError("frame change requires two distinct party labels")
     n = n_parties - 1

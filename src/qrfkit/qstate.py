@@ -6,6 +6,11 @@ bit of the computational-basis index, so for three qubits the amplitude at
 index 6 = 0b110 belongs to |110>.  States are immutable after construction
 (the underlying arrays are marked read-only) and all operations here are pure
 functions, so values are safe to share across threads.
+
+The register size is checked once, by the types: a PureState holds exactly
+2**n_qubits amplitudes and a DensityMatrix a dim x dim matrix with dim a power
+of two, and any other value raises ShapeError at construction, so every
+function here may read the size from the field or from the array alike.
 """
 
 from __future__ import annotations
@@ -20,9 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EmptyKeepSetError, NormToleranceError, NotDiagonalError, NotPowerOfTwoError
-from .errors import NumericError, ShapeError, _check_target, _integer
+from .errors import NumericError, ShapeError, _check_target, _check_tolerance, _integer
 
 NORM_TOL = 1e-9      # default normalization tolerance for state construction
+# 3 NORM_TOL: a state within NORM_TOL of unit norm has reductions of trace within 2 NORM_TOL + NORM_TOL**2 of 1,
+# and the rest is room for round-off.
+_TRACE_TOL = 3e-9
 ATOL = 1e-10         # default comparison tolerance
 EIG_CLAMP = 1e-12    # eigenvalues in [-EIG_CLAMP, 0) are treated as exactly 0
 _UNIT_NORM_BAND = 1e-12      # norms this close to 1 stay undivided, so normalized vectors round-trip bit-stable
@@ -33,12 +41,26 @@ _JSON_NUMBERS = frozenset((int, float))  # the types json.loads gives JSON numbe
 _nonfinite_refused = functools.partial(np.errstate, over="ignore", invalid="ignore")
 
 
+def _require_register(array, n_qubits, axes: int, what: str) -> None:
+    """ShapeError unless array has shape (2**n_qubits,) * axes: the size rule of states, matrices and operators."""
+    try:
+        if n_qubits >= 0 and array.shape == (1 << n_qubits,) * axes:
+            return
+    except (AttributeError, TypeError):  # no array, or a qubit count that is not an integer
+        pass
+    raise ShapeError(f"{what} of shape {getattr(array, 'shape', None)} do not fit qubit count {n_qubits!r}")
+
+
 @dataclass(frozen=True)
 class PureState:
-    """Normalized complex amplitude vector over a 2**n computational basis."""
+    """Normalized complex amplitude vector over a 2**n computational basis; amplitudes of any shape but
+    (2**n_qubits,) raise ShapeError."""
 
     n_qubits: int
     amplitudes: np.ndarray
+
+    def __post_init__(self):
+        _require_register(self.amplitudes, self.n_qubits, 1, "state amplitudes")
 
     @property
     def dim(self) -> int:
@@ -47,10 +69,16 @@ class PureState:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, positive-semidefinite, unit-trace complex matrix."""
+    """Hermitian, positive-semidefinite, unit-trace complex matrix; entries of any shape but (dim, dim), or a dim
+    that is not a power of two, raise ShapeError."""
 
     dim: int
     entries: np.ndarray
+
+    def __post_init__(self):
+        if not (isinstance(self.dim, int) and self.dim > 0 and not self.dim & (self.dim - 1)):
+            raise ShapeError(f"density matrix dimension {self.dim!r} is not a power of two")
+        _require_register(self.entries, self.n_qubits, 2, "density matrix entries")
 
     @property
     def n_qubits(self) -> int:
@@ -90,6 +118,17 @@ def _checked_norm(vec: np.ndarray, tol: float) -> float:
     if not abs(norm - 1.0) <= tol:
         raise NormToleranceError(f"state norm {norm!r} deviates from 1 by more than {tol}")
     return norm
+
+
+def _require_unit_trace(rho: DensityMatrix) -> np.ndarray:
+    """rho's entries, unless their trace is finite and further than _TRACE_TOL from 1: then NormToleranceError.
+
+    A NaN or infinite trace is left to the measure's own check of non-finite entries, and its message."""
+    with _nonfinite_refused():
+        trace = float(np.trace(rho.entries).real)
+    if math.isfinite(trace) and abs(trace - 1.0) > _TRACE_TOL:
+        raise NormToleranceError(f"density matrix trace {trace!r} deviates from 1 by more than {_TRACE_TOL}")
+    return rho.entries
 
 
 def _require_unit(psi: PureState) -> PureState:
@@ -138,14 +177,16 @@ def state_from_amplitudes(amps, tol: float = NORM_TOL) -> PureState:
     The length must be a power of two >= 2.  The vector is renormalized if its
     norm differs from one by at most ``tol``; a larger deviation signals
     malformed input and raises NormToleranceError.  A NaN or negative tol
-    raises DomainError.
+    raises DomainError, and so does an amplitude that is not a number.
     """
-    vec = np.asarray(amps, dtype=np.complex128).ravel().copy()
+    try:
+        vec = np.asarray(amps, dtype=np.complex128).ravel().copy()
+    except (TypeError, ValueError) as e:
+        raise DomainError(f"amplitudes must be a sequence of numbers: {e}") from None
     dim = vec.size
     if dim < 2 or dim & (dim - 1):
         raise NotPowerOfTwoError(f"amplitude count {dim} is not a power of two >= 2")
-    if not tol >= 0:  # as in purify_diagonal: a NaN would refuse every norm under a misleading message
-        raise DomainError(f"norm tolerance must be a nonnegative number, got {tol}")
+    _check_tolerance(tol, "norm")
     with _nonfinite_refused():
         return PureState(n_qubits=dim.bit_length() - 1, amplitudes=_renormalised(vec, tol))
 
@@ -165,8 +206,6 @@ def density_matrix(psi: PureState) -> DensityMatrix:
 def _partial_traces(rho: np.ndarray, keep: list[int]) -> np.ndarray:
     """Reduced states on the sorted qubit list keep of a (..., 2^n, 2^n) stack of n-qubit matrices."""
     n = rho.shape[-1].bit_length() - 1
-    if len(keep) == n:
-        return rho
     lead = rho.shape[:-2]
     t = rho.reshape(lead + (2,) * (2 * n))
     # Row axis i gets label i; column axis i gets the same label when qubit i
@@ -188,12 +227,14 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Trace out every qubit not in ``keep``.
 
     Kept subsystems retain their original relative order.  ``keep`` is a
-    collection of integer qubit indices; it must be nonempty.
+    collection of integer qubit indices; it must be nonempty.  The result
+    holds its own copy, also when ``keep`` names every qubit.
     """
     keep = _qubit_list(keep, rho.n_qubits, EmptyKeepSetError)
     if not keep:
         raise EmptyKeepSetError("keep set must contain at least one subsystem")
-    reduced = _partial_traces(rho.entries[None], keep)[0]
+    # Keeping every qubit, einsum's identity relabel returns a view of rho.entries, which the caller may still write.
+    reduced = _partial_traces(rho.entries[None], keep)[0].copy()
     return DensityMatrix(dim=reduced.shape[0], entries=_freeze(reduced))
 
 
@@ -234,8 +275,7 @@ def purify_diagonal(rho: DensityMatrix, tol: float = ATOL) -> PureState:
     uniform-phase subspace leaves exactly sqrt(p_i) amplitudes.  A NaN or
     negative tol raises DomainError.
     """
-    if not tol >= 0:  # as in condition_check: a NaN would pass every off-diagonal entry
-        raise DomainError(f"diagonality tolerance must be a nonnegative number, got {tol}")
+    _check_tolerance(tol, "diagonality")
     m = rho.entries
     # A NaN would pass the diagonality test below.
     _require_finite(m, "density matrix has non-finite entries, so it has no purification")

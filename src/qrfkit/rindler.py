@@ -241,9 +241,13 @@ def _sweep_pairs(r_grid, pairs) -> list[np.ndarray]:
     """sweep's rows for every measure pair in pairs, each one finite (K, 20) array in SweepRecord field order.
 
     The whole grid is checked first, then analysed a block of points at a time,
-    so no stack holds more than one block.
+    so no stack holds more than one block.  A point that float() does not
+    take, such as None or a character of a string grid, raises GridError.
     """
-    grid = [float(r) for r in r_grid]
+    try:
+        grid = [float(r) for r in r_grid]
+    except (TypeError, ValueError) as e:
+        raise GridError(f"sweep grid holds a point that is not a number: {e}") from None
     if not grid:
         raise GridError("sweep grid is empty")
     clamped = [_check_r(r, GridError, "grid point") for r in grid]
@@ -299,13 +303,20 @@ def _sweep_json(tables) -> Iterator[str]:
 
 
 def sweep_to_csv(records, m: MeasurePair) -> str:
-    """RFC-4180 CSV, 12 significant digits, LF line endings; a NaN or infinite field raises NumericError."""
+    """RFC-4180 CSV, 12 significant digits, LF line endings; a NaN or infinite field raises NumericError, and a record
+    that is not a SweepRecord UnknownQuantityError."""
     _is_entropic(m)  # refuses a non-member before any row is written
-    rows = np.array([astuple(rec) for rec in records], dtype=np.float64).reshape(-1, len(CSV_COLUMNS) - 1)
+    rows = np.array(_record_rows(records), dtype=np.float64).reshape(-1, len(CSV_COLUMNS) - 1)
     return "".join(_sweep_csv([(m, rows)]))
 
 
 def sweep_to_dicts(records, m: MeasurePair) -> list[dict]:
-    """Full-precision row dicts keyed by the CSV column names."""
+    """Full-precision row dicts keyed by the CSV column names; a record that is not a SweepRecord raises
+    UnknownQuantityError."""
     _is_entropic(m)  # refuses a non-member before any row is written
-    return [dict(zip(CSV_COLUMNS, [m.value, *astuple(rec)])) for rec in records]
+    return [dict(zip(CSV_COLUMNS, [m.value, *row])) for row in _record_rows(records)]
+
+
+def _record_rows(records) -> list[tuple]:
+    """The field values of each record, in SweepRecord order; anything but a SweepRecord raises UnknownQuantityError."""
+    return [astuple(_require_member(rec, SweepRecord, "sweep record")) for rec in records]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, WrongQubitCountError, _integer, _require_member
+from .errors import ShapeError, WrongQubitCountError, _check_tolerance, _integer, _require_member
 from .measures import MeasurePair, _coherences, _entanglements, _entropies, _is_entropic, binary_entropy, coherence
 from .measures import entanglement
 from .perspective import _flip_merge, _register_slot, assign_perspective
@@ -168,9 +168,7 @@ class _Analysis:
         lhs = np.stack([self.side(alpha, beta, m) for alpha, beta, _ in _PERMUTATIONS], axis=1)
         rhs = np.stack(rhs, axis=1)
         residual = np.abs(lhs - rhs)
-        if not tol >= 0:  # a NaN or negative tolerance would mark every constraint violated
-            raise DomainError(f"satisfaction tolerance must be a nonnegative number, got {tol}")
-        return lhs, rhs, residual, residual <= tol
+        return lhs, rhs, residual, residual <= _check_tolerance(tol, "satisfaction")
 
 
 def _rows(table, k: int):
@@ -261,8 +259,7 @@ def reconstruct_from_xyl(t: XylTriple, m: MeasurePair) -> tuple[float, float, fl
 
 def condition_check(psi: PureState, c: ConstraintId, m: MeasurePair, tol: float = SAT_TOL) -> bool:
     """Algebraic satisfaction criterion in terms of the X/Y/L triple alone."""
-    if not tol >= 0:  # as in _Analysis._table
-        raise DomainError(f"satisfaction tolerance must be a nonnegative number, got {tol}")
+    _check_tolerance(tol, "satisfaction")
     t = xyl_closed_form(psi, c, m)
     if _is_entropic(m):
         return abs(t.l - (1.0 - t.x) / 2.0) <= tol or abs(t.l - (1.0 + t.x) / 2.0) <= tol

@@ -7,7 +7,6 @@ in the terminal summary, where pytest's output capture cannot swallow it.
 from qrfkit.cli import main
 
 ACCEPTANCE_VERDICTS = {}
-R_MAX_TEXT = "0.7853981633974483"  # repr(math.pi / 4), the grid's upper bound
 
 
 def run(capsys, argv):

@@ -24,12 +24,11 @@ from qrfkit import (MeasurePair, ParityClass, PureState, assign_perspective, cli
 from qrfkit.errors import NormToleranceError
 from qrfkit.qstate import _renormalised, _renormalised_rows
 from qrfkit.transference import _Analysis, _analysis_of, _parity_amplitudes
-from reference import (ANALYSIS_FIELDS, add_at_channel, analysis_with_mutual_information, channel_deviation,
-                       check_channel_bytes, dense_channel, renormalised, stacked_draws, state_document, unit_amplitudes,
-                       unit_state)
+from reference import (ANALYSIS_FIELDS, R_MAX_TEXT, add_at_channel, analysis_with_mutual_information,
+                       channel_deviation, check_channel_bytes, dense_channel, renormalised, stacked_draws,
+                       state_document, unit_amplitudes, unit_state)
 
 QRFKIT = [sys.executable, "-W", "error::RuntimeWarning", "-m", "qrfkit"]
-R_MAX = "0.7853981633974483"
 STEPS = {}
 
 
@@ -71,7 +70,7 @@ def batched_kernels_at_full_size():
     lines = qrfkit("sample", "--count", "3000", "--seed", "1", "--parity", "neither").decode().splitlines()
     assert len(lines) == 6001
     [json.loads(line) for line in lines]
-    text = f"0:{R_MAX}:2001"
+    text = f"0:{R_MAX_TEXT}:2001"
     assert len(json.loads(qrfkit("sweep", "--grid", text, "--format", "json"))) == 4002
     lines = qrfkit("sweep", "--grid", text, "--measures", "both").decode().splitlines()
     assert len(lines) == 4003
@@ -152,7 +151,7 @@ def sweep_at_the_grid_cap():
     as their own child process: each must exit 0 and peak below 160 MiB resident.  The CSV must hold a header and
     200000 rows of 21 fields, the JSON a list of 200000 rows."""
     with tempfile.TemporaryDirectory() as tmp:
-        grid = ["sweep", "--grid", f"0:{R_MAX}:100000", "--measures", "both", "--format"]
+        grid = ["sweep", "--grid", f"0:{R_MAX_TEXT}:100000", "--measures", "both", "--format"]
         csv, json_path = run_child(tmp, "sweep.csv", grid + ["csv"]), run_child(tmp, "sweep.json", grid + ["json"])
         with open(csv, encoding="utf-8") as fh:
             fields = [line.count(",") + 1 for line in fh]

@@ -14,6 +14,9 @@ from qrfkit import partial_trace, perspective_operator, purify_diagonal, random_
 from qrfkit.transference import _Analysis, _parity_amplitudes, _sample_draws
 
 ANALYSIS_FIELDS = ("persp_ent", "coh", "global_ent")
+MI_PLATEAU = 0.6225562489182659  # (3/2) * (2 - log2(3)), the two-mode plateau of the mutual information
+R_MAX_TEXT = "0.7853981633974483"  # repr(math.pi / 4), the grid's upper bound
+WORKED = [0.5, 0.5, 0.5, 0.0, 0.0, 0.0, 0.0, 0.5]  # the paper's worked example, (|000> + |001> + |010> + |111>) / 2
 
 
 def unit_amplitudes(n, rng):

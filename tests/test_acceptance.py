@@ -36,11 +36,10 @@ from qrfkit import (
 )
 from qrfkit.cli import main
 from qrfkit.rindler import R_MAX, oracle_coherence
-from reference import channel_deviation, state_document
+from reference import WORKED, channel_deviation, state_document
 
 RT2 = 1.0 / math.sqrt(2.0)
 GRID = np.linspace(0.0, R_MAX, 201)
-WORKED = [0.5, 0.5, 0.5, 0.0, 0.0, 0.0, 0.0, 0.5]
 
 
 def criterion(num):

@@ -8,7 +8,7 @@ import zlib
 import numpy as np
 import pytest
 
-from conftest import R_MAX_TEXT, run
+from conftest import run
 from qrfkit import (
     MeasurePair,
     ParityClass,
@@ -28,12 +28,9 @@ from qrfkit import (
 )
 from qrfkit.cli import main
 from qrfkit.rindler import CSV_COLUMNS
-from reference import stacked_draws, state_document
+from reference import MI_PLATEAU, R_MAX_TEXT, WORKED, stacked_draws, state_document
 
 RT2 = 1.0 / math.sqrt(2.0)
-MI_PLATEAU = 0.6225562489182659
-
-WORKED = [0.5, 0.5, 0.5, 0.0, 0.0, 0.0, 0.0, 0.5]
 
 
 def write_state(path, amps):
@@ -327,66 +324,6 @@ def test_reused_parser_runs_as_a_fresh_process(capsys, tmp_path):
     assert cli.build_parser() is not cli.build_parser()
 
 
-def test_exit_code_io(capsys, tmp_path):
-    code, out, err = run(capsys, ["perspective", "--state", str(tmp_path / "missing.json"),
-                                  "--perspective", "0"])
-    assert code == 2
-    assert json.loads(err)["error"] == "io"
-
-    path = write_state(tmp_path / "ok.json", [1.0, 0.0])
-    code, _, err = run(capsys, ["check", "--state", "rindler:0.1", "--out", str(tmp_path)])
-    assert code == 2
-    assert json.loads(err)["error"] == "io"
-
-
-def test_exit_code_io_malformed_file(capsys, tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json", encoding="utf-8")
-    code, _, err = run(capsys, ["perspective", "--state", str(bad), "--perspective", "0"])
-    assert code == 2
-    assert json.loads(err)["error"] == "io"
-
-
-def test_exit_code_shape(capsys, tmp_path):
-    path = write_state(tmp_path / "one.json", [1.0, 0.0])
-    code, _, err = run(capsys, ["perspective", "--state", path, "--perspective", "0"])
-    assert code == 3
-    assert json.loads(err)["error"] == "shape"
-
-    path = write_state(tmp_path / "two.json", [RT2, 0.0, 0.0, RT2])
-    code, _, err = run(capsys, ["check", "--state", path])
-    assert code == 3
-    assert json.loads(err)["error"] == "shape"
-
-
-def test_exit_code_domain(capsys):
-    cases = [
-        ["sweep", "--grid", "0:0.9:5"],
-        ["sweep", "--grid", "0:0.5:0"],
-        ["perspective", "--state", "ghz:1.5", "--perspective", "0"],
-        ["perspective", "--state", "rindler:0.3", "--perspective", "B"],
-        ["perspective", "--state", "rindler:0.3", "--perspective", "-1"],
-        ["perspective", "--state", "rindler:0.3", "--perspective", "1.0"],
-        ["sample", "--count", "3", "--seed", "-1"],
-        ["check", "--state", "rindler:0.3", "--tol", "-1"],
-        ["check", "--state", "w-even:0,0,0"],
-        ["check", "--state", "appc-q:0.8"],
-        ["check"],                                   # usage error
-        ["check", "--state", "rindler:0.3", "--measures", "renyi"],
-    ]
-    for argv in cases:
-        code, _, err = run(capsys, argv)
-        assert code == 4, argv
-        assert json.loads(err)["error"] == "domain"
-
-
-def test_exit_code_numeric(capsys, tmp_path):
-    path = write_state(tmp_path / "unnorm.json", [0.5, 0.5])
-    code, _, err = run(capsys, ["perspective", "--state", path, "--perspective", "0"])
-    assert code == 5
-    assert json.loads(err)["error"] == "numeric"
-
-
 def test_non_finite_output_is_a_numeric_error(capsys, monkeypatch):
     # a measure that yields nan must not reach stdout as the bare NaN token
     monkeypatch.setattr(measures, "_linear_entropies", lambda rho: np.full(rho.shape[:-2], math.nan))
@@ -456,21 +393,9 @@ def test_non_finite_slot_entropy_is_a_numeric_error(capsys, monkeypatch):
         assert_numeric_exit(capsys, ["sample", "--count", "3", "--seed", "1", "--measures", measures_arg])
 
 
-def test_integer_amplitude_beyond_float_range_is_an_io_error(capsys, tmp_path):
-    path = tmp_path / "big.json"
-    path.write_text('{"n_qubits": 1, "amplitudes": [[1' + "0" * 400 + ', 0], [0, 0]]}', encoding="utf-8")
-    code, out, err = run(capsys, ["perspective", "--state", str(path), "--perspective", "0"])
-    assert code == 2
-    assert out == ""
-    assert json.loads(err)["error"] == "io"
-
-
-def test_grid_count_is_capped(capsys):
+def test_grid_count_is_capped():
+    # The CLI's refusal of one point more is the EXIT_CODE_TABLE row "sweep --grid 0:0.5:100001".
     assert len(cli.parse_grid(f"0:0.5:{cli.MAX_GRID_POINTS}")) == cli.MAX_GRID_POINTS
-    code, out, err = run(capsys, ["sweep", "--grid", f"0:0.5:{cli.MAX_GRID_POINTS + 1}"])
-    assert code == 4
-    assert out == ""
-    assert json.loads(err)["error"] == "domain"
 
 
 # State files the exit-code table refers to by name.
@@ -485,17 +410,22 @@ STATE_FILES = {
     "neginf.json": json.dumps({"n_qubits": 1, "amplitudes": [[0.0, -math.inf], [0.0, 0.0]]}),
     "undecodable.json": b"\xff\xfe" + json.dumps({"n_qubits": 1, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}).encode(),
     "deep.json": "[" * 100_000 + "]" * 100_000,
+    "malformed.json": "{not json",
+    "big.json": '{"n_qubits": 1, "amplitudes": [[1' + "0" * 400 + ', 0], [0, 0]]}',
+    "one.json": json.dumps({"n_qubits": 1, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}),
+    "unnorm.json": json.dumps({"n_qubits": 1, "amplitudes": [[0.5, 0.0], [0.5, 0.0]]}),
 }
 
 
 def with_state_files(tmp_path, argv):
-    """argv with each STATE_FILES name replaced by the path of that file, written under tmp_path.
+    """argv with each STATE_FILES name replaced by the path of that file, written under tmp_path, and with "{tmp}"
+    in any argument replaced by tmp_path.
 
     A text is written as UTF-8, and bytes as they are.
     """
     for name, text in STATE_FILES.items():
         (tmp_path / name).write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
-    return [str(tmp_path / a) if a in STATE_FILES else a for a in argv]
+    return [str(tmp_path / a) if a in STATE_FILES else a.replace("{tmp}", str(tmp_path)) for a in argv]
 
 
 # (argv, expected exit code, stdout empty?)
@@ -529,6 +459,30 @@ EXIT_CODE_TABLE = [
     (["sweep", "--grid", "1e309:0:3"], 4, True),
     (["sweep", "--grid", "0:inf:3"], 4, True),
     (["sweep", "--grid=-1e308:1e308:3"], 4, True),
+    (["sweep", "--grid", "a:b:3"], 4, True),
+    (["sweep", "--grid", "0:1:-1"], 4, True),
+    (["sweep", "--grid", "0:0.9:5"], 4, True),
+    (["sweep", "--grid", "0:0.5:0"], 4, True),
+    (["check", "--state", "ghz:abc"], 4, True),
+    (["check", "--state", "w-even:1,2"], 4, True),
+    (["check", "--state", "w-even:inf,1,1"], 5, True),
+    (["check", "--state", "w-even:0,0,0"], 4, True),
+    (["check", "--state", "appc-q:0.8"], 4, True),
+    (["check", "--state", "rindler:0.3", "--tol", "-1"], 4, True),
+    (["check", "--state", "rindler:0.3", "--measures", "renyi"], 4, True),
+    (["check"], 4, True),  # argparse: --state is required
+    (["check", "--state", "bell.json"], 3, True),
+    (["check", "--state", "rindler:0.1", "--out", "{tmp}"], 2, True),
+    (["perspective", "--state", "ghz:1.5", "--perspective", "0"], 4, True),
+    (["perspective", "--state", "rindler:0.3", "--perspective", "B"], 4, True),
+    (["perspective", "--state", "rindler:0.3", "--perspective", "-1"], 4, True),
+    (["perspective", "--state", "rindler:0.3", "--perspective", "1.0"], 4, True),
+    (["perspective", "--state", "{tmp}/missing.json", "--perspective", "0"], 2, True),
+    (["perspective", "--state", "malformed.json", "--perspective", "0"], 2, True),
+    (["perspective", "--state", "big.json", "--perspective", "0"], 2, True),
+    (["perspective", "--state", "one.json", "--perspective", "0"], 3, True),
+    (["perspective", "--state", "unnorm.json", "--perspective", "0"], 5, True),
+    (["sample", "--count", "3", "--seed", "-1"], 4, True),
 ]
 
 
@@ -539,16 +493,48 @@ def row_id(argv):
 
 @pytest.mark.parametrize("argv, expected, stdout_empty", EXIT_CODE_TABLE, ids=[row_id(row[0]) for row in EXIT_CODE_TABLE])
 def test_exit_codes(capsys, tmp_path, argv, expected, stdout_empty):
-    argv = with_state_files(tmp_path, argv)
-    code, out, err = run(capsys, argv)
-    assert code == expected
-    assert (out == "") == stdout_empty
+    code, out, err = run(capsys, with_state_files(tmp_path, argv))
+    assert code == expected, argv
+    assert (out == "") == stdout_empty, argv
     if expected == 0:
         assert err == ""
     else:
         lines = err.splitlines()
-        assert len(lines) == 1
-        assert cli.EXIT_CODES[json.loads(lines[0])["error"]] == expected
+        assert len(lines) == 1, argv
+        assert cli.EXIT_CODES[json.loads(lines[0])["error"]] == expected, argv
+
+
+def exit_code_rows(capsys, tmp_path, keep):
+    """test_exit_codes on each EXIT_CODE_TABLE row whose argv and exit code keep holds for; at least one must."""
+    rows = [row for row in EXIT_CODE_TABLE if keep(*row[:2])]
+    assert rows
+    for row in rows:
+        test_exit_codes(capsys, tmp_path, *row)
+
+
+# Each case of the named tests below is a row of EXIT_CODE_TABLE; they run the rows their names cover.
+def test_exit_code_io(capsys, tmp_path):
+    exit_code_rows(capsys, tmp_path, lambda argv, code: code == 2)
+
+
+def test_exit_code_io_malformed_file(capsys, tmp_path):
+    exit_code_rows(capsys, tmp_path, lambda argv, code: "malformed.json" in argv)
+
+
+def test_exit_code_shape(capsys, tmp_path):
+    exit_code_rows(capsys, tmp_path, lambda argv, code: code == 3)
+
+
+def test_exit_code_domain(capsys, tmp_path):
+    exit_code_rows(capsys, tmp_path, lambda argv, code: code == 4)
+
+
+def test_exit_code_numeric(capsys, tmp_path):
+    exit_code_rows(capsys, tmp_path, lambda argv, code: code == 5)
+
+
+def test_integer_amplitude_beyond_float_range_is_an_io_error(capsys, tmp_path):
+    exit_code_rows(capsys, tmp_path, lambda argv, code: "big.json" in argv)
 
 
 @pytest.mark.parametrize("command", [["perspective", "--perspective", "0"], ["check"]], ids=lambda c: c[0])

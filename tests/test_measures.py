@@ -33,20 +33,18 @@ from qrfkit import (
     state_from_amplitudes,
     von_neumann_entropy,
 )
-from qrfkit.errors import InvalidBipartitionError, NumericError, ShapeError, UnknownQuantityError
+from qrfkit.errors import InvalidBipartitionError, NormToleranceError, NumericError, ShapeError, UnknownQuantityError
 from qrfkit.measures import _entropies
 from qrfkit.rindler import sweep_to_dicts
 from qrfkit.transference import perspectival_side
-from qrfkit.qstate import clamped_eigenvalues
-from reference import unit_state
+from qrfkit.qstate import PureState, clamped_eigenvalues
+from reference import MI_PLATEAU, unit_state
 
 RT2 = 1.0 / math.sqrt(2.0)
 
 # binary entropy of 1/4, frozen from an independent evaluation of
 # -(p log2 p + (1-p) log2 (1-p))
 H2_QUARTER = 0.8112781244591328
-# (3/2) * (2 - log2(3))
-MI_PLATEAU = 0.6225562489182659
 
 
 def diag_density(probs):
@@ -169,6 +167,28 @@ def test_entanglement_bad_partition():
         entanglement(bell, [0, 1])
     with pytest.raises(InvalidBipartitionError):
         entanglement(bell, [2])
+
+
+def test_measures_refuse_a_trace_off_one():
+    # diag(2, 0) once read an entropy of -2.0 and a linear entropy of -3.0, and diag(2, 0, 0, 2) a mutual
+    # information of -4.0.
+    measures = [von_neumann_entropy, linear_entropy, lambda rho: coherence(rho, MeasurePair.ENTROPY),
+                lambda rho: coherence(rho, MeasurePair.LINEAR), lambda rho: mutual_information(rho, [0], [1])]
+    for probs in ([2.0, 0.0, 0.0, 2.0], [0.5, 0.0, 0.0, 0.0], [0.25 + 2e-9, 0.25, 0.25, 0.25 + 2e-9]):
+        rho = diag_density(probs)
+        for measure in measures:
+            with pytest.raises(NormToleranceError, match="trace"):
+                measure(rho)
+    # A state NORM_TOL off unit norm is accepted, and so are the traces of its reductions, about 2 NORM_TOL off 1.
+    psi = PureState(2, np.array([1.0 + 0.9e-9, 0.0, 0.0, 0.0], dtype=complex))
+    for rho in (density_matrix(psi), partial_trace(density_matrix(psi), [0])):
+        for measure in measures[:4]:
+            assert abs(measure(rho)) <= 1e-8
+    # The primitives keep their contracts: they take any trace.
+    off = diag_density([2.0, 0.0])
+    assert clamped_eigenvalues(off).tolist() == [0.0, 2.0]
+    assert dephase(off).entries.tobytes() == off.entries.tobytes()
+    assert partial_trace(diag_density([2.0, 0.0, 0.0, 2.0]), [0]).entries.tolist() == [[2.0, 0.0], [0.0, 2.0]]
 
 
 def test_coherence_plus_state():
@@ -315,6 +335,8 @@ MEMBER_ARGUMENTS = {
     "sweep": lambda bad: sweep([0.0, 0.3], bad),
     "sweep_to_csv": lambda bad: sweep_to_csv(sweep([0.0, 0.3], MeasurePair.ENTROPY), bad),
     "sweep_to_dicts": lambda bad: sweep_to_dicts(sweep([0.0, 0.3], MeasurePair.ENTROPY), bad),
+    "sweep_to_csv record": lambda bad: sweep_to_csv([*sweep([0.3], MeasurePair.ENTROPY), bad], MeasurePair.ENTROPY),
+    "sweep_to_dicts record": lambda bad: sweep_to_dicts([bad], MeasurePair.ENTROPY),
 }
 
 

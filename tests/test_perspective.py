@@ -10,6 +10,7 @@ import pytest
 from qrfkit import (
     ConstraintId,
     MeasurePair,
+    QrfOperator,
     assign_perspective,
     assign_perspective_channel,
     check_corollary,
@@ -413,6 +414,9 @@ def test_qrf_transform_dimension_check():
     s = state_from_amplitudes([RT2, 0.0, 0.0, RT2])
     with pytest.raises(DimensionMismatchError):
         qrf_transform(op, s)
+    # The operator type holds the state types' size rule: an 8 x 8 matrix is not a 2-qubit operator.
+    with pytest.raises(ShapeError, match="qubit count"):
+        QrfOperator(n_qubits=2, from_label=0, to_label=1, matrix=np.eye(8))
 
 
 def test_z2_operator_validation():
@@ -494,5 +498,6 @@ def test_registers_numpy_cannot_shape_raise_shape_error(n):
         perspective_operator(0, n)
     with pytest.raises(ShapeError, match="qubit count"):
         z2_operator(n + 1, 0, 1)
+    # The state type refuses 2 amplitudes for n - 1 qubits, so embed never meets such a register.
     with pytest.raises(ShapeError, match="qubit count"):
-        embed(PureState(n - 1, np.zeros(2, dtype=np.complex128)), 0)
+        PureState(n - 1, np.zeros(2, dtype=np.complex128))

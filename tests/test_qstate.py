@@ -53,6 +53,30 @@ def test_non_power_of_two_rejected():
             state_from_amplitudes(bad)
 
 
+def test_non_numeric_amplitudes_are_a_domain_error():
+    for bad in (["a", "b"], [{}, 1.0], [[1.0, 0.0], [1.0]]):
+        with pytest.raises(DomainError, match="sequence of numbers"):
+            state_from_amplitudes(bad)
+
+
+def test_state_types_refuse_a_size_their_register_does_not_have():
+    # A hand-built value of the wrong size once reached assign_perspective, entanglement, state_to_json or a
+    # measure and gave a short state, -0.0, a document state_from_json refuses, or an entropy of 1.0.
+    bad_states = [(3, np.ones(4) / 2), (1, np.ones((2, 1))), (-1, np.ones(1)), (1.0, np.ones(2)), (None, np.ones(2)),
+                  (1, [RT2, RT2])]
+    for n, amps in bad_states:
+        with pytest.raises(ShapeError):
+            PureState(n_qubits=n, amplitudes=amps)
+    bad_matrices = [(4, np.eye(2) / 2), (3, np.eye(3) / 3), (2, np.ones((2, 3))), (0, np.ones((0, 0))),
+                    (4.0, np.eye(4) / 4), (2, np.ones(4))]
+    for dim, entries in bad_matrices:
+        with pytest.raises(ShapeError):
+            DensityMatrix(dim=dim, entries=entries)
+    assert PureState(0, np.ones(1, dtype=complex)).dim == 1
+    assert DensityMatrix(1, np.ones((1, 1), dtype=complex)).n_qubits == 0
+    assert PureState(np.int64(1), np.array([1.0, 0.0], dtype=complex)).dim == 2
+
+
 def test_norm_tolerance_enforced():
     # |v|^2 = 1.00016..., off by ~8e-5 in norm, fails at tol 1e-6
     with pytest.raises(NormToleranceError):
@@ -138,6 +162,14 @@ def test_partial_trace_disjoint_order_independence():
         one_shot = partial_trace(rho, [0, 3]).entries
         staged = partial_trace(partial_trace(rho, [0, 1, 3]), [0, 2]).entries
         assert np.max(np.abs(one_shot - staged)) <= 1e-12
+
+
+def test_partial_trace_of_every_qubit_is_a_copy():
+    m = np.eye(4, dtype=complex) / 4
+    kept = partial_trace(DensityMatrix(4, m), [0, 1])
+    m[0, 0] = 9
+    assert kept.entries.tolist() == (np.eye(4) / 4).tolist()
+    assert not kept.entries.flags.writeable
 
 
 def test_partial_trace_bad_keep_rejected():

@@ -38,12 +38,11 @@ from qrfkit.rindler import (
     oracle_coherence,
     sweep_to_dicts,
 )
+from reference import MI_PLATEAU
 
 RT2 = 1.0 / math.sqrt(2.0)
 # atan(exp(-pi)) evaluated independently
 R_AT_UNIT_RATIO = 0.352513421777619
-# (3/2) * (2 - log2(3)), the two-mode plateau
-MI_PLATEAU = 0.6225562489182659
 # 2 * H2((1 + cos(pi/4)) / 2), where both perspectival curves cross
 MI_CROSSING = 2.0 * (-(0.5 + 0.25 * math.sqrt(2.0)) * math.log2(0.5 + 0.25 * math.sqrt(2.0))
                      - (0.5 - 0.25 * math.sqrt(2.0)) * math.log2(0.5 - 0.25 * math.sqrt(2.0)))
@@ -286,7 +285,8 @@ def test_sweep_rows_match_closed_forms():
 
 
 def test_sweep_grid_validation():
-    for bad in ([], [0.2, 0.1], [0.0, 0.9], [-0.1, 0.2]):
+    # A point float() does not take, such as None or the "." of a string grid, is a grid error too.
+    for bad in ([], [0.2, 0.1], [0.0, 0.9], [-0.1, 0.2], [None], "0.1"):
         with pytest.raises(GridError):
             sweep(bad, MeasurePair.ENTROPY)
     # endpoint round-off is clamped, not rejected

@@ -10,15 +10,17 @@ the documented I/O exit instead of a traceback.
 
 import json
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from conftest import R_MAX_TEXT, run
+from conftest import run
 from qrfkit import MeasurePair, ParityClass, qstate, random_parity_state, rindler, transference
 from qrfkit.errors import NumericError
+from reference import R_MAX_TEXT
 
 SEAMS = [qstate._ROW_BLOCK - 1, qstate._ROW_BLOCK, qstate._ROW_BLOCK + 1]
 
@@ -122,5 +124,20 @@ def test_closed_stdout_is_an_io_error(argv):
     assert len(head) == 100
     assert "Traceback" not in err and "Exception ignored" not in err
     lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "io"
+
+
+def test_stdout_closed_before_any_output_is_an_io_error():
+    # The pipe's read end is closed before the run starts, so its first write to stdout fails.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "qrfkit", "check", "--state", "rindler:0.3"], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "io"

@@ -13,12 +13,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import R_MAX_TEXT, run
+from conftest import run
 from qrfkit import ParityClass, qstate, random_parity_state, sweep, transference
 from qrfkit.cli import parse_grid, parse_measures
 from qrfkit.errors import NumericError
 from qrfkit.rindler import sweep_to_dicts
 from qrfkit.transference import _analysis_of, _report_dict, _rows
+from reference import R_MAX_TEXT
 
 
 def sample_text(count, seed, parity, measures, tol):
