@@ -265,6 +265,8 @@ def main(argv=None) -> int:
         # Each runner checks everything before it returns; its pieces are then formatted as they are written.
         pieces = _RUNNERS[args.command](args, resolve_tol(args.tol))
         if args.out is None:
+            if sys.stdout is None:  # started with file descriptor 1 closed
+                raise IoError("cannot write output to stdout: it is closed")
             try:
                 sys.stdout.writelines(pieces)
                 sys.stdout.flush()

@@ -180,6 +180,10 @@ def state_from_amplitudes(amps, tol: float = NORM_TOL) -> PureState:
     raises DomainError, and so does an amplitude that is not a number.
     """
     try:
+        # numpy reads None as NaN, so a None is looked for first; an array of numbers holds none.
+        held = amps if isinstance(amps, np.ndarray) else np.asarray(amps, dtype=object)
+        if held.dtype == object and any(a is None for a in held.flat):
+            raise TypeError("None is not a number")
         vec = np.asarray(amps, dtype=np.complex128).ravel().copy()
     except (TypeError, ValueError) as e:
         raise DomainError(f"amplitudes must be a sequence of numbers: {e}") from None
@@ -306,9 +310,24 @@ def _clamped_spectra(rho: np.ndarray) -> np.ndarray:
     np.conjugate(herm, out=herm)
     herm += rho
     herm *= 0.5
-    vals = np.linalg.eigvalsh(herm)
+    return _clamped(np.linalg.eigvalsh(herm))
+
+
+def _clamped(vals: np.ndarray) -> np.ndarray:
+    """A stack of spectra with its values in (-EIG_CLAMP, 0), numerical noise on a PSD matrix, set to 0 in place."""
     vals[(vals < 0) & (vals > -EIG_CLAMP)] = 0.0
     return vals
+
+
+def _dephased_spectra(rho: np.ndarray) -> np.ndarray:
+    """_clamped_spectra(_dephased(rho)) of each unit-trace matrix in a (..., d, d) stack, read off its diagonal.
+
+    The Hermitian part of a diagonal matrix has the real diagonal exactly.  LAPACK's tridiagonal reduction of it has
+    nothing to reduce, and its QR step splits it into 1 x 1 blocks and sorts them, so the eigenvalues are the sorted
+    real diagonal bit for bit; a unit trace keeps the matrix clear of LAPACK's rescaling of tiny ones.  The entries
+    are not checked here: every caller also takes rho's own spectrum, which checks them all.
+    """
+    return _clamped(np.sort(np.diagonal(rho, axis1=-2, axis2=-1).real, axis=-1))
 
 
 def clamped_eigenvalues(rho: DensityMatrix) -> np.ndarray:

@@ -241,9 +241,12 @@ def _sweep_pairs(r_grid, pairs) -> list[np.ndarray]:
     """sweep's rows for every measure pair in pairs, each one finite (K, 20) array in SweepRecord field order.
 
     The whole grid is checked first, then analysed a block of points at a time,
-    so no stack holds more than one block.  A point that float() does not
-    take, such as None or a character of a string grid, raises GridError.
+    so no stack holds more than one block.  A string or bytes grid, whose
+    characters would be its points, raises GridError, and so does a point
+    that float() does not take, such as None.
     """
+    if isinstance(r_grid, (str, bytes, bytearray)):
+        raise GridError(f"sweep grid must be a sequence of numbers, not a {type(r_grid).__name__}")
     try:
         grid = [float(r) for r in r_grid]
     except (TypeError, ValueError) as e:

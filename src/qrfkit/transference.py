@@ -20,10 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError, WrongQubitCountError, _check_tolerance, _integer, _require_member
-from .measures import MeasurePair, _coherences, _entanglements, _entropies, _is_entropic, binary_entropy, coherence
-from .measures import entanglement
+from .measures import MeasurePair, _coherences, _dephased_entropies, _entanglements, _entropies, _is_entropic
+from .measures import binary_entropy, coherence, entanglement
 from .perspective import _flip_merge, _register_slot, assign_perspective
-from .qstate import PureState, _density_matrices, _dephased, _partial_traces, _require_unit
+from .qstate import PureState, _density_matrices, _partial_traces, _require_unit
 from .qstate import _require_shapeable, density_matrix
 from .qstate import _norms, partial_trace, permute_qubits, state_from_amplitudes
 
@@ -124,8 +124,9 @@ class _Analysis:
     is (6, K): I between the two parties other than q for q = 0, 1, 2, then
     I(slot 0 : slot 1) in each observer's perspective.  Each kind of
     reduced state is one stack, and each reduced spectrum is taken once per
-    block.  Values are those of the per-call functions (assign_perspective,
-    entanglement, oracle_coherence, mutual_information) bit for bit.
+    block; the dephased spectra are read off the diagonals.  Values are
+    those of the per-call functions (assign_perspective, entanglement,
+    oracle_coherence, mutual_information) bit for bit.
     """
 
     def __init__(self, amps: np.ndarray, pairs, mutual_information: bool = False):
@@ -133,16 +134,14 @@ class _Analysis:
         persp = _density_matrices(np.stack([_flip_merge(amps, alpha) for alpha in range(3)]))
         slots = np.stack([_partial_traces(persp, [s]) for s in range(2)], axis=1)
         # The slots' spectra serve the entropic pair and mutual information under either pair.
-        if MeasurePair.ENTROPY in pairs:
-            slot_ent, dephased_ent = _entropies(np.stack([slots, _dephased(slots)]))
-        elif mutual_information:
+        if MeasurePair.ENTROPY in pairs or mutual_information:
             slot_ent = _entropies(slots)
         self.persp_ent, self.coh, self.global_ent = {}, {}, {}
         for m in pairs:
             self.global_ent[m] = _entanglements(cuts, m)
             if _is_entropic(m):
                 self.persp_ent[m] = slot_ent[:, 0]
-                self.coh[m] = dephased_ent - slot_ent
+                self.coh[m] = _dephased_entropies(slots) - slot_ent
             else:
                 self.persp_ent[m] = _entanglements(slots[:, 0], m)
                 self.coh[m] = _coherences(slots, m)
@@ -337,15 +336,14 @@ def _pcg64_states(seed: int, indices) -> list[tuple[int, int]]:
 
 def _sample_draws(seed: int, indices, width: int) -> np.ndarray:
     """(K, width) stack whose row k is default_rng([seed, indices[k]]).standard_normal(width),
-    drawn from one PCG64 set to each row's start state in turn.  Each row is drawn, then copied:
-    standard_normal(width, out=row) checks its out argument at a cost above that of the copy."""
+    drawn from one PCG64 set to each row's start state in turn, straight into the row."""
     bit_generator = np.random.PCG64(0)  # every row sets its own state
     generator = np.random.Generator(bit_generator)
     draws = np.empty((len(indices), width))
     for row, (state, inc) in zip(draws, _pcg64_states(seed, indices)):
         bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                                "has_uint32": 0, "uinteger": 0}
-        row[:] = generator.standard_normal(width)
+        generator.standard_normal(out=row)
     return draws
 
 

@@ -25,8 +25,8 @@ from qrfkit.errors import NormToleranceError
 from qrfkit.qstate import _renormalised, _renormalised_rows
 from qrfkit.transference import _Analysis, _analysis_of, _parity_amplitudes
 from reference import (ANALYSIS_FIELDS, R_MAX_TEXT, add_at_channel, analysis_with_mutual_information,
-                       channel_deviation, check_channel_bytes, dense_channel, renormalised, stacked_draws,
-                       state_document, unit_amplitudes, unit_state)
+                       channel_deviation, check_channel_bytes, check_diagonal_kernels, dense_channel,
+                       edge_density_stack, renormalised, stacked_draws, state_document, unit_amplitudes, unit_state)
 
 QRFKIT = [sys.executable, "-W", "error::RuntimeWarning", "-m", "qrfkit"]
 STEPS = {}
@@ -326,6 +326,27 @@ def normalisation_at_full_size():
             sys.exit(f"a {name} row was not refused")
     print(f"{len(rows)} rows ({divided} divided) and n = 1 to 20 at {len(scales)} scales equal to the written-out "
           "rule; NaN, infinite and zero rows refused")
+
+
+@step("Spectra from diagonals at a full block")
+def spectra_from_diagonals_at_a_full_block():
+    """The analysis reads each dephased spectrum off the diagonal and sums each linear trace from a copy of it.  On
+    4097 seeded density matrices at each of d = 2, 4, 8 and 16 (one block and one row past it), with zero, -0.0,
+    tiny negative and degenerate diagonals (reference.edge_density_stack), and on the one-qubit reductions of 4097
+    neither-parity states and of the 4097-point sweep grid, the dephased spectra, their entropies, the entropic
+    coherence and the linear entropies must equal eigvalsh on the dephased matrices and np.trace, byte for byte
+    (reference.check_diagonal_kernels)."""
+    rng = np.random.default_rng(4097)
+    for d in (2, 4, 8, 16):
+        check_diagonal_kernels(edge_density_stack(d, 4097, rng))
+        print(f"d={d}: 4097 edge-diagonal matrices equal to the written-out rules")
+    neither = _parity_amplitudes(ParityClass.NEITHER, lambda width: rng.standard_normal((4097, width)))
+    grid = rindler._global_amplitudes(np.linspace(0.0, math.pi / 4, 4097))
+    for name, amps in {"neither-parity states": neither, "sweep grid": grid}.items():
+        t = amps.reshape(-1, 2, 2, 2)
+        for labels in ("kabc,kdbc->kad", "kbac,kbdc->kad", "kbca,kbcd->kad"):
+            check_diagonal_kernels(np.einsum(labels, t, t.conj()))
+        print(f"{name}: the one-qubit reductions of {len(amps)} states equal to the written-out rules")
 
 
 def main(argv):

@@ -9,8 +9,11 @@ import json
 
 import numpy as np
 
-from qrfkit import DensityMatrix, ParityClass, assign_perspective, assign_perspective_channel, dephase, density_matrix
-from qrfkit import partial_trace, perspective_operator, purify_diagonal, random_parity_state, state_from_amplitudes
+from qrfkit import DensityMatrix, MeasurePair, ParityClass, assign_perspective, assign_perspective_channel, dephase
+from qrfkit import density_matrix, partial_trace, perspective_operator, purify_diagonal, random_parity_state
+from qrfkit import state_from_amplitudes
+from qrfkit.measures import _coherences, _dephased_entropies, _linear_entropies
+from qrfkit.qstate import _dephased_spectra, clamped_eigenvalues
 from qrfkit.transference import _Analysis, _parity_amplitudes, _sample_draws
 
 ANALYSIS_FIELDS = ("persp_ent", "coh", "global_ent")
@@ -121,3 +124,53 @@ def analysis_with_mutual_information(amps, pairs):
             assert got.shape == expect.shape and got.tobytes() == expect.tobytes(), (
                 f"{field} under {m.value} differs with mutual information")
     return with_mi
+
+
+def entropy_of(spectrum):
+    """-sum lambda log2 lambda over the positive values of one ascending spectrum."""
+    pos = spectrum[spectrum > 0.0]
+    return -np.sum(pos * np.log2(pos))
+
+
+def spectra(stack, dephased=False):
+    """The clamped spectrum of each matrix of a (K, d, d) stack, or of each once dephased, by LAPACK's eigvalsh: one
+    clamped_eigenvalues call per matrix."""
+    matrices = (DensityMatrix(dim=m.shape[0], entries=m) for m in stack)
+    return np.array([clamped_eigenvalues(dephase(rho) if dephased else rho) for rho in matrices])
+
+
+def linear_entropies(stack):
+    """1 - Tr(rho^2) of each matrix of a (..., d, d) stack, by np.trace."""
+    return 1.0 - np.trace(stack @ stack, axis1=-2, axis2=-1).real
+
+
+def edge_density_stack(d, count, rng):
+    """count seeded d x d density matrices of unit trace, five in six with an edited diagonal: one entry 0, every
+    entry -0.0 but one, one entry in (-1e-12, 0), a degenerate diagonal (every entry 1/d), or a zero diagonal."""
+    a = rng.standard_normal((count, d, d)) + 1j * rng.standard_normal((count, d, d))
+    stack = a @ a.conj().swapaxes(-1, -2)
+    stack /= np.trace(stack, axis1=-2, axis2=-1).real[:, None, None]
+    kind, diag = np.arange(count) % 6, np.arange(d)
+    stack[kind == 1, 0, 0] = 0.0
+    stack[np.flatnonzero(kind == 2)[:, None], diag[1:], diag[1:]] = -0.0
+    stack[kind == 3, d - 1, d - 1] = -rng.uniform(1e-16, 1e-12, np.count_nonzero(kind == 3))
+    stack[np.flatnonzero(kind == 4)[:, None], diag, diag] = 1.0 / d
+    stack[np.flatnonzero(kind == 5)[:, None], diag, diag] = 0.0
+    return stack
+
+
+def check_diagonal_kernels(stack):
+    """On a (K, d, d) stack the dephased spectra read off the diagonal, their entropies and the entropic coherence
+    must equal those of the diagonalised dephased matrices, and the linear entropies np.trace's, byte for byte."""
+    dephased = spectra(stack, dephased=True)
+    dephased_entropies = np.array([entropy_of(s) for s in dephased])
+    entropies = np.array([entropy_of(s) for s in spectra(stack)])
+    expect = {
+        "dephased spectra": (_dephased_spectra(stack), dephased),
+        "dephased entropies": (_dephased_entropies(stack), dephased_entropies),
+        "entropic coherence": (_coherences(stack, MeasurePair.ENTROPY), dephased_entropies - entropies),
+        "linear entropies": (_linear_entropies(stack), linear_entropies(stack)),
+    }
+    for name, (got, want) in expect.items():
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), (
+            f"{name} differ from the written-out rule at d = {stack.shape[-1]}")

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import os
 import subprocess
 import sys
 import zlib
@@ -750,3 +751,12 @@ def test_module_entry_point():
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == ",".join(CSV_COLUMNS)
     assert len(proc.stdout.splitlines()) == 3
+
+
+def test_closed_stdout_is_an_io_error():
+    # Started with file descriptor 1 closed, Python sets sys.stdout to None; writing to it once raised a traceback.
+    proc = subprocess.run([sys.executable, "-m", "qrfkit", "check", "--state", "rindler:0.3"], stderr=subprocess.PIPE,
+                          text=True, timeout=60, preexec_fn=lambda: os.close(1))
+    assert proc.returncode == 2
+    [line] = proc.stderr.splitlines()
+    assert json.loads(line) == {"error": "io", "message": "cannot write output to stdout: it is closed"}

@@ -38,7 +38,7 @@ from qrfkit.measures import _entropies
 from qrfkit.rindler import sweep_to_dicts
 from qrfkit.transference import perspectival_side
 from qrfkit.qstate import PureState, clamped_eigenvalues
-from reference import MI_PLATEAU, unit_state
+from reference import MI_PLATEAU, check_diagonal_kernels, edge_density_stack, unit_state
 
 RT2 = 1.0 / math.sqrt(2.0)
 
@@ -309,6 +309,14 @@ def test_entropy_sums_positive_eigenvalues_bit_for_bit():
             stack.append(rho)
         singles = [von_neumann_entropy(rho) for rho in stack]
         assert _entropies(np.stack([rho.entries for rho in stack])).tolist() == singles, n
+
+
+@pytest.mark.parametrize("d", [2, 4, 8, 16])
+def test_diagonal_kernels_equal_the_written_out_rules(d):
+    # The dephased spectra are read off the diagonal and the linear traces summed from a copy of it; both must give
+    # the bytes of eigvalsh on the dephased matrix and of np.trace, also on zero, -0.0, tiny negative and degenerate
+    # diagonals.
+    check_diagonal_kernels(edge_density_stack(d, 240, np.random.default_rng(d)))
 
 
 # Every entry point that branches on or writes a measure pair, given a stand-in argument

@@ -57,6 +57,10 @@ def test_non_numeric_amplitudes_are_a_domain_error():
     for bad in (["a", "b"], [{}, 1.0], [[1.0, 0.0], [1.0]]):
         with pytest.raises(DomainError, match="sequence of numbers"):
             state_from_amplitudes(bad)
+    # numpy converts None to NaN, which once surfaced as a NaN norm rather than as the non-number it is.
+    for bad in ([None, 1.0], [[1.0, None]], np.array([1.0, None], dtype=object), None):
+        with pytest.raises(DomainError, match="sequence of numbers: None is not a number"):
+            state_from_amplitudes(bad)
 
 
 def test_state_types_refuse_a_size_their_register_does_not_have():

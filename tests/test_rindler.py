@@ -285,8 +285,9 @@ def test_sweep_rows_match_closed_forms():
 
 
 def test_sweep_grid_validation():
-    # A point float() does not take, such as None or the "." of a string grid, is a grid error too.
-    for bad in ([], [0.2, 0.1], [0.0, 0.9], [-0.1, 0.2], [None], "0.1"):
+    # A point float() does not take, such as None, is a grid error too, and so is a string or bytes grid, whose
+    # characters or byte values would otherwise be taken as its points.
+    for bad in ([], [0.2, 0.1], [0.0, 0.9], [-0.1, 0.2], [None], "0.1", "0", "00", b"\x00\x00", bytearray(1)):
         with pytest.raises(GridError):
             sweep(bad, MeasurePair.ENTROPY)
     # endpoint round-off is clamped, not rejected
