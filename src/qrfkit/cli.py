@@ -17,6 +17,7 @@ environment variable (--tol wins).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import math
@@ -32,7 +33,8 @@ from .measures import MeasurePair
 from .perspective import assign_perspective
 from .qstate import PureState, _by_block, _dumps, _fill_rows, _nonfinite_refused, _row_template, state_from_amplitudes
 from .qstate import state_from_json, state_to_json
-from .transference import ConstraintId, ParityClass, _analysis_of, _report_dict, _rows, _sample_block, parity_class
+from .transference import ConstraintId, ConstraintReport, ParityClass, _analysis_of, _reports, _sample_block
+from .transference import parity_class
 
 DEFAULT_TOL = 1e-9
 # Largest --grid count, 500 times the paper's 201-point grid.
@@ -212,8 +214,8 @@ def run_check(args, tol: float) -> list[str]:
     pairs = parse_measures(args.measures)
     analysis = _analysis_of([psi], pairs)
     results = [{"measure_pair": m.value,
-                "transference": [_report_dict(*row) for row in _rows(analysis.transference(m, tol), 0)],
-                "corollary": [_report_dict(*row) for row in _rows(analysis.corollary(m, tol), 0)]} for m in pairs]
+                "transference": [r.to_dict() for r in _reports(analysis.transference(m, tol), 0)],
+                "corollary": [r.to_dict() for r in _reports(analysis.corollary(m, tol), 0)]} for m in pairs]
     doc = {"parity": parity_class(psi).value, "tol": tol, "results": results}
     return [_dumps(doc, indent=2) + "\n"]
 
@@ -241,7 +243,8 @@ def run_sample(args, tol: float) -> Iterator[str]:
     template, columns = "", []
     for m, table, ok in zip(pairs, tables, passed):
         doc = {"index": "%d", "parity": args.parity, "measure_pair": m.value,
-               "constraints": [_report_dict(c, "%r", "%r", "%r", "%s") for c in ConstraintId], "all_satisfied": "%s"}
+               "constraints": [ConstraintReport(c, "%r", "%r", "%r", "%s").to_dict() for c in ConstraintId],
+               "all_satisfied": "%s"}
         template += _row_template(doc) + "\n"
         # One column per field in line order: each constraint's lhs, rhs, residual and verdict in turn.
         columns += [index, *(column[:, j] for j in range(3) for column in table), ok]
@@ -281,7 +284,9 @@ def main(argv=None) -> int:
             except OSError as e:
                 raise IoError(f"cannot write output file {args.out}: {e}") from e
     except QrfError as e:
-        sys.stderr.write(_dumps({"error": e.kind, "message": str(e)}) + "\n")
+        with contextlib.suppress(OSError):  # an unwritable stderr loses the error line, not the exit code
+            if sys.stderr is not None:  # None when started with file descriptor 2 closed
+                sys.stderr.write(_dumps({"error": e.kind, "message": str(e)}) + "\n")
         return EXIT_CODES[e.kind]
     return 0
 

@@ -19,13 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeError, WrongQubitCountError, _check_tolerance, _integer, _require_member
+from .errors import NotPowerOfTwoError, ShapeError, WrongQubitCountError, _check_tolerance, _integer, _require_member
 from .measures import MeasurePair, _coherences, _dephased_entropies, _entanglements, _entropies, _is_entropic
 from .measures import binary_entropy, coherence, entanglement
 from .perspective import _flip_merge, _register_slot, assign_perspective
-from .qstate import PureState, _density_matrices, _partial_traces, _require_unit
-from .qstate import _require_shapeable, density_matrix
-from .qstate import _norms, partial_trace, permute_qubits, state_from_amplitudes
+from .qstate import PureState, _density_matrices, _norms, _partial_traces, _require_shapeable, _require_unit
+from .qstate import density_matrix, partial_trace, permute_qubits, state_from_amplitudes
 
 SAT_TOL = 1e-9          # default satisfaction tolerance for residuals
 SUPPORT_TOL = 1e-12     # amplitude modulus below this counts as absent
@@ -64,12 +63,8 @@ class ConstraintReport:
     satisfied: bool
 
     def to_dict(self) -> dict:
-        return _report_dict(self.constraint, self.lhs, self.rhs, self.residual, self.satisfied)
-
-
-def _report_dict(c: ConstraintId, lhs: float, rhs: float, residual: float, satisfied: bool) -> dict:
-    """ConstraintReport.to_dict of one report's values; the CLI writes each state's reports with it, building none."""
-    return {"constraint": c.value, "lhs": lhs, "rhs": rhs, "residual": residual, "satisfied": satisfied}
+        return {"constraint": self.constraint.value, "lhs": self.lhs, "rhs": self.rhs, "residual": self.residual,
+                "satisfied": self.satisfied}
 
 
 @dataclass(frozen=True)
@@ -170,10 +165,9 @@ class _Analysis:
         return lhs, rhs, residual, residual <= _check_tolerance(tol, "satisfaction")
 
 
-def _rows(table, k: int):
-    """State k's (constraint, lhs, rhs, residual, satisfied) in an _Analysis table, one tuple per ConstraintId."""
-    # tolist gives Python floats and bools, so neither reports nor documents hold numpy scalars.
-    return zip(ConstraintId, *(column[k].tolist() for column in table))
+def _reports(table, k: int) -> list[ConstraintReport]:
+    """State k's reports in an _Analysis table, one per ConstraintId; tolist gives them Python floats and bools."""
+    return list(map(ConstraintReport, ConstraintId, *(column[k].tolist() for column in table)))
 
 
 def _analysis_of(states, pairs) -> _Analysis:
@@ -195,7 +189,7 @@ def transference_sides(psi: PureState, c: ConstraintId, m: MeasurePair) -> tuple
 
 def check_transference(psi: PureState, m: MeasurePair, tol: float = SAT_TOL) -> list[ConstraintReport]:
     """All three constraint permutations for one measure pair."""
-    return [ConstraintReport(*row) for row in _rows(_analysis_of([psi], [m]).transference(m, tol), 0)]
+    return _reports(_analysis_of([psi], [m]).transference(m, tol), 0)
 
 
 def check_corollary(psi: PureState, m: MeasurePair, tol: float = SAT_TOL) -> list[ConstraintReport]:
@@ -206,7 +200,7 @@ def check_corollary(psi: PureState, m: MeasurePair, tol: float = SAT_TOL) -> lis
     constraints, so transference implies all of them, but they can hold on
     states where transference fails.
     """
-    return [ConstraintReport(*row) for row in _rows(_analysis_of([psi], [m]).corollary(m, tol), 0)]
+    return _reports(_analysis_of([psi], [m]).corollary(m, tol), 0)
 
 
 def xyl_closed_form(psi: PureState, c: ConstraintId, m: MeasurePair) -> XylTriple:
@@ -379,7 +373,8 @@ def random_parity_state(cls: ParityClass, rng: np.random.Generator) -> PureState
 
 def random_state(n_qubits: int, rng: np.random.Generator) -> PureState:
     n_qubits = _integer(n_qubits, "qubit count")
-    if n_qubits < 0:
-        raise ShapeError(f"qubit count must be nonnegative, got {n_qubits}")
+    if n_qubits < 1:
+        error = ShapeError if n_qubits < 0 else NotPowerOfTwoError  # 0 qubits is one amplitude, as state_from_amplitudes
+        raise error(f"qubit count must be positive, got {n_qubits}")
     _require_shapeable(n_qubits)
     return state_from_amplitudes(_unit_gaussian(rng.standard_normal((1, 2 << n_qubits)))[0])

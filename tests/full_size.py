@@ -1,9 +1,9 @@
 """The full-size checks, one function per CI step: tier-1 properties at the sizes users reach.
 
 Run one step from the repository root with PYTHONPATH=src python tests/full_size.py "<step name>", or every step, each
-in a fresh process (the memory bounds are per process), with no argument.  A numpy RuntimeWarning fails every step and
-every qrfkit process a step starts.  The checks are assert statements, so run without -O.  The references come from
-reference.py; pytest collects neither file.
+in a fresh process (the memory bounds are per process), with no argument.  A numpy RuntimeWarning or a
+DeprecationWarning fails every step and every qrfkit process a step starts.  The checks are assert statements, so run
+without -O.  The references come from reference.py; pytest collects neither file.
 """
 
 import filecmp
@@ -28,7 +28,7 @@ from reference import (ANALYSIS_FIELDS, R_MAX_TEXT, add_at_channel, analysis_wit
                        channel_deviation, check_channel_bytes, check_diagonal_kernels, dense_channel,
                        edge_density_stack, renormalised, stacked_draws, state_document, unit_amplitudes, unit_state)
 
-QRFKIT = [sys.executable, "-W", "error::RuntimeWarning", "-m", "qrfkit"]
+QRFKIT = [sys.executable, "-W", "error::RuntimeWarning", "-W", "error::DeprecationWarning", "-m", "qrfkit"]
 STEPS = {}
 
 
@@ -360,6 +360,7 @@ def main(argv):
     if len(argv) != 1 or argv[0] not in STEPS:
         sys.exit(f"usage: full_size.py [step name]; the steps are: {', '.join(map(repr, STEPS))}")
     warnings.simplefilter("error", RuntimeWarning)
+    warnings.simplefilter("error", DeprecationWarning)
     STEPS[argv[0]]()
 
 

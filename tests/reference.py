@@ -2,24 +2,86 @@
 
 Each reference computes what a qrfkit kernel computes with one numpy call per step and none of the kernel's private
 helpers, so the two are independent computations.  The perspective operator is Giacomini, Castro-Ruiz & Brukner's
-(Nat. Commun. 10, 494, 2019) for Z2; the measures are Baumgratz, Cramer & Plenio's (PRL 113, 140401, 2014).
+(Nat. Commun. 10, 494, 2019) for Z2; the measures are Baumgratz, Cramer & Plenio's (PRL 113, 140401, 2014).  The
+printed closed forms, the named states and the mutual-information landmarks are the paper's, after Fuentes-Schuller &
+Mann (PRL 95, 120404, 2005), each written here once with math; the closed forms take H2 from a scalar rule of their own.
 """
 
 import json
+import math
 
 import numpy as np
 
-from qrfkit import DensityMatrix, MeasurePair, ParityClass, assign_perspective, assign_perspective_channel, dephase
-from qrfkit import density_matrix, partial_trace, perspective_operator, purify_diagonal, random_parity_state
+from qrfkit import DensityMatrix, MeasurePair, ParityClass, Quantity, assign_perspective, assign_perspective_channel
+from qrfkit import dephase, density_matrix, partial_trace, perspective_operator, purify_diagonal, random_parity_state
 from qrfkit import state_from_amplitudes
 from qrfkit.measures import _coherences, _dephased_entropies, _linear_entropies
 from qrfkit.qstate import _dephased_spectra, clamped_eigenvalues
 from qrfkit.transference import _Analysis, _parity_amplitudes, _sample_draws
 
 ANALYSIS_FIELDS = ("persp_ent", "coh", "global_ent")
+RT2 = 1.0 / math.sqrt(2.0)
+BELL = [RT2, 0.0, 0.0, RT2]  # the Bell state (|00> + |11>) / sqrt(2)
 MI_PLATEAU = 0.6225562489182659  # (3/2) * (2 - log2(3)), the two-mode plateau of the mutual information
+# 2 * H2((1 + cos(pi/4)) / 2), where both perspectival mutual-information curves cross
+MI_CROSSING = 2.0 * (-(0.5 + 0.25 * math.sqrt(2.0)) * math.log2(0.5 + 0.25 * math.sqrt(2.0))
+                     - (0.5 - 0.25 * math.sqrt(2.0)) * math.log2(0.5 - 0.25 * math.sqrt(2.0)))
 R_MAX_TEXT = "0.7853981633974483"  # repr(math.pi / 4), the grid's upper bound
 WORKED = [0.5, 0.5, 0.5, 0.0, 0.0, 0.0, 0.0, 0.5]  # the paper's worked example, (|000> + |001> + |010> + |111>) / 2
+WORKED_FROM_1 = [RT2, 0.5, 0.0, 0.5]  # the worked example's amplitudes from qubit 1's perspective
+
+
+def scalar_binary_entropy(p):
+    """H2 of one float, written as a scalar rule."""
+    if p <= 0.0 or p >= 1.0:
+        return 0.0
+    return float(-p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p))
+
+
+def printed_curves(r, m):
+    """The six printed closed forms at one r under measure pair m, keyed by Quantity, written with math and H2."""
+    c2 = math.cos(r) ** 2
+    if m is MeasurePair.ENTROPY:
+        split = math.sqrt(7.0 + math.cos(4.0 * r)) / (2.0 * math.sqrt(2.0))
+        values = (scalar_binary_entropy((1.0 + split) / 2.0), scalar_binary_entropy((1.0 + math.cos(r)) / 2.0),
+                  scalar_binary_entropy((1.0 + math.sin(r)) / 2.0), scalar_binary_entropy((1.0 + c2) / 2.0),
+                  scalar_binary_entropy(c2 / 2.0), 1.0)
+    else:
+        s2 = math.sin(r) ** 2
+        values = (math.sin(2.0 * r) ** 2 / 8.0, s2 / 2.0, c2 / 2.0, (s2 / 2.0) * (1.0 + c2), c2 * (1.0 - c2 / 2.0), 0.5)
+    return dict(zip((Quantity.E_PERSP_A, Quantity.E_PERSP_R, Quantity.E_PERSP_RBAR, Quantity.E_RBAR_AR,
+                     Quantity.E_R_ARBAR, Quantity.E_A_RRBAR), values))
+
+
+def sep_counterexample():
+    """|0>|+>|+>: it satisfies every corollary and violates transference by exactly 1."""
+    return state_from_amplitudes([0.5, 0.5, 0.5, 0.5, 0, 0, 0, 0])
+
+
+def ghz(g):
+    """The GHZ family g|000> + sqrt(1 - g^2)|111>, which violates every transference constraint for 0 < g < 1."""
+    return state_from_amplitudes([g, 0, 0, 0, 0, 0, 0, math.sqrt(1 - g * g)])
+
+
+def odd_edge_state(q):
+    """The appendix-C edge family (e, q, -q, e, 0, 0, 0, 0) with e = sqrt(1/2 - q^2): only constraint C2 fails."""
+    e = math.sqrt(0.5 - q * q)
+    return state_from_amplitudes([e, q, -q, e, 0, 0, 0, 0])
+
+
+def sample_lines(count, seed, parity, pairs, reports_of):
+    """sample's lines as json.dumps writes each line's document, then the summary's: reports_of(i, m) gives state i's
+    constraint documents under measure pair m."""
+    lines, passes = [], {m.value: 0 for m in pairs}
+    for i in range(count):
+        for m in pairs:
+            constraints = reports_of(i, m)
+            ok = all(c["satisfied"] for c in constraints)
+            passes[m.value] += ok
+            lines.append(json.dumps({"index": i, "parity": parity, "measure_pair": m.value,
+                                     "constraints": constraints, "all_satisfied": ok}))
+    lines.append(json.dumps({"summary": {"count": count, "parity": parity, "seed": seed, "pass": passes}}))
+    return lines
 
 
 def unit_amplitudes(n, rng):

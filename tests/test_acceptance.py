@@ -7,7 +7,6 @@ test if its assertions do not hold.
 
 import functools
 import json
-import math
 import time
 
 import numpy as np
@@ -28,7 +27,6 @@ from qrfkit import (
     random_parity_state,
     random_state,
     reconstruct_from_xyl,
-    state_from_amplitudes,
     sweep,
     transference_sides,
     xyl_closed_form,
@@ -36,9 +34,9 @@ from qrfkit import (
 )
 from qrfkit.cli import main
 from qrfkit.rindler import R_MAX, oracle_coherence
-from reference import WORKED, channel_deviation, state_document
+from reference import (MI_CROSSING, MI_PLATEAU, RT2, WORKED, WORKED_FROM_1, channel_deviation, ghz, odd_edge_state,
+                       sep_counterexample, state_document)
 
-RT2 = 1.0 / math.sqrt(2.0)
 GRID = np.linspace(0.0, R_MAX, 201)
 
 
@@ -68,7 +66,7 @@ def test_criterion_01_worked_example_via_cli(tmp_path):
     assert code == 0
     doc = json.loads(out.read_text(encoding="utf-8"))
     got = np.array([complex(re, im) for re, im in doc["amplitudes"]])
-    expect = np.array([RT2, 0.5, 0.0, 0.5])
+    expect = np.array(WORKED_FROM_1)
     assert np.max(np.abs(got - expect)) <= 1e-12
     assert elapsed < 1.0
 
@@ -94,15 +92,13 @@ def test_criterion_03_parity_transference():
                     assert rep.residual <= 1e-9
 
     for g in (0.3, 0.6, RT2, 0.9):
-        amps = [0.0] * 8
-        amps[0], amps[7] = g, math.sqrt(1.0 - g * g)
-        psi = state_from_amplitudes(amps)
+        psi = ghz(g)
         for m in MeasurePair:
             for rep in check_transference(psi, m):
                 assert not rep.satisfied
                 assert rep.residual > 1e-3
 
-    sep = state_from_amplitudes([0.5, 0.5, 0.5, 0.5, 0, 0, 0, 0])
+    sep = sep_counterexample()
     for m in MeasurePair:
         assert all(rep.satisfied for rep in check_corollary(sep, m))
     lhs, rhs = transference_sides(sep, ConstraintId.C1, MeasurePair.ENTROPY)
@@ -112,8 +108,7 @@ def test_criterion_03_parity_transference():
 @criterion(4)
 def test_criterion_04_partial_solution_family():
     for q in (0.1, 0.3, 0.5):
-        edge = math.sqrt(0.5 - q * q)
-        psi = state_from_amplitudes([edge, q, -q, edge, 0, 0, 0, 0])
+        psi = odd_edge_state(q)
         for m in MeasurePair:
             reps = {rep.constraint: rep for rep in check_transference(psi, m)}
             assert reps[ConstraintId.C1].residual <= 1e-9
@@ -161,14 +156,10 @@ def test_criterion_08_mutual_information():
 
     assert abs(curves[0].mi_a_r - 2.0) <= 1e-12
 
-    plateau = 1.5 * (2.0 - math.log2(3.0))
-    assert abs(curves[-1].mi_r_rbar - plateau) <= 1e-6
+    assert abs(curves[-1].mi_r_rbar - MI_PLATEAU) <= 1e-6
 
-    hi = 0.5 + 1.0 / (2.0 * math.sqrt(2.0))
-    lo = 0.5 - 1.0 / (2.0 * math.sqrt(2.0))
-    crossing = -(1.0 + RT2) * math.log2(hi) - (1.0 - RT2) * math.log2(lo)
-    assert abs(curves[-1].mi_persp_r - crossing) <= 1e-4
-    assert abs(curves[-1].mi_persp_rbar - crossing) <= 1e-4
+    assert abs(curves[-1].mi_persp_r - MI_CROSSING) <= 1e-4
+    assert abs(curves[-1].mi_persp_rbar - MI_CROSSING) <= 1e-4
     assert abs(curves[-1].mi_persp_r - curves[-1].mi_persp_rbar) <= 1e-12
 
     for a, b in zip(curves, curves[1:]):

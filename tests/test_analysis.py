@@ -5,8 +5,8 @@ one analysis of a stack of 3-qubit states or grid points.  Each test here
 compares that path with a reference built on the same machine from the
 public per-call primitives or from one-state stacks, so the equalities are
 exact (==) on any CPU.  The rindler closed forms are checked against the
-printed formulas written out here one quantity at a time, independent of
-the curve table that the sweep and the public closed-form functions share.
+printed formulas written out in reference.py, independent of the curve
+table that the sweep and the public closed-form functions share.
 """
 
 import json
@@ -24,7 +24,6 @@ from qrfkit import (
     Quantity,
     SweepRecord,
     assign_perspective,
-    binary_entropy,
     check_corollary,
     check_transference,
     closed_form_coherence,
@@ -42,8 +41,8 @@ from qrfkit import (
 from qrfkit import perspective
 from qrfkit.cli import main
 from qrfkit.rindler import GLOBAL_QUANTITY, PERSP_QUANTITY, R_MAX
-from qrfkit.transference import _Analysis, _analysis_of, _rows, oracle_coherence, perspectival_side
-from reference import analysis_with_mutual_information
+from qrfkit.transference import _Analysis, _analysis_of, _reports, oracle_coherence, perspectival_side
+from reference import analysis_with_mutual_information, ghz, printed_curves
 
 PAIRS = list(MeasurePair)
 
@@ -56,7 +55,7 @@ def analysed_states():
     plus = np.array([1.0, 1.0]) / math.sqrt(2.0)
     tilted = np.array([math.cos(0.4), 1j * math.sin(0.4)])
     states.append(state_from_amplitudes(np.kron(np.kron(plus, tilted), [0.6, 0.8])))
-    states.append(state_from_amplitudes([0.6, 0, 0, 0, 0, 0, 0, 0.8]))
+    states.append(ghz(0.6))
     return states
 
 
@@ -109,34 +108,8 @@ def test_mutual_information_flag_leaves_the_constraint_fields_unchanged():
 
 
 def reference_entanglement(r, quantity, m):
-    """The printed closed forms one quantity at a time, independent of rindler's curve table."""
-    r = min(r, R_MAX)
-    c2 = math.cos(r) ** 2
-    s2 = math.sin(r) ** 2
-    if m is MeasurePair.ENTROPY:
-        if quantity is Quantity.E_PERSP_A:
-            split = math.sqrt(7.0 + math.cos(4.0 * r)) / (2.0 * math.sqrt(2.0))
-            return binary_entropy((1.0 + split) / 2.0)
-        if quantity is Quantity.E_PERSP_R:
-            return binary_entropy((1.0 + math.cos(r)) / 2.0)
-        if quantity is Quantity.E_PERSP_RBAR:
-            return binary_entropy((1.0 + math.sin(r)) / 2.0)
-        if quantity is Quantity.E_RBAR_AR:
-            return binary_entropy((1.0 + c2) / 2.0)
-        if quantity is Quantity.E_R_ARBAR:
-            return binary_entropy(c2 / 2.0)
-        return 1.0
-    if quantity is Quantity.E_PERSP_A:
-        return math.sin(2.0 * r) ** 2 / 8.0
-    if quantity is Quantity.E_PERSP_R:
-        return s2 / 2.0
-    if quantity is Quantity.E_PERSP_RBAR:
-        return c2 / 2.0
-    if quantity is Quantity.E_RBAR_AR:
-        return (s2 / 2.0) * (1.0 + c2)
-    if quantity is Quantity.E_R_ARBAR:
-        return c2 * (1.0 - c2 / 2.0)
-    return 0.5
+    """The printed closed form of one quantity, at r clamped to the domain's end as the sweep clamps it."""
+    return printed_curves(min(r, R_MAX), m)[quantity]
 
 
 OBSERVERS = list(ObserverLabel)
@@ -250,8 +223,7 @@ def test_stack_equals_one_state_stacks():
     for k in range(3):
         tilted = np.array([math.cos(0.3 * k), 1j * math.sin(0.3 * k)])
         states.append(state_from_amplitudes(np.kron(np.kron(plus, tilted), [0.6, 0.8])))
-        g = 0.2 + 0.3 * k
-        states.append(state_from_amplitudes([g, 0, 0, 0, 0, 0, 0, math.sqrt(1.0 - g * g)]))
+        states.append(ghz(0.2 + 0.3 * k))
     order = rng.permutation(len(states))
     states = [states[i] for i in order]
     stack = _analysis_of(states, PAIRS)
@@ -262,8 +234,8 @@ def test_stack_equals_one_state_stacks():
             assert (stack.persp_ent[m][:, k] == one.persp_ent[m][:, 0]).all()
             assert (stack.coh[m][:, :, k] == one.coh[m][:, :, 0]).all()
             assert (stack.global_ent[m][:, k] == one.global_ent[m][:, 0]).all()
-            assert list(_rows(tables[m][0], k)) == list(_rows(one.transference(m, 1e-9), 0))
-            assert list(_rows(tables[m][1], k)) == list(_rows(one.corollary(m, 1e-9), 0))
+            assert _reports(tables[m][0], k) == _reports(one.transference(m, 1e-9), 0)
+            assert _reports(tables[m][1], k) == _reports(one.corollary(m, 1e-9), 0)
 
 
 @pytest.fixture

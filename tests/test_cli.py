@@ -29,9 +29,8 @@ from qrfkit import (
 )
 from qrfkit.cli import main
 from qrfkit.rindler import CSV_COLUMNS
-from reference import MI_PLATEAU, R_MAX_TEXT, WORKED, stacked_draws, state_document
-
-RT2 = 1.0 / math.sqrt(2.0)
+from reference import BELL, MI_PLATEAU, R_MAX_TEXT, RT2, WORKED, WORKED_FROM_1, sample_lines, stacked_draws
+from reference import state_document
 
 
 def write_state(path, amps):
@@ -48,7 +47,7 @@ def test_perspective_worked_example(capsys, tmp_path):
     assert doc["n_qubits"] == 2
     assert doc["perspective_of"] == 1
     got = [complex(re, im) for re, im in doc["amplitudes"]]
-    np.testing.assert_allclose(got, [RT2, 0.5, 0.0, 0.5], atol=1e-12)
+    np.testing.assert_allclose(got, WORKED_FROM_1, atol=1e-12)
 
 
 def test_perspective_alias_labels(capsys):
@@ -252,16 +251,9 @@ def test_sample_lines_equal_the_scalar_checks(capsys, parity, measures):
     assert err == ""
     cls = {"even": ParityClass.EVEN, "odd": ParityClass.ODD, "neither": ParityClass.NEITHER}[parity]
     pairs = {"both": [MeasurePair.ENTROPY, MeasurePair.LINEAR], "linear": [MeasurePair.LINEAR]}[measures]
-    expected, passes = [], {m.value: 0 for m in pairs}
-    for i in range(count):
-        psi = random_parity_state(cls, np.random.default_rng([seed, i]))
-        for m in pairs:
-            reports = check_transference(psi, m, tol)
-            ok = all(r.satisfied for r in reports)
-            passes[m.value] += ok
-            expected.append(json.dumps({"index": i, "parity": parity, "measure_pair": m.value,
-                                        "constraints": [r.to_dict() for r in reports], "all_satisfied": ok}))
-    expected.append(json.dumps({"summary": {"count": count, "parity": parity, "seed": seed, "pass": passes}}))
+    states = [random_parity_state(cls, np.random.default_rng([seed, i])) for i in range(count)]
+    expected = sample_lines(count, seed, parity, pairs,
+                            lambda i, m: [r.to_dict() for r in check_transference(states[i], m, tol)])
     assert out.splitlines() == expected
 
 
@@ -405,7 +397,7 @@ STATE_FILES = {
     "huge.json": json.dumps({"n_qubits": 1, "amplitudes": [[1e308, 0.0], [1e308, 0.0]]}),
     "frac.json": json.dumps({"n_qubits": 2.5, "amplitudes": [[1.0, 0.0]] + [[0.0, 0.0]] * 3}),
     "bool.json": '{"n_qubits": 1, "amplitudes": [[true, false], [false, false]]}',
-    "bell.json": json.dumps({"n_qubits": 2, "amplitudes": [[RT2, 0.0], [0.0, 0.0], [0.0, 0.0], [RT2, 0.0]]}),
+    "bell.json": state_document(BELL),
     "zero.json": json.dumps({"n_qubits": 2, "amplitudes": [[0.0, 0.0]] * 4}),
     "inf.json": json.dumps({"n_qubits": 1, "amplitudes": [[math.inf, 0.0], [0.0, 0.0]]}),
     "neginf.json": json.dumps({"n_qubits": 1, "amplitudes": [[0.0, -math.inf], [0.0, 0.0]]}),
@@ -657,7 +649,7 @@ STATE_MUTATIONS = [
 # Valid documents the mutations start from: a 2-qubit Bell state, a random complex
 # 3-qubit state, and a 3-qubit perspectival output carrying "perspective_of".
 VALID_STATE_DOCS = [
-    {"n_qubits": 2, "amplitudes": [[RT2, 0.0], [0.0, 0.0], [0.0, 0.0], [RT2, 0.0]]},
+    json.loads(state_document(BELL)),
     json.loads(state_to_json(state_from_amplitudes(np.array([3, -1j, 2 + 1j, 1 + 1j, 1 + 1j, -2, 1j, 1]) / 5))),
     json.loads(state_to_json(assign_perspective(state_from_amplitudes([0.25] * 16), 0), perspective_of=0)),
 ]

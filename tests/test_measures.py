@@ -38,9 +38,7 @@ from qrfkit.measures import _entropies
 from qrfkit.rindler import sweep_to_dicts
 from qrfkit.transference import perspectival_side
 from qrfkit.qstate import PureState, clamped_eigenvalues
-from reference import MI_PLATEAU, check_diagonal_kernels, edge_density_stack, unit_state
-
-RT2 = 1.0 / math.sqrt(2.0)
+from reference import BELL, MI_PLATEAU, RT2, check_diagonal_kernels, edge_density_stack, unit_state
 
 # binary entropy of 1/4, frozen from an independent evaluation of
 # -(p log2 p + (1-p) log2 (1-p))
@@ -75,7 +73,7 @@ def test_binary_entropy_nan_is_a_numeric_error():
 
 
 def test_von_neumann_entropy_examples():
-    pure = density_matrix(state_from_amplitudes([RT2, 0.0, 0.0, RT2]))
+    pure = density_matrix(state_from_amplitudes(BELL))
     assert abs(von_neumann_entropy(pure)) <= 1e-12
     assert abs(von_neumann_entropy(diag_density([0.5, 0.5])) - 1.0) <= 1e-12
     got = von_neumann_entropy(diag_density([0.25, 0.75]))
@@ -126,13 +124,13 @@ def test_measures_reject_non_finite_matrices_under_both_pairs(pair):
 
 
 def test_linear_entropy_examples():
-    pure = density_matrix(state_from_amplitudes([RT2, 0.0, 0.0, RT2]))
+    pure = density_matrix(state_from_amplitudes(BELL))
     assert abs(linear_entropy(pure)) <= 1e-12
     assert abs(linear_entropy(diag_density([0.5, 0.5])) - 0.5) <= 1e-12
 
 
 def test_entanglement_bell():
-    bell = state_from_amplitudes([RT2, 0.0, 0.0, RT2])
+    bell = state_from_amplitudes(BELL)
     assert abs(entanglement(bell, [0], MeasurePair.ENTROPY) - 1.0) <= 1e-12
     assert abs(entanglement(bell, [0], MeasurePair.LINEAR) - 0.5) <= 1e-12
 
@@ -160,7 +158,7 @@ def test_entanglement_side_symmetry():
 
 
 def test_entanglement_bad_partition():
-    bell = state_from_amplitudes([RT2, 0.0, 0.0, RT2])
+    bell = state_from_amplitudes(BELL)
     with pytest.raises(InvalidBipartitionError):
         entanglement(bell, [])
     with pytest.raises(InvalidBipartitionError):
@@ -223,7 +221,7 @@ def test_mutual_information_product():
 
 
 def test_mutual_information_bell():
-    bell = density_matrix(state_from_amplitudes([RT2, 0.0, 0.0, RT2]))
+    bell = density_matrix(state_from_amplitudes(BELL))
     assert abs(mutual_information(bell, [0], [1]) - 2.0) <= 1e-12
 
 
@@ -258,14 +256,14 @@ def test_mutual_information_plateau_value():
 
 
 def test_mutual_information_overlap_rejected():
-    bell = density_matrix(state_from_amplitudes([RT2, 0.0, 0.0, RT2]))
+    bell = density_matrix(state_from_amplitudes(BELL))
     with pytest.raises(InvalidBipartitionError):
         mutual_information(bell, [0], [0, 1])
 
 
 def test_qubit_blocks_must_hold_integers():
     # A float index is refused rather than read as some other qubit.
-    bell = state_from_amplitudes([RT2, 0.0, 0.0, RT2])
+    bell = state_from_amplitudes(BELL)
     rho = density_matrix(bell)
     for bad in ([0.5], [1.0], ["0"]):
         with pytest.raises(ShapeError, match="is not an integer"):

@@ -39,17 +39,15 @@ from qrfkit.errors import (
 from qrfkit.perspective import _controlled_flip
 from qrfkit.qstate import DensityMatrix, PureState, clamped_eigenvalues, density_matrix
 from qrfkit.transference import oracle_coherence
-from reference import add_at_channel, channel_deviation, check_channel_bytes, dense_channel, flip_merge, unit_state
-from reference import where_flip
-
-RT2 = 1.0 / math.sqrt(2.0)
+from reference import BELL, RT2, WORKED, WORKED_FROM_1, add_at_channel, channel_deviation, check_channel_bytes
+from reference import dense_channel, flip_merge, unit_state, where_flip
 
 
 def test_assignment_worked_example():
     """Three-qubit state with known two-qubit reduction for each observer."""
-    s = state_from_amplitudes([0.5, 0.5, 0.5, 0.0, 0.0, 0.0, 0.0, 0.5])
+    s = state_from_amplitudes(WORKED)
     out = assign_perspective(s, 1)
-    np.testing.assert_allclose(out.amplitudes, [RT2, 0.5, 0.0, 0.5], atol=1e-12)
+    np.testing.assert_allclose(out.amplitudes, WORKED_FROM_1, atol=1e-12)
     out = assign_perspective(s, 0)
     np.testing.assert_allclose(out.amplitudes, [RT2, 0.5, 0.5, 0.0], atol=1e-12)
     out = assign_perspective(s, 2)
@@ -65,7 +63,7 @@ def test_assignment_merges_flipped_pairs():
 
 
 def test_assignment_two_qubits():
-    bell = state_from_amplitudes([RT2, 0.0, 0.0, RT2])
+    bell = state_from_amplitudes(BELL)
     out = assign_perspective(bell, 0)
     np.testing.assert_allclose(out.amplitudes, [1.0, 0.0], atol=1e-12)
 
@@ -97,7 +95,7 @@ def test_assignment_rejects_small_registers():
     one = state_from_amplitudes([1.0, 0.0])
     with pytest.raises(TooFewQubitsError):
         assign_perspective(one, 0)
-    s = state_from_amplitudes([RT2, 0.0, 0.0, RT2])
+    s = state_from_amplitudes(BELL)
     with pytest.raises(ShapeError):
         assign_perspective(s, 2)
     with pytest.raises(ShapeError):
@@ -136,7 +134,7 @@ def test_perspective_operator_middle_target():
 
 
 def test_channel_matches_direct_assignment_on_examples():
-    s = state_from_amplitudes([0.5, 0.5, 0.5, 0.0, 0.0, 0.0, 0.0, 0.5])
+    s = state_from_amplitudes(WORKED)
     for p in range(3):
         assert channel_deviation(s, p) <= 1e-12
 
@@ -411,7 +409,7 @@ def test_qrf_transform_applies_matrix():
 
 def test_qrf_transform_dimension_check():
     op = z2_operator(4, 0, 1)
-    s = state_from_amplitudes([RT2, 0.0, 0.0, RT2])
+    s = state_from_amplitudes(BELL)
     with pytest.raises(DimensionMismatchError):
         qrf_transform(op, s)
     # The operator type holds the state types' size rule: an 8 x 8 matrix is not a 2-qubit operator.

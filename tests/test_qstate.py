@@ -29,9 +29,7 @@ from qrfkit.errors import (
     NumericError,
 )
 from qrfkit.qstate import _UNIT_NORM_BAND, _norms, _renormalised, _renormalised_rows, clamped_eigenvalues
-from reference import renormalised, state_document, unit_amplitudes, unit_state
-
-RT2 = 1.0 / math.sqrt(2.0)
+from reference import BELL, RT2, WORKED, renormalised, state_document, unit_amplitudes, unit_state
 
 
 def test_state_from_amplitudes_basic():
@@ -107,7 +105,7 @@ def test_near_unit_norm_is_not_rescaled():
 
 
 def test_density_matrix_worked_example():
-    s = state_from_amplitudes([0.5, 0.5, 0.5, 0.0, 0.0, 0.0, 0.0, 0.5])
+    s = state_from_amplitudes(WORKED)
     rho = density_matrix(s)
     assert rho.dim == 8
     assert rho.n_qubits == 3
@@ -132,7 +130,7 @@ def test_density_matrix_properties():
 
 
 def test_partial_trace_bell():
-    bell = state_from_amplitudes([RT2, 0.0, 0.0, RT2])
+    bell = state_from_amplitudes(BELL)
     red = partial_trace(density_matrix(bell), [0])
     np.testing.assert_allclose(red.entries, 0.5 * np.eye(2), atol=1e-12)
     red = partial_trace(density_matrix(bell), [1])

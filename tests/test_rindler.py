@@ -38,14 +38,10 @@ from qrfkit.rindler import (
     oracle_coherence,
     sweep_to_dicts,
 )
-from reference import MI_PLATEAU
+from reference import MI_CROSSING, MI_PLATEAU, RT2, printed_curves
 
-RT2 = 1.0 / math.sqrt(2.0)
 # atan(exp(-pi)) evaluated independently
 R_AT_UNIT_RATIO = 0.352513421777619
-# 2 * H2((1 + cos(pi/4)) / 2), where both perspectival curves cross
-MI_CROSSING = 2.0 * (-(0.5 + 0.25 * math.sqrt(2.0)) * math.log2(0.5 + 0.25 * math.sqrt(2.0))
-                     - (0.5 - 0.25 * math.sqrt(2.0)) * math.log2(0.5 - 0.25 * math.sqrt(2.0)))
 
 
 def grid(count):
@@ -406,31 +402,11 @@ def test_sweep_blocks_equal_one_whole_grid_block(monkeypatch, capsys, count):
         assert blocked == whole
 
 
-def scalar_binary_entropy(p):
-    """H2 of one float, written as a scalar rule."""
-    if p <= 0.0 or p >= 1.0:
-        return 0.0
-    return float(-p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p))
-
-
-def scalar_curves(r, m):
-    """The six closed forms at one r, written per point with math and scalar H2: the reference for the column table."""
-    c2 = math.cos(r) ** 2
-    if m is MeasurePair.ENTROPY:
-        split = math.sqrt(7.0 + math.cos(4.0 * r)) / (2.0 * math.sqrt(2.0))
-        return (scalar_binary_entropy((1.0 + split) / 2.0), scalar_binary_entropy((1.0 + math.cos(r)) / 2.0),
-                scalar_binary_entropy((1.0 + math.sin(r)) / 2.0), scalar_binary_entropy((1.0 + c2) / 2.0),
-                scalar_binary_entropy(c2 / 2.0), 1.0)
-    s2 = math.sin(r) ** 2
-    return (math.sin(2.0 * r) ** 2 / 8.0, s2 / 2.0, c2 / 2.0,
-            (s2 / 2.0) * (1.0 + c2), c2 * (1.0 - c2 / 2.0), 0.5)
-
-
 @pytest.mark.parametrize("count", [1, 201, 2001, 100_000])
 def test_closed_form_table_equals_scalar_formulas(count):
     points = np.linspace(0.0, R_MAX, count).tolist()
     for m in MeasurePair:
         table = rindler._curves(points, m)
         assert table.shape == (count, 6)
-        expect = np.array([scalar_curves(r, m) for r in points])
+        expect = np.array([[curves[q] for q in Quantity] for curves in (printed_curves(r, m) for r in points)])
         assert np.array_equal(table.view(np.int64), expect.view(np.int64)), m

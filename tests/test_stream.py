@@ -4,8 +4,9 @@ Every runner returns its output as text pieces only after every check has
 passed, and `main` writes the pieces to stdout or --out as they are formatted,
 _ROW_BLOCK rows at a time.  These tests pin that a failing run leaves stdout
 empty and an existing --out file untouched, that --out gets exactly the bytes of
-stdout across the row-block seams, and that a reader closing stdout early gets
-the documented I/O exit instead of a traceback.
+stdout across the row-block seams, that a reader closing stdout early gets
+the documented I/O exit instead of a traceback, and that a closed or unwritable
+stderr loses the error line but not the exit code.
 """
 
 import json
@@ -19,6 +20,7 @@ import pytest
 
 from conftest import run
 from qrfkit import MeasurePair, ParityClass, qstate, random_parity_state, rindler, transference
+from qrfkit.cli import main
 from qrfkit.errors import NumericError
 from reference import R_MAX_TEXT
 
@@ -141,3 +143,28 @@ def test_stdout_closed_before_any_output_is_an_io_error():
     lines = proc.stderr.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "io"
+
+
+def test_stderr_closed_at_start_keeps_the_exit_code():
+    # Started with file descriptor 2 closed, Python sets sys.stderr to None; writing the error line to it once exited 1.
+    proc = subprocess.run([sys.executable, "-m", "qrfkit", "check", "--state", "nope"], stdout=subprocess.PIPE,
+                          timeout=60, preexec_fn=lambda: os.close(2))
+    assert (proc.returncode, proc.stdout) == (2, b"")
+
+
+def test_stdout_and_stderr_closed_at_start_keep_the_exit_code():
+    proc = subprocess.run([sys.executable, "-m", "qrfkit", "check", "--state", "rindler:0.3"], timeout=60,
+                          preexec_fn=lambda: (os.close(1), os.close(2)))
+    assert proc.returncode == 2
+
+
+class UnwritableStream:
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("stderr", [None, UnwritableStream()], ids=["closed", "unwritable"])
+def test_failing_stderr_keeps_the_exit_code(monkeypatch, stderr):
+    monkeypatch.setattr(sys, "stderr", stderr)
+    assert main(["check", "--state", "nope"]) == 2
+    assert main(["sweep", "--grid", "0:9:2"]) == 4

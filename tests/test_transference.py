@@ -7,8 +7,8 @@ from qrfkit import (
     ConstraintId,
     MeasurePair,
     ParityClass,
+    Quantity,
     assign_perspective,
-    binary_entropy,
     check_corollary,
     check_transference,
     condition_check,
@@ -24,22 +24,8 @@ from qrfkit import (
 )
 from qrfkit.errors import DomainError, NotPowerOfTwoError, ShapeError, UnknownQuantityError, WrongQubitCountError
 from qrfkit.transference import _analysis_of, perspectival_side
+from reference import BELL, RT2, ghz, odd_edge_state, printed_curves, scalar_binary_entropy, sep_counterexample
 from reference import unit_amplitudes
-
-RT2 = 1.0 / math.sqrt(2.0)
-
-
-def sep_counterexample():
-    return state_from_amplitudes([0.5, 0.5, 0.5, 0.5, 0, 0, 0, 0])
-
-
-def ghz(g):
-    return state_from_amplitudes([g, 0, 0, 0, 0, 0, 0, math.sqrt(1 - g * g)])
-
-
-def odd_edge_state(q):
-    e = math.sqrt(0.5 - q * q)
-    return state_from_amplitudes([e, q, -q, e, 0, 0, 0, 0])
 
 
 def test_parity_class_examples():
@@ -55,7 +41,7 @@ def test_parity_class_examples():
 
 
 def test_parity_class_requires_three_qubits():
-    bell = state_from_amplitudes([RT2, 0, 0, RT2])
+    bell = state_from_amplitudes(BELL)
     with pytest.raises(WrongQubitCountError):
         parity_class(bell)
     with pytest.raises(WrongQubitCountError):
@@ -67,7 +53,7 @@ def test_transference_sides_on_degradation_family():
     for r in (0.0, 0.3, 0.6, math.pi / 4):
         s = global_state(r)
         lhs, rhs = transference_sides(s, ConstraintId.C1, MeasurePair.ENTROPY)
-        expect = binary_entropy((1.0 + math.cos(r) ** 2) / 2.0)
+        expect = printed_curves(r, MeasurePair.ENTROPY)[Quantity.E_RBAR_AR]
         assert abs(lhs - rhs) <= 1e-12
         assert abs(rhs - expect) <= 1e-12
 
@@ -151,7 +137,8 @@ def test_product_states_satisfy_corollaries_but_not_transference():
 DEGENERATE_STATES = {
     "uniform-even": ([0.5, 0, 0, 0.5, 0, 0.5, 0.5, 0], 1.0, 0.5),
     "uniform-odd": ([0, 0.5, 0.5, 0, 0.5, 0, 0, 0.5], 1.0, 0.5),
-    "w-even": ([0, 0, 0, 1 / math.sqrt(3), 0, 1 / math.sqrt(3), 1 / math.sqrt(3), 0], binary_entropy(1 / 3), 4 / 9),
+    "w-even": ([0, 0, 0, 1 / math.sqrt(3), 0, 1 / math.sqrt(3), 1 / math.sqrt(3), 0], scalar_binary_entropy(1 / 3),
+               4 / 9),
 }
 
 
@@ -170,7 +157,7 @@ def test_ghz_family_violates():
     for g in (0.3, 0.6, RT2, 0.9):
         s = ghz(g)
         expect = {
-            MeasurePair.ENTROPY: binary_entropy(g * g),
+            MeasurePair.ENTROPY: scalar_binary_entropy(g * g),
             MeasurePair.LINEAR: 2.0 * g * g * (1.0 - g * g),
         }
         for m in MeasurePair:
@@ -184,7 +171,7 @@ def test_odd_edge_family_fails_only_middle_constraint():
     for q in (0.1, 0.3, 0.5):
         s = odd_edge_state(q)
         expect = {
-            MeasurePair.ENTROPY: binary_entropy(2.0 * q * q),
+            MeasurePair.ENTROPY: scalar_binary_entropy(2.0 * q * q),
             MeasurePair.LINEAR: 4.0 * q * q - 8.0 * q ** 4,
         }
         for m in MeasurePair:
@@ -349,7 +336,7 @@ def test_random_parity_state_refuses_a_non_member_before_drawing(cls):
 
 
 # 59 qubits and up need 16 * 2**n bytes past the largest size numpy can shape: a ShapeError, before any allocation.
-@pytest.mark.parametrize("n_qubits", [-1, -64, 2.5, 3.0, "3", None, 59, 62, 64, 100])
+@pytest.mark.parametrize("n_qubits", [0, -1, -64, 2.5, 3.0, "3", None, 59, 62, 64, 100])
 def test_random_state_refuses_a_bad_qubit_count_before_drawing(n_qubits):
     rng = np.random.default_rng(53)
     before = rng.bit_generator.state

@@ -18,8 +18,8 @@ from qrfkit import ParityClass, qstate, random_parity_state, sweep, transference
 from qrfkit.cli import parse_grid, parse_measures
 from qrfkit.errors import NumericError
 from qrfkit.rindler import sweep_to_dicts
-from qrfkit.transference import _analysis_of, _report_dict, _rows
-from reference import R_MAX_TEXT
+from qrfkit.transference import _analysis_of, _reports
+from reference import R_MAX_TEXT, sample_lines
 
 
 def sample_text(count, seed, parity, measures, tol):
@@ -29,15 +29,7 @@ def sample_text(count, seed, parity, measures, tol):
     pairs = parse_measures(measures)
     analysis = _analysis_of(states, pairs)
     tables = {m: analysis.transference(m, tol) for m in pairs}
-    lines, passes = [], {m.value: 0 for m in pairs}
-    for i in range(count):
-        for m in pairs:
-            constraints = [_report_dict(*row) for row in _rows(tables[m], i)]
-            ok = all(c["satisfied"] for c in constraints)
-            passes[m.value] += ok
-            lines.append(json.dumps({"index": i, "parity": parity, "measure_pair": m.value,
-                                     "constraints": constraints, "all_satisfied": ok}))
-    lines.append(json.dumps({"summary": {"count": count, "parity": parity, "seed": seed, "pass": passes}}))
+    lines = sample_lines(count, seed, parity, pairs, lambda i, m: [r.to_dict() for r in _reports(tables[m], i)])
     return "\n".join(lines) + "\n"
 
 
