@@ -32,7 +32,7 @@ from .errors import DomainError, GridError, IoError, NumericError, QrfError, Sha
 from .measures import MeasurePair
 from .perspective import assign_perspective
 from .qstate import PureState, _by_block, _dumps, _fill_rows, _nonfinite_refused, _row_template, state_from_amplitudes
-from .qstate import state_from_json, state_to_json
+from .qstate import _MALFORMED, state_from_json, state_to_json
 from .transference import ConstraintId, ConstraintReport, ParityClass, _analysis_of, _reports, _sample_block
 from .transference import parity_class
 
@@ -160,7 +160,7 @@ def load_state(spec: str, tol: float) -> PureState:
         raise IoError(f"cannot read state file {spec}: {e}") from e
     try:
         return state_from_json(text, tol=tol)
-    except (KeyError, OverflowError, RecursionError, TypeError, ValueError) as e:
+    except _MALFORMED as e:
         raise IoError(f"state file {spec} is not a valid state document: {e}") from e
 
 

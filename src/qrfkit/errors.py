@@ -107,7 +107,11 @@ def _check_target(n: int, p, what: str = "perspective target", error=ShapeError,
 
 
 def _check_tolerance(tol, what: str):
-    """tol, unless it is NaN or negative, which would pass or refuse every value: then DomainError."""
-    if not tol >= 0:
-        raise DomainError(f"{what} tolerance must be a nonnegative number, got {tol}")
+    """tol, unless it is NaN or negative, which would pass or refuse every value, or no number: then DomainError."""
+    try:
+        valid = bool(tol >= 0)
+    except (TypeError, ValueError):  # no order against 0 (a string, None, a complex), or no one truth value (an array)
+        valid = False
+    if not valid:
+        raise DomainError(f"{what} tolerance must be a nonnegative number, got {tol!r}")
     return tol

@@ -19,6 +19,7 @@ import functools
 import itertools
 import json
 import math
+import re
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -409,23 +410,79 @@ def state_to_json(psi: PureState, perspective_of: int | None = None) -> str:
     return "".join([head, next(rows, "")[2:], *rows, tail])
 
 
-def state_from_json(text: str, tol: float = NORM_TOL) -> PureState:
-    """Parse the JSON state format.  A malformed document raises ValueError, TypeError, KeyError or OverflowError."""
-    doc = json.loads(text)
-    pairs = doc["amplitudes"]
+# The layout state_to_json writes, which state_from_json reads a slice at a time: a head, the pair body, then the tail
+# and JSON whitespace only ([ \t\n\r], not \s, which also takes spaces json refuses).  Digit runs are ASCII and bounded.
+_CANONICAL_HEAD = re.compile(r'\{"n_qubits": (0|[1-9][0-9]{0,3}), "amplitudes": \[\[')
+_CANONICAL_TAIL = re.compile(r'\]\](, "perspective_of": (0|[1-9][0-9]{0,3}))?\}[ \t\n\r]*')
+# The exceptions a malformed state document raises out of state_from_json.
+_MALFORMED = (KeyError, OverflowError, RecursionError, TypeError, ValueError)
+
+
+def _float_parts(pairs) -> np.ndarray:
+    """The float64 parts of a list of [re, im] pairs, each as float() converts it; a pair of another length, or a part
+    that is not a JSON number, raises ValueError, and an integer past the float range OverflowError."""
     if not set(map(len, pairs)) <= {2}:
         raise ValueError("each amplitude must be a pair [re, im] of two JSON numbers")
     parts = list(itertools.chain.from_iterable(pairs))
     # float() and numpy take booleans as numbers, so only JSON numbers reach the conversion.
     if not set(map(type, parts)) <= _JSON_NUMBERS:
         raise ValueError("amplitude parts must be JSON numbers")
-    # Each part converts as float() converts it, so an integer past the float range raises OverflowError here.
     # np.fromiter converts a flat list in about half the time np.array takes.
-    amps = np.fromiter(parts, dtype=np.float64, count=len(parts)).view(np.complex128)
+    return np.fromiter(parts, dtype=np.float64, count=len(parts))
+
+
+def _canonical_parts(text) -> tuple[np.ndarray, int] | None:
+    """The float64 parts and declared qubit count of a document in state_to_json's layout, parsed a slice of the pair
+    body at a time, or None for any other input or any slice that does not parse into pairs of JSON numbers.
+
+    The body between the head's "[[" and the tail's "]]" is cut at a "], [" past a fixed character budget, and each
+    slice parsed as json.loads("[[" + slice + "]]"), so at most one slice's Python objects are alive at once.  This
+    is exact: if every "[[" + slice + "]]" parses as a list of pairs, the first pair opens right after its "[[" and the
+    last closes right before its "]]", so "[[" + body + "]]" parses as their concatenation.  The fixed head and tail
+    leave no room for another key or a duplicate, so the document is {"n_qubits": N, "amplitudes": that list} with
+    at most a "perspective_of" index, and the parts are those json.loads of the whole text gives.  Nothing is sized by
+    the declared count, so a head claiming 40 qubits over two pairs costs two pairs.
+    """
+    head = _CANONICAL_HEAD.match(text) if isinstance(text, str) else None  # bytes and bytearray are read whole
+    if head is None:
+        return None
+    stop = text.rfind("]]")
+    if stop < head.end() or not _CANONICAL_TAIL.fullmatch(text, stop):
+        return None
+    budget = 32 * _ROW_BLOCK  # characters: about _ROW_BLOCK pairs of repr floats
+    blocks, start = [], head.end()
+    try:
+        while start <= stop:
+            cut = text.find("], [", start + budget, stop)
+            end = stop if cut < 0 else cut
+            blocks.append(_float_parts(json.loads("[[" + text[start:end] + "]]")))
+            start = end + 4
+    except _MALFORMED:  # the whole-document reader raises the error
+        return None
+    return np.concatenate(blocks), int(head[1])
+
+
+def _whole_document_parts(text) -> tuple[np.ndarray, int | None]:
+    """The float64 parts and declared qubit count (None if absent) of any state document, parsed whole by json.loads;
+    a malformed document raises one of _MALFORMED."""
+    doc = json.loads(text)
+    parts = _float_parts(doc["amplitudes"])
     declared = doc.get("n_qubits")
     if "n_qubits" in doc and type(declared) is not int:
         raise ValueError(f"declared n_qubits {declared!r} is not an integer")
+    return parts, declared
+
+
+def state_from_json(text: str, tol: float = NORM_TOL) -> PureState:
+    """Parse the JSON state format.  A malformed document raises ValueError, TypeError, KeyError, OverflowError or
+    RecursionError.
+
+    A str in the layout state_to_json writes is read a slice of pairs at a time; any other input, and any such str
+    a slice of which fails, is read whole, which gives the same parts or raises the error.
+    """
+    parts, declared = _canonical_parts(text) or _whole_document_parts(text)
+    amps = parts.view(np.complex128)
     psi = state_from_amplitudes(amps, tol=tol)
-    if "n_qubits" in doc and declared != psi.n_qubits:
+    if declared is not None and declared != psi.n_qubits:
         raise NotPowerOfTwoError(f"declared n_qubits {declared} does not match {len(amps)} amplitudes")
     return psi

@@ -9,6 +9,7 @@ without -O.  The references come from reference.py; pytest collects neither file
 import filecmp
 import json
 import math
+import multiprocessing
 import os
 import resource
 import subprocess
@@ -347,6 +348,35 @@ def spectra_from_diagonals_at_a_full_block():
         for labels in ("kabc,kdbc->kad", "kbac,kbdc->kad", "kbca,kbcd->kad"):
             check_diagonal_kernels(np.einsum(labels, t, t.conj()))
         print(f"{name}: the one-qubit reductions of {len(amps)} states equal to the written-out rules")
+
+
+def write_unit_state(path, n, seed):
+    """Write unit_state(n, default_rng(seed))'s state_to_json document to path."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(state_to_json(unit_state(n, np.random.default_rng(seed))))
+
+
+@step("State input a block at a time at 20 qubits")
+def state_input_a_block_at_a_time_at_20_qubits():
+    """perspective reads a state file in state_to_json's layout a slice of pairs at a time, so no Python number per
+    amplitude part is alive at once.  A seeded 20-qubit document is written by a spawned process, so this one stays
+    small (a child's peak RSS counts its parent's); perspective on it, for the first and the last qubit, must exit 0
+    and peak below 160 MiB resident, and print exactly the library's perspective document."""
+    n, seed = 20, 2020
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "register.json")
+        writer = multiprocessing.get_context("spawn").Process(target=write_unit_state, args=(path, n, seed))
+        writer.start()
+        writer.join()
+        assert writer.exitcode == 0, f"writing the {n}-qubit document exited {writer.exitcode}"
+        outputs = {p: run_child(tmp, f"perspective-{p}.json", ["perspective", "--state", path, "--perspective", str(p)])
+                   for p in (0, n - 1)}
+        psi = unit_state(n, np.random.default_rng(seed))
+        for p, out in outputs.items():
+            with open(out, encoding="utf-8") as fh:
+                assert fh.read() == state_to_json(assign_perspective(psi, p), perspective_of=p) + "\n", (
+                    f"perspective {p} at {n} qubits differs from the library")
+            print(f"p={p}: output equal to the library")
 
 
 def main(argv):

@@ -7,6 +7,7 @@ printed closed forms, the named states and the mutual-information landmarks are 
 Mann (PRL 95, 120404, 2005), each written here once with math; the closed forms take H2 from a scalar rule of their own.
 """
 
+import itertools
 import json
 import math
 
@@ -15,6 +16,7 @@ import numpy as np
 from qrfkit import DensityMatrix, MeasurePair, ParityClass, Quantity, assign_perspective, assign_perspective_channel
 from qrfkit import dephase, density_matrix, partial_trace, perspective_operator, purify_diagonal, random_parity_state
 from qrfkit import state_from_amplitudes
+from qrfkit.errors import NotPowerOfTwoError
 from qrfkit.measures import _coherences, _dephased_entropies, _linear_entropies
 from qrfkit.qstate import _dephased_spectra, clamped_eigenvalues
 from qrfkit.transference import _Analysis, _parity_amplitudes, _sample_draws
@@ -99,6 +101,26 @@ def state_document(amps, **fields):
     """The state document json.dumps writes for amplitudes amps, as [float(re), float(im)] pairs, then fields."""
     pairs = [[float(a.real), float(a.imag)] for a in amps]
     return json.dumps({"n_qubits": len(amps).bit_length() - 1, "amplitudes": pairs, **fields})
+
+
+def whole_document_state(text, tol=1e-9):
+    """state_from_json's reading of a whole document written out: json.loads, each pair's length, each part's type,
+    float() of each part through np.fromiter, the declared count's type, state_from_amplitudes, then the count."""
+    doc = json.loads(text)
+    pairs = doc["amplitudes"]
+    if not set(map(len, pairs)) <= {2}:
+        raise ValueError("each amplitude must be a pair [re, im] of two JSON numbers")
+    parts = list(itertools.chain.from_iterable(pairs))
+    if not set(map(type, parts)) <= {int, float}:
+        raise ValueError("amplitude parts must be JSON numbers")
+    amps = np.fromiter(parts, dtype=np.float64, count=len(parts)).view(np.complex128)
+    declared = doc.get("n_qubits")
+    if "n_qubits" in doc and type(declared) is not int:
+        raise ValueError(f"declared n_qubits {declared!r} is not an integer")
+    psi = state_from_amplitudes(amps, tol=tol)
+    if "n_qubits" in doc and declared != psi.n_qubits:
+        raise NotPowerOfTwoError(f"declared n_qubits {declared} does not match {len(amps)} amplitudes")
+    return psi
 
 
 def renormalised(vec):

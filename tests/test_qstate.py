@@ -1,7 +1,10 @@
+import copy
 import json
 import math
 import sys
+import tracemalloc
 import warnings
+import zlib
 
 import numpy as np
 import pytest
@@ -29,7 +32,8 @@ from qrfkit.errors import (
     NumericError,
 )
 from qrfkit.qstate import _UNIT_NORM_BAND, _norms, _renormalised, _renormalised_rows, clamped_eigenvalues
-from reference import BELL, RT2, WORKED, renormalised, state_document, unit_amplitudes, unit_state
+from reference import BELL, RT2, WORKED, renormalised, state_document, unit_amplitudes, unit_state, whole_document_state
+from test_cli import STATE_MUTATIONS
 
 
 def test_state_from_amplitudes_basic():
@@ -242,8 +246,8 @@ def test_purify_diagonal_rejects_non_finite_entries():
 
 def test_purify_diagonal_refuses_nan_and_negative_tolerances():
     flat = DensityMatrix(2, np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex))
-    for tol in (math.nan, -1e-3, -math.inf):
-        with pytest.raises(DomainError):
+    for tol in (math.nan, -1e-3, -math.inf, "x", None, 1j, [1e-9], np.array([1e-9, 1.0])):
+        with pytest.raises(DomainError, match="diagonality tolerance must be a nonnegative number, got"):
             purify_diagonal(flat, tol)
     np.testing.assert_allclose(purify_diagonal(flat, math.inf).amplitudes, [RT2, RT2])
     np.testing.assert_allclose(purify_diagonal(flat, 0.5).amplitudes, [RT2, RT2])
@@ -407,6 +411,90 @@ def test_json_qubit_count_must_match():
         state_from_json(text)
 
 
+def _edge_document(n, rng):
+    """A unit state's document in state_to_json's layout with exact, negative and subnormal zeros and integer parts."""
+    amps = unit_amplitudes(n, rng)
+    amps[::5] = 0.0
+    amps.real[1::3] = -0.0
+    amps /= np.linalg.norm(amps)
+    amps.imag[::10] = 5e-324  # in place of zeros
+    pairs = [[float(a.real), float(a.imag)] for a in amps]
+    for pair in pairs[::4]:  # positive zeros as the integer 0
+        pair[:] = [0 if x == 0.0 and math.copysign(1.0, x) > 0 else x for x in pair]
+    return json.dumps({"n_qubits": n, "amplitudes": pairs})
+
+
+def _last_pair_as(text, pair):
+    """text with its last amplitude pair's text replaced by pair."""
+    head, _, tail = text.rpartition("], [")
+    return head + "], [" + pair + tail[tail.index("]"):]
+
+
+_DOC_12 = state_to_json(unit_state(12, np.random.default_rng(12)), perspective_of=3)
+# Documents in state_to_json's layout, each read a slice at a time at any block size.
+CANONICAL_DOCS = {
+    "n=1 integers": '{"n_qubits": 1, "amplitudes": [[1, 0], [0, -0.0]]}',
+    "n=1": _edge_document(1, np.random.default_rng(1)),
+    "n=3": _edge_document(3, np.random.default_rng(3)),
+    "n=12": _edge_document(12, np.random.default_rng(12)),
+    "perspective_of": _DOC_12,
+    "trailing newline": _DOC_12 + "\n",
+    "trailing JSON whitespace": _DOC_12 + " \t\r\n",
+    "40 qubits over two pairs": '{"n_qubits": 40, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}',
+}
+# Everything else the two readers must agree on, documents or errors.
+OTHER_DOCS = {
+    "trailing form feed": _DOC_12 + "\x0c",
+    "bytes": _DOC_12.encode(),
+    "UTF-16 bytes": _DOC_12.encode("utf-16"),
+    "bytearray": bytearray(_DOC_12.encode()),
+    "leading BOM": "\ufeff" + _DOC_12,
+    "UTF-8 BOM bytes": b"\xef\xbb\xbf" + _DOC_12.encode(),
+    "bad token in the last slice": _last_pair_as(_DOC_12, "0.5, 0.5x"),
+    "10**400 in the last slice": _last_pair_as(_DOC_12, f"{10 ** 400}, 0"),
+    "NaN in the last slice": _last_pair_as(_DOC_12, "NaN, 0.0"),
+    "pair separator in a string part": _last_pair_as(_DOC_12, '"], [", 0.0'),
+    "duplicate amplitudes after the list": _DOC_12[:-1] + ', "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}',
+}
+_MUTATED_DOC = json.loads(_DOC_12)
+for _mutation, _mutate, _ in STATE_MUTATIONS:
+    _rng = np.random.default_rng(zlib.crc32(_mutation.encode()))
+    for _k in range(2):
+        OTHER_DOCS[f"{_mutation} {_k}"] = _mutate(copy.deepcopy(_MUTATED_DOC), _rng)
+
+
+def _read(reader, text, tol):
+    """The amplitude bytes reader gives for text at tol, or the type and message of the exception it raises."""
+    try:
+        return reader(text, tol=tol).amplitudes.tobytes()
+    except Exception as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("block", [qstate._ROW_BLOCK, 1], ids=["default block", "one-pair block"])
+def test_state_reader_agrees_with_the_whole_document_reader(monkeypatch, block):
+    # At one pair's budget a slice ends at almost every pair, so each mutation lands in a slice of its own.
+    monkeypatch.setattr(qstate, "_ROW_BLOCK", block)
+    for name, text in {**CANONICAL_DOCS, **OTHER_DOCS}.items():
+        for tol in (1e-9, math.inf):  # at an infinite tolerance a mutated part reaches the amplitudes
+            assert _read(state_from_json, text, tol) == _read(whole_document_state, text, tol), (name, tol)
+    for name, text in CANONICAL_DOCS.items():
+        assert qstate._canonical_parts(text) is not None, f"{name} was not read a slice at a time"
+
+
+def test_state_reader_peaks_below_4_mib_at_16_qubits():
+    # At 16 qubits json.loads of the whole text peaks at 12 MiB; a slice at a time holds one slice's Python objects.
+    psi = unit_state(16, np.random.default_rng(16))
+    for text in (state_to_json(psi), state_to_json(psi, perspective_of=16)):
+        tracemalloc.start()
+        try:
+            state_from_json(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20, f"state_from_json peaked at {peak / 2 ** 20:.2f} MiB"
+
+
 def test_row_renormalisation_matches_single_vectors():
     # Rows on both sides of the 1e-12 band give the written-out rule's bytes, from the stack and one by one.
     assert _UNIT_NORM_BAND == 1e-12
@@ -462,8 +550,8 @@ def test_infinite_norm_is_rejected_at_any_tolerance():
 
 
 def test_state_tolerance_must_be_a_nonnegative_number():
-    # As every other tolerance: a NaN or negative one is refused, not read as a norm deviation.
-    for tol in (math.nan, -1.0, -1e-9, -math.inf):
+    # As every other tolerance: a NaN or negative one, or one that is no number, is refused, not read as a norm deviation.
+    for tol in (math.nan, -1.0, -1e-9, -math.inf, "x", None, 1j, [1e-9], np.array([1e-9, 1.0])):
         with pytest.raises(DomainError):
             state_from_amplitudes([RT2, RT2], tol=tol)
         with pytest.raises(DomainError):

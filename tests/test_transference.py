@@ -266,11 +266,12 @@ def test_condition_check_examples():
             assert condition_check(one, c, m)
 
 
-@pytest.mark.parametrize("tol", [math.nan, -1e-9, -math.inf], ids=["nan", "negative", "minus-inf"])
+@pytest.mark.parametrize("tol", [math.nan, -1e-9, -math.inf, "x", None, 1j, np.array([1e-9, 1.0])],
+                         ids=["nan", "negative", "minus-inf", "string", "none", "complex", "array"])
 @pytest.mark.parametrize("m", list(MeasurePair), ids=lambda m: m.value)
 def test_nan_or_negative_tol_is_a_domain_error(tol, m):
     # The family is even-parity, so it passes every constraint at the default tolerance and above;
-    # a NaN or negative one would mark every constraint violated, so it is refused instead.
+    # a NaN or negative one would mark every constraint violated, so it is refused instead, as is one that is no number.
     psi = global_state(0.3)
     for check in (check_transference, check_corollary):
         assert all(r.satisfied for r in check(psi, m) + check(psi, m, tol=math.inf))
