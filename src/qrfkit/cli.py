@@ -206,7 +206,7 @@ def parse_grid(text: str) -> list[float]:
 def run_perspective(args, tol: float) -> list[str]:
     psi = load_state(args.state, tol)
     target = parse_perspective(args.perspective)
-    return [state_to_json(assign_perspective(psi, target), perspective_of=target) + "\n"]
+    return [state_to_json(assign_perspective(psi, target), perspective_of=target), "\n"]
 
 
 def run_check(args, tol: float) -> list[str]:

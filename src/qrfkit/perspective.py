@@ -137,7 +137,8 @@ class QrfOperator:
     of n_qubits + 1 parties.  from_label and to_label are party indices in
     the global numbering; the control slot is to_label's position inside
     from_label's register.  A matrix of any shape but (2**n_qubits, 2**n_qubits)
-    raises ShapeError.
+    raises ShapeError, and one of a dtype that is not integer, float or complex
+    DomainError.
     """
 
     n_qubits: int

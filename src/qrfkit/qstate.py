@@ -43,19 +43,23 @@ _nonfinite_refused = functools.partial(np.errstate, over="ignore", invalid="igno
 
 
 def _require_register(array, n_qubits, axes: int, what: str) -> None:
-    """ShapeError unless array has shape (2**n_qubits,) * axes: the size rule of states, matrices and operators."""
+    """ShapeError unless array has shape (2**n_qubits,) * axes: the size rule of states, matrices and operators; then
+    DomainError unless its dtype is integer, float or complex, so no bool, object, string or datetime array passes."""
     try:
-        if n_qubits >= 0 and array.shape == (1 << n_qubits,) * axes:
-            return
+        fits = n_qubits >= 0 and array.shape == (1 << n_qubits,) * axes
     except (AttributeError, TypeError):  # no array, or a qubit count that is not an integer
-        pass
-    raise ShapeError(f"{what} of shape {getattr(array, 'shape', None)} do not fit qubit count {n_qubits!r}")
+        fits = False
+    if not fits:
+        raise ShapeError(f"{what} of shape {getattr(array, 'shape', None)} do not fit qubit count {n_qubits!r}")
+    dtype = getattr(array, "dtype", None)
+    if getattr(dtype, "kind", None) not in ("i", "u", "f", "c"):
+        raise DomainError(f"{what} of dtype {dtype} are not integer, float or complex numbers")
 
 
 @dataclass(frozen=True)
 class PureState:
     """Normalized complex amplitude vector over a 2**n computational basis; amplitudes of any shape but
-    (2**n_qubits,) raise ShapeError."""
+    (2**n_qubits,) raise ShapeError, and of a dtype that is not integer, float or complex DomainError."""
 
     n_qubits: int
     amplitudes: np.ndarray
@@ -71,7 +75,8 @@ class PureState:
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, positive-semidefinite, unit-trace complex matrix; entries of any shape but (dim, dim), or a dim
-    that is not a power of two, raise ShapeError."""
+    that is not a power of two, raise ShapeError, and entries of a dtype that is not integer, float or complex
+    DomainError."""
 
     dim: int
     entries: np.ndarray
@@ -369,6 +374,13 @@ def _by_block(count: int, block, lazy: bool = False):
     return whole
 
 
+def _refuse_nonfinite(columns) -> None:
+    """_dumps' NumericError for the first NaN or infinity in the first float column that holds one."""
+    for c in columns:
+        if c.dtype.kind == "f" and not np.isfinite(c).all():
+            _dumps(float(c[~np.isfinite(c)][0]))  # raises, with the message _dumps gives for it
+
+
 def _row_template(doc, **kwargs) -> str:
     """json.dumps(doc, **kwargs) as a % template: each string value "%r", "%d" or "%s" becomes that bare field."""
     text = json.dumps(doc, **kwargs).replace("%", "%%")
@@ -385,9 +397,7 @@ def _fill_rows(template, columns) -> Iterator[str]:
     row's separator.  A NaN or infinity in any float column raises _dumps'
     NumericError here, at the call, before the returned iterator formats a row.
     """
-    for c in columns:
-        if c.dtype.kind == "f" and not np.isfinite(c).all():
-            _dumps(float(c[~np.isfinite(c)][0]))  # raises, with the message _dumps gives for it
+    _refuse_nonfinite(columns)
 
     def text(rows):
         values = [(np.where(c[rows], "true", "false") if c.dtype == bool else c[rows]).tolist() for c in columns]
@@ -396,18 +406,38 @@ def _fill_rows(template, columns) -> Iterator[str]:
 
 
 def state_to_json(psi: PureState, perspective_of: int | None = None) -> str:
+    """The JSON state document of psi: {"n_qubits": n, "amplitudes": [[re, im], ...]} in big-endian basis order,
+    then "perspective_of": p when given, on one line.
+
+    Its bytes are those json.dumps writes for the [float(re), float(im)] pairs: each part is its repr, the pairs
+    are joined a _ROW_BLOCK at a time, and a state whose imaginary parts are all +0.0 (bitwise, so -0.0 is not)
+    has them written as part of the separator.  A NaN or infinite part raises _dumps' NumericError before any text
+    is formatted.  perspective_of names the observer the state is seen by, one of the n + 1 parties, so it must
+    be an integer in [0, n]; anything else raises ShapeError.
+    """
     parts = np.ascontiguousarray(psi.amplitudes, np.complex128).view(np.float64).reshape(-1, 2)
-    rows = _fill_rows(", [%r, %r]", list(parts.T))
-    doc = {"n_qubits": psi.n_qubits, "amplitudes": [["%r", "%r"]]}
+    _refuse_nonfinite(parts.T)
+    doc = {"n_qubits": psi.n_qubits, "amplitudes": []}
     if perspective_of is not None:
         p = _integer(perspective_of, "perspective_of")
         if not 0 <= p <= psi.n_qubits:
             raise ShapeError(f"perspective_of {p} is not an observer index in [0, {psi.n_qubits}]")
         doc["perspective_of"] = p
-    # The document around its one-pair list holds only integers, so the template's text needs no % unescaping.
-    head, tail = _row_template(doc).split("[%r, %r]")
-    # Each row opens with its ", " separator; the first row's is dropped.
-    return "".join([head, next(rows, "")[2:], *rows, tail])
+    head, tail = json.dumps(doc).split("[]")
+    real = not parts[:, 1].view(np.uint64).any()  # every imaginary part has the bits of +0.0
+    pair_end = ", 0.0" if real else ""
+    sep = pair_end + "], ["
+
+    def text(rows):
+        if real:
+            return sep.join(map(repr, parts[rows, 0].tolist()))
+        reals, imags = (map(repr, c.tolist()) for c in parts[rows].T)
+        return sep.join(map(", ".join, zip(reals, imags)))
+    pieces = [head, "[["]
+    for block in _by_block(len(parts), text, lazy=True):
+        pieces += (block, sep)
+    pieces[-1] = pair_end + "]]" + tail
+    return "".join(pieces)
 
 
 # The layout state_to_json writes, which state_from_json reads a slice at a time: a head, the pair body, then the tail

@@ -23,7 +23,7 @@ import numpy as np
 from qrfkit import (MeasurePair, ParityClass, PureState, assign_perspective, cli, rindler, state_from_amplitudes,
                     state_from_json, state_to_json)
 from qrfkit.errors import NormToleranceError
-from qrfkit.qstate import _renormalised, _renormalised_rows
+from qrfkit.qstate import _ROW_BLOCK, _renormalised, _renormalised_rows
 from qrfkit.transference import _Analysis, _analysis_of, _parity_amplitudes
 from reference import (ANALYSIS_FIELDS, R_MAX_TEXT, add_at_channel, analysis_with_mutual_information,
                        channel_deviation, check_channel_bytes, check_diagonal_kernels, dense_channel,
@@ -211,8 +211,8 @@ def sample_draws_at_the_count_cap():
 
 @step("Register at 20 qubits")
 def register_at_20_qubits():
-    """perspective reads a state file into one float array of its amplitude parts and writes the result through
-    the row writer.  At 20 qubits, for the first and the last qubit, the CLI must exit 0, print exactly the
+    """perspective reads a state file into one float array of its amplitude parts and writes the result a block of
+    pairs at a time.  At 20 qubits, for the first and the last qubit, the CLI must exit 0, print exactly the
     library's perspective document, and peak below 512 MiB resident."""
     n = 20
     psi = unit_state(n, np.random.default_rng(20))
@@ -377,6 +377,31 @@ def state_input_a_block_at_a_time_at_20_qubits():
                 assert fh.read() == state_to_json(assign_perspective(psi, p), perspective_of=p) + "\n", (
                     f"perspective {p} at {n} qubits differs from the library")
             print(f"p={p}: output equal to the library")
+
+
+@step("Real state documents at 20 qubits against json")
+def real_state_documents_at_20_qubits_against_json():
+    """Perspective assignment gives real states, which the writer writes with every imaginary part as one +0.0
+    text.  For the first and the last qubit of a seeded 20-qubit state, the perspective document must be written
+    byte for byte as json.dumps writes its [float(re), float(im)] pairs, and read back bit for bit; so must the
+    same state with the imaginary part at the first block seam set to -0.0, which the writer writes as complex."""
+    n = 20
+    psi = unit_state(n, np.random.default_rng(2021))
+    for p in (0, n - 1):
+        seen = assign_perspective(psi, p)
+        assert not seen.amplitudes.imag.view(np.uint64).any(), f"p={p}: an imaginary part is not +0.0"
+        signed = seen.amplitudes.copy()
+        signed.imag[_ROW_BLOCK] = -0.0
+        for name, state in (("real", seen), ("-0.0 imaginary part", PureState(n - 1, signed))):
+            start = time.perf_counter()
+            text = state_to_json(state, perspective_of=p)
+            write = time.perf_counter() - start
+            assert text == state_document(state.amplitudes, perspective_of=p), (
+                f"p={p}, {name}: state_to_json differs from json.dumps")
+            assert state_from_json(text).amplitudes.tobytes() == state.amplitudes.tobytes(), (
+                f"p={p}, {name}: the document does not read back bit for bit")
+            print(f"p={p}, {name}: {len(text)} bytes equal to json.dumps, written in {1e3 * write:.0f} ms and read "
+                  "back bit for bit")
 
 
 def main(argv):

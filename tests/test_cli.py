@@ -62,17 +62,22 @@ def test_perspective_alias_labels(capsys):
 
 def test_perspective_reaches_every_qubit(capsys, tmp_path):
     rng = np.random.default_rng(41)
-    amps = rng.standard_normal(32)
-    five = tmp_path / "five.json"
-    path = write_state(five, amps / np.linalg.norm(amps))
-    psi = state_from_json(five.read_text(encoding="utf-8"))
-    code, out, _ = run(capsys, ["perspective", "--state", path, "--perspective", "4"])
-    assert code == 0
-    assert out == state_to_json(assign_perspective(psi, 4), perspective_of=4) + "\n"
-    code, out, err = run(capsys, ["perspective", "--state", path, "--perspective", "5"])
-    assert code == 3
-    assert out == ""
-    assert json.loads(err)["error"] == "shape"
+    # At 14 qubits the output's 8192 pairs span two of the writer's blocks.
+    for n in (5, 14):
+        amps = rng.standard_normal(2 ** n)
+        file = tmp_path / f"state-{n}.json"
+        path = write_state(file, amps / np.linalg.norm(amps))
+        psi = state_from_json(file.read_text(encoding="utf-8"))
+        code, out, _ = run(capsys, ["perspective", "--state", path, "--perspective", str(n - 1)])
+        assert code == 0
+        seen = assign_perspective(psi, n - 1)
+        assert out == state_to_json(seen, perspective_of=n - 1) + "\n"
+        # The same bytes as json.dumps writes them, so the check does not rest on the writer it checks.
+        assert out == state_document(seen.amplitudes, perspective_of=n - 1) + "\n"
+        code, out, err = run(capsys, ["perspective", "--state", path, "--perspective", str(n)])
+        assert code == 3
+        assert out == ""
+        assert json.loads(err)["error"] == "shape"
 
 
 def test_perspective_of_ghz_collapses(capsys):

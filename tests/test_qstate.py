@@ -12,6 +12,7 @@ import pytest
 from qrfkit import (
     DensityMatrix,
     PureState,
+    QrfOperator,
     ShapeError,
     dephase,
     density_matrix,
@@ -63,6 +64,22 @@ def test_non_numeric_amplitudes_are_a_domain_error():
     for bad in ([None, 1.0], [[1.0, None]], np.array([1.0, None], dtype=object), None):
         with pytest.raises(DomainError, match="sequence of numbers: None is not a number"):
             state_from_amplitudes(bad)
+    # A hand-built value holding no numbers once passed construction, then raised a bare AttributeError, TypeError,
+    # UFuncTypeError or ValueError in the entry points, or was written as numbers: ["1", "0"] as [[1.0, 0.0], ...].
+    for amps in (np.array([True, False]), np.array([None, 1.0], dtype=object), np.array(["a", 1.0], dtype=object),
+                 np.array(["1", "0"]), np.array([b"1", b"0"]), np.array(["2020-01-01", "2020-01-02"], "datetime64[D]"),
+                 np.array([1, 0], "timedelta64[s]")):
+        with pytest.raises(DomainError, match="are not integer, float or complex numbers"):
+            PureState(1, amps)
+        with pytest.raises(DomainError, match="are not integer, float or complex numbers"):
+            DensityMatrix(2, np.diag(amps))
+        with pytest.raises(DomainError, match="are not integer, float or complex numbers"):
+            QrfOperator(1, 0, 1, np.diag(amps))
+    for dtype in (np.int64, np.uint8, np.float16, np.float64, np.complex128, np.clongdouble):
+        amps = np.array([1, 0], dtype)
+        assert PureState(1, amps).amplitudes is amps
+        assert DensityMatrix(2, np.diag(amps)).dim == QrfOperator(1, 0, 1, np.diag(amps)).n_qubits + 1 == 2
+        assert state_to_json(PureState(1, amps)) == state_document(amps)
 
 
 def test_state_types_refuse_a_size_their_register_does_not_have():
@@ -316,7 +333,9 @@ def test_json_writer_matches_per_amplitude_form():
     # Subnormal parts and parts near the float maximum, as a hand-built PureState may hold them.
     extremes = [complex(tiny, -tiny), complex(-2.2250738585072014e-309, 1e-320), complex(big, -big),
                 complex(-big, np.nextafter(big, 0.0)), complex(1.7976931348623155e308, -1e308)]
-    for n in (*range(1, 13), 16):  # 16 qubits span several of _fill_rows' blocks
+    # json's repr switches to exponent form at 1e16 and below 0.0001.
+    switch_points = [1e16, 9999999999999998.0, 1e-05, 0.0001]
+    for n in (*range(1, 14), 16):  # 13 qubits fill two writer blocks exactly, 16 span sixteen
         v = unit_amplitudes(n, rng)
         # Exact zeros and negative zeros in either part, as assignment and embedding produce them.
         v[::3] = 0.0
@@ -330,6 +349,16 @@ def test_json_writer_matches_per_amplitude_form():
         # A PureState built by hand may hold real or strided amplitudes; they are written as complex.
         for amps in (v, v.real.copy(), np.repeat(v, 2)[::2]):
             assert state_to_json(PureState(n, amps)) == state_document(amps)
+        # A real state, as perspective assignment writes it: -0.0, subnormal and switch-point real parts, every
+        # imaginary part +0.0.  One -0.0 or subnormal imaginary part, at either side of a block seam, makes it complex.
+        real = v.real.astype(complex)
+        real.real[len(head):len(head) + 4] = switch_points[:real[len(head):len(head) + 4].size]
+        assert state_to_json(PureState(n, real), perspective_of=n) == state_document(real, perspective_of=n)
+        for index in sorted({i for i in (0, 4095, 4096, real.size - 1) if i < real.size}):
+            for imag in (-0.0, tiny):
+                amps = real.copy()
+                amps.imag[index] = imag
+                assert state_to_json(PureState(n, amps)) == state_document(amps), (n, index, imag)
 
 
 def test_json_writer_refuses_non_finite_parts(monkeypatch):
