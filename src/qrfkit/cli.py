@@ -32,7 +32,7 @@ from .errors import DomainError, GridError, IoError, NumericError, QrfError, Sha
 from .measures import MeasurePair
 from .perspective import assign_perspective
 from .qstate import PureState, _by_block, _dumps, _fill_rows, _nonfinite_refused, _row_template, state_from_amplitudes
-from .qstate import _MALFORMED, state_from_json, state_to_json
+from .qstate import _MALFORMED, _state_json, state_from_json
 from .transference import ConstraintId, ConstraintReport, ParityClass, _analysis_of, _reports, _sample_block
 from .transference import parity_class
 
@@ -203,10 +203,10 @@ def parse_grid(text: str) -> list[float]:
     return [float(r) for r in np.linspace(start, stop, count)]
 
 
-def run_perspective(args, tol: float) -> list[str]:
+def run_perspective(args, tol: float) -> Iterator[str]:
     psi = load_state(args.state, tol)
     target = parse_perspective(args.perspective)
-    return [state_to_json(assign_perspective(psi, target), perspective_of=target), "\n"]
+    return itertools.chain(_state_json(assign_perspective(psi, target), perspective_of=target), ["\n"])
 
 
 def run_check(args, tol: float) -> list[str]:

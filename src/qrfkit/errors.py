@@ -4,6 +4,7 @@ Every error carries a ``kind`` string ("shape", "domain", "numeric", "io") that
 the command-line layer maps onto its documented exit codes.
 """
 
+import numbers
 import operator
 
 
@@ -96,6 +97,21 @@ def _integer(value, what: str) -> int:
         raise ShapeError(f"{what} {value!r} is not an integer") from None
 
 
+def _real(value, message: str, error=DomainError) -> float:
+    """value as a float if it is a numbers.Real other than a bool; anything else raises error(message % value)."""
+    if isinstance(value, (float, int, numbers.Real)) and not isinstance(value, bool):  # float, int: no ABC lookup
+        return float(value)
+    raise error(message % (value,))
+
+
+def _iterable(value, what: str, error):
+    """iter(value); a value that is not iterable, such as None or an int, raises error."""
+    try:
+        return iter(value)
+    except TypeError:
+        raise error(f"{what} must be a collection, got {value!r}") from None
+
+
 def _check_target(n: int, p, what: str = "perspective target", error=ShapeError, needs: str = "") -> int:
     """p by operator.index if in [0, n), else ShapeError or error; with needs, n < 2 raises TooFewQubitsError(needs)."""
     p = _integer(p, what)
@@ -106,12 +122,10 @@ def _check_target(n: int, p, what: str = "perspective target", error=ShapeError,
     return p
 
 
-def _check_tolerance(tol, what: str):
-    """tol, unless it is NaN or negative, which would pass or refuse every value, or no number: then DomainError."""
-    try:
-        valid = bool(tol >= 0)
-    except (TypeError, ValueError):  # no order against 0 (a string, None, a complex), or no one truth value (an array)
-        valid = False
-    if not valid:
-        raise DomainError(f"{what} tolerance must be a nonnegative number, got {tol!r}")
-    return tol
+def _check_tolerance(tol, what: str) -> float:
+    """tol as a float, unless it is NaN or negative, which would pass or refuse every value, or no real number: then
+    DomainError."""
+    message = f"{what} tolerance must be a nonnegative number, got %r"
+    if not _real(tol, message) >= 0.0:
+        raise DomainError(message % (tol,))
+    return float(tol)

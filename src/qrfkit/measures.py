@@ -24,7 +24,7 @@ import enum
 
 import numpy as np
 
-from .errors import InvalidBipartitionError, NumericError, UnknownQuantityError, _require_member
+from .errors import InvalidBipartitionError, NumericError, UnknownQuantityError, _real, _require_member
 from .qstate import DensityMatrix, PureState, _clamped_spectra, _density_matrices, _dephased, _dephased_spectra
 from .qstate import _nonfinite_refused
 from .qstate import _partial_traces, _qubit_list, _require_finite, _require_unit, _require_unit_trace
@@ -58,8 +58,9 @@ def _binary_entropies(p: np.ndarray) -> np.ndarray:
 
 
 def binary_entropy(p: float) -> float:
-    """H2(p) = -p log2 p - (1-p) log2 (1-p), with 0 log 0 = 0: p <= 0 and p >= 1 give 0, a NaN p raises NumericError."""
-    return float(_binary_entropies(np.array([p], dtype=np.float64))[0])
+    """H2(p) = -p log2 p - (1-p) log2 (1-p), with 0 log 0 = 0: p <= 0 and p >= 1 give 0, a NaN p raises NumericError,
+    and a p that is not a real number DomainError."""
+    return float(_binary_entropies(np.array([_real(p, "binary entropy argument %r is not a real number")]))[0])
 
 
 def _spectral_entropies(spectra: np.ndarray) -> np.ndarray:

@@ -8,9 +8,9 @@ pipeline (density matrix, dephase, perspective operator, trace, purify).
 After dephasing only the diagonal of |psi><psi| is left, so the channel runs
 every step on that length-2^n vector, in O(2^n) time and about 32 bytes per
 amplitude of memory: every row of the operator has p-bit 0, so the operator
-and the trace over p are one sum of two strided halves of the diagonal, with
-no index map.  The frame-change operator switches between two
-already-assigned perspectives for the group Z2 acting by bit flip.
+and the trace over p are one sum of two strided halves of the diagonal.  The
+frame-change operator switches between two already-assigned perspectives for
+the group Z2 acting by bit flip.
 """
 
 from __future__ import annotations
@@ -104,8 +104,8 @@ def assign_perspective_channel(psi: PureState, p: int) -> PureState:
     the two terms a scatter over the operator's rows and the trace would
     give it; the diagonal is never negative and a sum of two floats
     commutes, so the bits are the same.  O(2^n) time and about 32 bytes per
-    amplitude of working memory (tracemalloc at 12 and 16 qubits), with no
-    index map; perspective_operator still returns the dense matrix.
+    amplitude of working memory (tracemalloc at 12 and 16 qubits);
+    perspective_operator still returns the dense matrix.
     """
     p = _check_target(psi.n_qubits, p, needs=_ASSIGNMENT_NEEDS)
     a = psi.amplitudes

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EmptyKeepSetError, NormToleranceError, NotDiagonalError, NotPowerOfTwoError
-from .errors import NumericError, ShapeError, _check_target, _check_tolerance, _integer
+from .errors import NumericError, ShapeError, _check_target, _check_tolerance, _integer, _iterable
 
 NORM_TOL = 1e-9      # default normalization tolerance for state construction
 # 3 NORM_TOL: a state within NORM_TOL of unit norm has reductions of trace within 2 NORM_TOL + NORM_TOL**2 of 1,
@@ -182,8 +182,9 @@ def state_from_amplitudes(amps, tol: float = NORM_TOL) -> PureState:
 
     The length must be a power of two >= 2.  The vector is renormalized if its
     norm differs from one by at most ``tol``; a larger deviation signals
-    malformed input and raises NormToleranceError.  A NaN or negative tol
-    raises DomainError, and so does an amplitude that is not a number.
+    malformed input and raises NormToleranceError.  A tol that is NaN,
+    negative or not a real number raises DomainError, and so does an
+    amplitude that is not a number.
     """
     try:
         # numpy reads None as NaN, so a None is looked for first; an array of numbers holds none.
@@ -196,7 +197,7 @@ def state_from_amplitudes(amps, tol: float = NORM_TOL) -> PureState:
     dim = vec.size
     if dim < 2 or dim & (dim - 1):
         raise NotPowerOfTwoError(f"amplitude count {dim} is not a power of two >= 2")
-    _check_tolerance(tol, "norm")
+    tol = _check_tolerance(tol, "norm")
     with _nonfinite_refused():
         return PureState(n_qubits=dim.bit_length() - 1, amplitudes=_renormalised(vec, tol))
 
@@ -229,8 +230,9 @@ def _partial_traces(rho: np.ndarray, keep: list[int]) -> np.ndarray:
 
 
 def _qubit_list(indices, n: int, error) -> list[int]:
-    """The distinct entries of indices, sorted, each by _check_target: one outside [0, n) raises error."""
-    return sorted({_check_target(n, i, "qubit index", error) for i in indices})
+    """The distinct entries of indices, sorted, each by _check_target: one outside [0, n), or indices that are not
+    iterable, raise error."""
+    return sorted({_check_target(n, i, "qubit index", error) for i in _iterable(indices, "qubit indices", error)})
 
 
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
@@ -249,9 +251,10 @@ def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
 
 
 def permute_qubits(psi: PureState, order) -> PureState:
-    """Reorder the register so new position i holds the old qubit order[i]."""
+    """Reorder the register so new position i holds the old qubit order[i]; an order that is not an iterable of
+    integers, or not a permutation of 0..n-1, raises ShapeError."""
     n = psi.n_qubits
-    order = [_integer(i, "qubit order entry") for i in order]
+    order = [_integer(i, "qubit order entry") for i in _iterable(order, "qubit order", ShapeError)]
     if sorted(order) != list(range(n)):
         raise ShapeError(f"order {order} is not a permutation of 0..{n - 1}")
     arr = psi.amplitudes.reshape((2,) * n).transpose(order).ravel().copy()
@@ -282,10 +285,10 @@ def purify_diagonal(rho: DensityMatrix, tol: float = ATOL) -> PureState:
 
     This is the purification-then-projection step: the canonical purification
     of diag(p_i) followed by projecting the ancilla register onto the
-    uniform-phase subspace leaves exactly sqrt(p_i) amplitudes.  A NaN or
-    negative tol raises DomainError.
+    uniform-phase subspace leaves exactly sqrt(p_i) amplitudes.  A tol that
+    is NaN, negative or not a real number raises DomainError.
     """
-    _check_tolerance(tol, "diagonality")
+    tol = _check_tolerance(tol, "diagonality")
     m = rho.entries
     # A NaN would pass the diagonality test below.
     _require_finite(m, "density matrix has non-finite entries, so it has no purification")
@@ -405,16 +408,8 @@ def _fill_rows(template, columns) -> Iterator[str]:
     return _by_block(len(columns[0]), text, lazy=True)
 
 
-def state_to_json(psi: PureState, perspective_of: int | None = None) -> str:
-    """The JSON state document of psi: {"n_qubits": n, "amplitudes": [[re, im], ...]} in big-endian basis order,
-    then "perspective_of": p when given, on one line.
-
-    Its bytes are those json.dumps writes for the [float(re), float(im)] pairs: each part is its repr, the pairs
-    are joined a _ROW_BLOCK at a time, and a state whose imaginary parts are all +0.0 (bitwise, so -0.0 is not)
-    has them written as part of the separator.  A NaN or infinite part raises _dumps' NumericError before any text
-    is formatted.  perspective_of names the observer the state is seen by, one of the n + 1 parties, so it must
-    be an integer in [0, n]; anything else raises ShapeError.
-    """
+def _state_json(psi: PureState, perspective_of: int | None = None) -> Iterator[str]:
+    """The text pieces of state_to_json(psi, perspective_of), formatted as they are taken; every check runs first."""
     parts = np.ascontiguousarray(psi.amplitudes, np.complex128).view(np.float64).reshape(-1, 2)
     _refuse_nonfinite(parts.T)
     doc = {"n_qubits": psi.n_qubits, "amplitudes": []}
@@ -433,11 +428,22 @@ def state_to_json(psi: PureState, perspective_of: int | None = None) -> str:
             return sep.join(map(repr, parts[rows, 0].tolist()))
         reals, imags = (map(repr, c.tolist()) for c in parts[rows].T)
         return sep.join(map(", ".join, zip(reals, imags)))
-    pieces = [head, "[["]
-    for block in _by_block(len(parts), text, lazy=True):
-        pieces += (block, sep)
-    pieces[-1] = pair_end + "]]" + tail
-    return "".join(pieces)
+    # Every block but the first follows a separator.
+    blocks = _by_block(len(parts), lambda rows: (sep, text(rows)) if rows.start else (text(rows),), lazy=True)
+    return itertools.chain([head, "[["], itertools.chain.from_iterable(blocks), [pair_end + "]]" + tail])
+
+
+def state_to_json(psi: PureState, perspective_of: int | None = None) -> str:
+    """The JSON state document of psi: {"n_qubits": n, "amplitudes": [[re, im], ...]} in big-endian basis order,
+    then "perspective_of": p when given, on one line.
+
+    Its bytes are those json.dumps writes for the [float(re), float(im)] pairs: each part is its repr, the pairs
+    are joined a _ROW_BLOCK at a time, and a state whose imaginary parts are all +0.0 (bitwise, so -0.0 is not)
+    has them written as part of the separator.  A NaN or infinite part raises _dumps' NumericError before any text
+    is formatted.  perspective_of names the observer the state is seen by, one of the n + 1 parties, so it must
+    be an integer in [0, n]; anything else raises ShapeError.
+    """
+    return "".join(_state_json(psi, perspective_of))
 
 
 # The layout state_to_json writes, which state_from_json reads a slice at a time: a head, the pair body, then the tail

@@ -27,7 +27,8 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .errors import DomainError, GridError, NonPositiveInputError, NumericError, _require_member
+from .errors import DomainError, GridError, NonPositiveInputError, NumericError, UnknownQuantityError, _iterable, _real
+from .errors import _require_member
 from .measures import MeasurePair, _binary_entropies, _is_entropic
 from .qstate import PureState, _by_block, _fill_rows, _row_template, state_from_amplitudes
 # oracle_coherence is imported for callers only: qrfkit.rindler.oracle_coherence stays importable.
@@ -69,21 +70,23 @@ GLOBAL_QUANTITY = {
 
 
 def _check_r(r: float, error=DomainError, what: str = "acceleration parameter") -> float:
-    """r as a float in [0, pi/4]; up to _R_SLACK past pi/4 is round-off and clamps to pi/4."""
-    r = float(r)
+    """r as a float in [0, pi/4]; up to _R_SLACK past pi/4 is round-off and clamps to pi/4.  An r that is not a real
+    number, or lies outside, raises error: DomainError by default."""
+    r = _real(r, f"{what} %r is not a real number", error)
     if not 0.0 <= r <= R_MAX + _R_SLACK:
         raise error(f"{what} {r} outside [0, pi/4]")
     return min(r, R_MAX)
 
 
 def r_from_acceleration(a: float, omega: float) -> float:
-    """Squeezing angle for proper acceleration a and mode frequency omega."""
+    """Squeezing angle for proper acceleration a and mode frequency omega.  An a or omega that is not a real number
+    raises DomainError, and one that is not positive, NaN included, NonPositiveInputError."""
+    a, omega = _real(a, "acceleration %r is not a real number"), _real(omega, "frequency %r is not a real number")
     if not (a > 0.0 and omega > 0.0):  # also rejects NaN
         raise NonPositiveInputError("acceleration and frequency must be positive")
-    ratio = omega / a
-    if math.isnan(ratio):  # inf / inf
+    if math.isinf(a) and math.isinf(omega):
         raise DomainError(f"omega / a is undefined for omega = {omega}, a = {a}")
-    return math.atan(math.exp(-math.pi * ratio))
+    return math.atan(math.exp(-math.pi * (omega / a)))
 
 
 def _global_amplitudes(grid) -> np.ndarray:
@@ -242,21 +245,16 @@ def _sweep_pairs(r_grid, pairs) -> list[np.ndarray]:
 
     The whole grid is checked first, then analysed a block of points at a time,
     so no stack holds more than one block.  A string or bytes grid, whose
-    characters would be its points, raises GridError, and so does a point
-    that float() does not take, such as None.
+    characters would be its points, raises GridError, and so does a grid that
+    is not iterable or a point that is not a real number, such as None or "0.1".
     """
     if isinstance(r_grid, (str, bytes, bytearray)):
         raise GridError(f"sweep grid must be a sequence of numbers, not a {type(r_grid).__name__}")
-    try:
-        grid = [float(r) for r in r_grid]
-    except (TypeError, ValueError) as e:
-        raise GridError(f"sweep grid holds a point that is not a number: {e}") from None
+    grid = [_check_r(r, GridError, "grid point") for r in _iterable(r_grid, "sweep grid", GridError)]
     if not grid:
         raise GridError("sweep grid is empty")
-    clamped = [_check_r(r, GridError, "grid point") for r in grid]
     if any(b < a for a, b in zip(grid, grid[1:])):
         raise GridError("sweep grid must be ascending")
-    grid = clamped
     observers = list(ObserverLabel)
     ordered_pairs = [(alpha, beta) for alpha in observers for beta in observers if beta is not alpha]
     g_cols, p_cols = np.array([_coherence_columns(alpha, beta) for alpha, beta in ordered_pairs]).T
@@ -321,5 +319,7 @@ def sweep_to_dicts(records, m: MeasurePair) -> list[dict]:
 
 
 def _record_rows(records) -> list[tuple]:
-    """The field values of each record, in SweepRecord order; anything but a SweepRecord raises UnknownQuantityError."""
+    """The field values of each record, in SweepRecord order; anything but a SweepRecord, or records that are not
+    iterable, raise UnknownQuantityError."""
+    records = _iterable(records, "sweep records", UnknownQuantityError)
     return [astuple(_require_member(rec, SweepRecord, "sweep record")) for rec in records]

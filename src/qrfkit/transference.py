@@ -252,7 +252,7 @@ def reconstruct_from_xyl(t: XylTriple, m: MeasurePair) -> tuple[float, float, fl
 
 def condition_check(psi: PureState, c: ConstraintId, m: MeasurePair, tol: float = SAT_TOL) -> bool:
     """Algebraic satisfaction criterion in terms of the X/Y/L triple alone."""
-    _check_tolerance(tol, "satisfaction")
+    tol = _check_tolerance(tol, "satisfaction")
     t = xyl_closed_form(psi, c, m)
     if _is_entropic(m):
         return abs(t.l - (1.0 - t.x) / 2.0) <= tol or abs(t.l - (1.0 + t.x) / 2.0) <= tol

@@ -225,7 +225,7 @@ def test_channel_memory_is_linear_in_the_amplitude_count():
 
 
 
-def test_trace_map_is_the_operator_map_with_bit_p_dropped():
+def test_channel_halves_apply_the_operator_map_with_bit_p_dropped():
     # The operator's map with bit p dropped is the map the channel's two strided halves of the diagonal apply.
     for n in range(2, 13):
         for p in range(n):
@@ -240,9 +240,8 @@ def test_trace_map_is_the_operator_map_with_bit_p_dropped():
             assert np.array_equal(halves_map, dropped), (n, p)
 
 
-def test_register_above_the_gate_leaves_the_cache_alone():
-    # 15 qubits, above the former 14-qubit map cache: the channel agrees with the direct rule and keeps nothing
-    # between calls (a cached index map would hold 8 bytes per amplitude).
+def test_channel_at_15_qubits_holds_nothing_between_calls():
+    # The channel agrees with the direct rule and holds less than a byte per amplitude once it returns.
     n = 15
     s = unit_state(n, np.random.default_rng(40))
     for p in (0, n - 1):

@@ -263,7 +263,7 @@ def test_purify_diagonal_rejects_non_finite_entries():
 
 def test_purify_diagonal_refuses_nan_and_negative_tolerances():
     flat = DensityMatrix(2, np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex))
-    for tol in (math.nan, -1e-3, -math.inf, "x", None, 1j, [1e-9], np.array([1e-9, 1.0])):
+    for tol in (math.nan, -1e-3, -math.inf, "x", None, 1j, [1e-9], np.array([1e-9, 1.0]), True, np.array(1e-9)):
         with pytest.raises(DomainError, match="diagonality tolerance must be a nonnegative number, got"):
             purify_diagonal(flat, tol)
     np.testing.assert_allclose(purify_diagonal(flat, math.inf).amplitudes, [RT2, RT2])
@@ -362,14 +362,15 @@ def test_json_writer_matches_per_amplitude_form():
 
 
 def test_json_writer_refuses_non_finite_parts(monkeypatch):
-    # The parts are checked before the first row is formatted.
+    # The parts are checked before the first row is formatted, and by the stream of pieces before it is returned.
     formatted = []
     monkeypatch.setattr(qstate, "_by_block", lambda count, block, lazy=False: formatted.append(count) or iter(()))
     for bad in (math.nan, math.inf, -math.inf):
         for amps in ([bad, 0.0], [complex(0.0, bad), 1.0], [0.5, 0.5, 0.5, complex(0.5, bad)]):
             psi = PureState(len(amps).bit_length() - 1, np.array(amps, dtype=np.complex128))
-            with pytest.raises(NumericError):
-                state_to_json(psi)
+            for write in (state_to_json, qstate._state_json):
+                with pytest.raises(NumericError):
+                    write(psi)
     assert formatted == []
 
 
@@ -391,8 +392,9 @@ def test_json_perspective_tag_must_name_an_observer():
         with pytest.raises(ShapeError, match="is not an integer"):
             state_to_json(s, perspective_of=bad)
     for bad in (-1, -4, 3):
-        with pytest.raises(ShapeError, match=rf"^perspective_of {bad} is not an observer index in \[0, 2\]$"):
-            state_to_json(s, perspective_of=bad)
+        for write in (state_to_json, qstate._state_json):
+            with pytest.raises(ShapeError, match=rf"^perspective_of {bad} is not an observer index in \[0, 2\]$"):
+                write(s, perspective_of=bad)
 
 
 # State documents with integer parts, negative zeros, subnormals, parts past the square root of the
@@ -580,7 +582,7 @@ def test_infinite_norm_is_rejected_at_any_tolerance():
 
 def test_state_tolerance_must_be_a_nonnegative_number():
     # As every other tolerance: a NaN or negative one, or one that is no number, is refused, not read as a norm deviation.
-    for tol in (math.nan, -1.0, -1e-9, -math.inf, "x", None, 1j, [1e-9], np.array([1e-9, 1.0])):
+    for tol in (math.nan, -1.0, -1e-9, -math.inf, "x", None, 1j, [1e-9], np.array([1e-9, 1.0]), True, np.array(1e-9)):
         with pytest.raises(DomainError):
             state_from_amplitudes([RT2, RT2], tol=tol)
         with pytest.raises(DomainError):

@@ -9,16 +9,22 @@ from qrfkit import (
     MiCurves,
     ObserverLabel,
     ParityClass,
+    PureState,
     Quantity,
     assign_perspective,
+    binary_entropy,
     check_corollary,
     check_transference,
     closed_form_coherence,
     closed_form_entanglement,
+    density_matrix,
     entanglement,
     global_state,
+    mutual_information,
     mutual_information_curves,
     parity_class,
+    partial_trace,
+    permute_qubits,
     perspectival_state,
     r_from_acceleration,
     state_from_amplitudes,
@@ -27,7 +33,8 @@ from qrfkit import (
 )
 from qrfkit import qstate, rindler, transference
 from qrfkit.cli import main, parse_grid
-from qrfkit.errors import DomainError, GridError, NonPositiveInputError, NumericError
+from qrfkit.errors import DomainError, EmptyKeepSetError, GridError, InvalidBipartitionError, NonPositiveInputError
+from qrfkit.errors import NumericError, ShapeError, UnknownQuantityError
 from qrfkit.rindler import (
     CSV_COLUMNS,
     GLOBAL_QUANTITY,
@@ -56,6 +63,9 @@ def test_r_from_acceleration():
     assert all(b > a for a, b in zip(vals, vals[1:]))
     for bad in ((0.0, 1.0), (-1.0, 1.0), (1.0, 0.0), (1.0, -2.0), (math.nan, 1.0), (1.0, math.nan)):
         with pytest.raises(NonPositiveInputError):
+            r_from_acceleration(*bad)
+    for bad in (("a", 1.0), (1j, 1.0), (None, 1.0)):
+        with pytest.raises(DomainError):
             r_from_acceleration(*bad)
     # the infinite-acceleration limit is the admitted endpoint r = pi/4
     assert r_from_acceleration(math.inf, 1.0) == R_MAX
@@ -103,6 +113,53 @@ def test_r_domain():
     # round-off past the endpoint clamps instead of failing
     s = global_state(R_MAX + 5e-13)
     np.testing.assert_allclose(s.amplitudes, global_state(R_MAX).amplitudes, atol=0)
+
+
+# Each entry point that takes a real number or an index collection, as a function of that one argument, with the
+# error its rule raises and the values it must refuse.  A str or a list is iterable, and its entries were refused
+# one by one already, so only the other values are cases for a collection.
+_PSI = global_state(0.3)
+_NOT_REAL = ["0.3", None, True, 1j, [0.3], np.array(0.3)]
+_NOT_COLLECTION = [None, True, 1j, np.array(0.3)]
+ARGUMENT_RULES = {
+    "global_state": (global_state, DomainError, _NOT_REAL),
+    "perspectival_state": (lambda r: perspectival_state(r, ObserverLabel.ROB), DomainError, _NOT_REAL),
+    "closed_form_entanglement": (lambda r: closed_form_entanglement(r, Quantity.E_A_RRBAR, MeasurePair.ENTROPY),
+                                 DomainError, _NOT_REAL),
+    "closed_form_coherence": (lambda r: closed_form_coherence(r, ObserverLabel.ALICE, ObserverLabel.ROB,
+                                                              MeasurePair.LINEAR), DomainError, _NOT_REAL),
+    "mutual_information_curves": (mutual_information_curves, DomainError, _NOT_REAL),
+    "binary_entropy": (binary_entropy, DomainError, _NOT_REAL),
+    "partial_trace": (lambda keep: partial_trace(density_matrix(_PSI), keep), EmptyKeepSetError, _NOT_COLLECTION),
+    "entanglement": (lambda left: entanglement(_PSI, left), InvalidBipartitionError, _NOT_COLLECTION),
+    "mutual_information": (lambda left: mutual_information(density_matrix(_PSI), left, [2]), InvalidBipartitionError,
+                           _NOT_COLLECTION),
+    "permute_qubits": (lambda order: permute_qubits(_PSI, order), ShapeError, _NOT_COLLECTION),
+    "sweep_to_csv": (lambda records: sweep_to_csv(records, MeasurePair.ENTROPY), UnknownQuantityError,
+                     _NOT_COLLECTION),
+    "sweep_to_dicts": (lambda records: sweep_to_dicts(records, MeasurePair.ENTROPY), UnknownQuantityError,
+                       _NOT_COLLECTION),
+}
+
+
+def _bits(result) -> bytes:
+    if isinstance(result, PureState):
+        return result.amplitudes.tobytes()
+    return np.array(dataclasses.astuple(result) if isinstance(result, MiCurves) else result, np.float64).tobytes()
+
+
+@pytest.mark.parametrize("name", ARGUMENT_RULES)
+def test_arguments_are_real_numbers_or_index_collections(name):
+    call, error, refused = ARGUMENT_RULES[name]
+    rule = "is not a real number" if refused is _NOT_REAL else "must be a collection"
+    for bad in refused:
+        with pytest.raises(error, match=rule) as info:
+            call(bad)
+        assert repr(bad) in str(info.value), (bad, info.value)
+    if refused is _NOT_REAL:
+        # An integer or a numpy scalar is the real number it equals, bit for bit.
+        for number, equal in ((0, 0.0), (np.int64(0), 0.0), (np.float64(0.3), 0.3), (np.float64(R_MAX), R_MAX)):
+            assert _bits(call(number)) == _bits(call(equal)), (number, equal)
 
 
 def test_perspectival_states_match_assignment():
@@ -281,9 +338,10 @@ def test_sweep_rows_match_closed_forms():
 
 
 def test_sweep_grid_validation():
-    # A point float() does not take, such as None, is a grid error too, and so is a string or bytes grid, whose
-    # characters or byte values would otherwise be taken as its points.
-    for bad in ([], [0.2, 0.1], [0.0, 0.9], [-0.1, 0.2], [None], "0.1", "0", "00", b"\x00\x00", bytearray(1)):
+    # A point that is not a real number, such as None, "0.1" or a bool, is a grid error too, and so is a string or
+    # bytes grid, whose characters or byte values would otherwise be taken as its points.
+    for bad in ([], [0.2, 0.1], [0.0, 0.9], [-0.1, 0.2], [None], "0.1", "0", "00", b"\x00\x00", bytearray(1), ["0.1"],
+                [True], [False], [1j]):
         with pytest.raises(GridError):
             sweep(bad, MeasurePair.ENTROPY)
     # endpoint round-off is clamped, not rejected

@@ -266,8 +266,10 @@ def test_condition_check_examples():
             assert condition_check(one, c, m)
 
 
-@pytest.mark.parametrize("tol", [math.nan, -1e-9, -math.inf, "x", None, 1j, np.array([1e-9, 1.0])],
-                         ids=["nan", "negative", "minus-inf", "string", "none", "complex", "array"])
+@pytest.mark.parametrize("tol", [math.nan, -1e-9, -math.inf, "x", None, 1j, np.array([1e-9, 1.0]), True,
+                                 np.array(1e-9)],
+                         ids=["nan", "negative", "minus-inf", "string", "none", "complex", "array", "bool",
+                              "0-d-array"])
 @pytest.mark.parametrize("m", list(MeasurePair), ids=lambda m: m.value)
 def test_nan_or_negative_tol_is_a_domain_error(tol, m):
     # The family is even-parity, so it passes every constraint at the default tolerance and above;
